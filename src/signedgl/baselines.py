@@ -13,11 +13,10 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import cg
 
 from .classifier import BinaryLabelData, MulticlassLabelData
-from .laplacians import _coerce, _norm_adjacency
+from .laplacians import DENSE_CAP, _coerce, _norm_adjacency
 
 __all__ = ["harmonic_functions", "local_global"]
 
-DENSE_CAP = 2000
 _SOLVE_TOL = 1e-10
 
 

@@ -10,7 +10,9 @@ quadratic part is treated implicitly, the double-well and fidelity
 forces explicitly, which reduces every time step to a diagonal solve in
 eigenvector coordinates.  The multiclass variant replaces the double
 well by an L1 simplex-vertex potential and projects each row of the
-iterate back onto the Gibbs simplex after every step.
+iterate back onto the Gibbs simplex after every step (Garcia-Cardona et
+al., "Multiclass data segmentation using diffuse interface methods on
+graphs", 2014).
 
 S must be positive semi-definite (otherwise E is unbounded below), so
 balance-ratio operators are rejected.
@@ -59,8 +61,7 @@ class GLConfig:
 
     ``c`` defaults to 3/epsilon + omega0 and must satisfy
     c >= omega0 + 1/epsilon for the convexity splitting to be stable.
-    ``n_eigs`` is the eigenvector count requested by the harness; the
-    solvers themselves use whatever basis they are handed.
+    The solvers use whatever eigenbasis they are handed.
     """
 
     epsilon: float = 0.1
@@ -69,7 +70,6 @@ class GLConfig:
     tau: float = 0.1
     max_iter: int = 2000
     tol: float = 1e-6
-    n_eigs: int | None = None
 
     def __post_init__(self):
         if self.epsilon <= 0:
@@ -82,8 +82,6 @@ class GLConfig:
             raise ValueError("max_iter must be at least 1")
         if self.tol < 0:
             raise ValueError("tol must be nonnegative")
-        if self.n_eigs is not None and self.n_eigs < 1:
-            raise ValueError("n_eigs must be at least 1")
         if self.c is None:
             self.c = 3.0 / self.epsilon + self.omega0
         if self.c < self.omega0 + 1.0 / self.epsilon:
@@ -197,6 +195,14 @@ def _quadratic_form(source, u: np.ndarray) -> float:
     return float(a @ (source.lambdas * a))
 
 
+def _binary_energy(quad: float, u, labels: BinaryLabelData, cfg: GLConfig) -> float:
+    """The binary energy given its quadratic term u^T S u."""
+    omega = labels.weights(cfg.omega0)
+    potential = float(np.sum((u**2 - 1.0) ** 2))
+    fidelity = float(np.sum(omega * (labels.f - u) ** 2))
+    return 0.5 * cfg.epsilon * quad + potential / (4.0 * cfg.epsilon) + 0.5 * fidelity
+
+
 def energy(source, u, labels: BinaryLabelData, cfg: GLConfig) -> float:
     """Evaluate the binary Ginzburg-Landau energy at u.
 
@@ -206,11 +212,7 @@ def energy(source, u, labels: BinaryLabelData, cfg: GLConfig) -> float:
     spec = source.spec if isinstance(source, OperatorHandle) else source.source
     _require_psd(spec)
     u = np.asarray(u, dtype=float)
-    quad = _quadratic_form(source, u)
-    omega = labels.weights(cfg.omega0)
-    potential = float(np.sum((u**2 - 1.0) ** 2))
-    fidelity = float(np.sum(omega * (labels.f - u) ** 2))
-    return 0.5 * cfg.epsilon * quad + potential / (4.0 * cfg.epsilon) + 0.5 * fidelity
+    return _binary_energy(_quadratic_form(source, u), u, labels, cfg)
 
 
 def energy_gradient(source, u, labels: BinaryLabelData, cfg: GLConfig) -> np.ndarray:
@@ -223,36 +225,24 @@ def energy_gradient(source, u, labels: BinaryLabelData, cfg: GLConfig) -> np.nda
     else:
         Su = source.phis @ (source.lambdas * (source.phis.T @ u))
     omega = labels.weights(cfg.omega0)
-    return cfg.epsilon * Su + (u**3 - u) / cfg.epsilon - omega * (labels.f - u)
-
-
-def _binary_energy_from_state(lambdas, a, u, labels, cfg) -> float:
-    quad = float(a @ (lambdas * a))
-    omega = labels.weights(cfg.omega0)
-    potential = float(np.sum((u**2 - 1.0) ** 2))
-    fidelity = float(np.sum(omega * (labels.f - u) ** 2))
-    return 0.5 * cfg.epsilon * quad + potential / (4.0 * cfg.epsilon) + 0.5 * fidelity
+    return cfg.epsilon * Su + (u * u * u - u) / cfg.epsilon - omega * (labels.f - u)
 
 
 def gl_binary(
     basis: Eigenbasis,
     labels: BinaryLabelData,
     cfg: GLConfig,
-    init_seed: int | None = None,
     track_energy: bool = False,
 ):
     """Binary Ginzburg-Landau classification over an eigenbasis.
 
     Starts from u = f and runs the semi-implicit convexity-splitting
     update until the relative change of the iterate drops below
-    ``cfg.tol`` or ``cfg.max_iter`` is reached.  ``init_seed`` is
-    accepted for interface parity with the multiclass solver but unused
-    (the binary start is deterministic).
+    ``cfg.tol`` or ``cfg.max_iter`` is reached.
 
     Returns:
         (u, labels_out, diagnostics) with labels_out = sign(u), sign(0) = +1.
     """
-    del init_seed
     _require_psd(basis.source)
     if labels.n != basis.n:
         raise ValueError("label vector length does not match eigenbasis")
@@ -262,14 +252,19 @@ def gl_binary(
     f = labels.f
     denom = 1.0 + eps * tau * lambdas + c * tau
 
+    def state_energy(a, u):
+        return _binary_energy(float(a @ (lambdas * a)), u, labels, cfg)
+
     a = phis.T @ f
     u = phis @ a
     diag = GLDiagnostics(0, np.inf, np.nan, False)
     if track_energy:
-        diag.energy_history.append(_binary_energy_from_state(lambdas, a, u, labels, cfg))
+        diag.energy_history.append(state_energy(a, u))
 
     for it in range(cfg.max_iter):
-        b = phis.T @ (u**3 - u)
+        # u * u * u, not u**3: numpy sends an integer power through pow(),
+        # which costs more than the rest of the step together.
+        b = phis.T @ (u * u * u - u)
         d = phis.T @ (omega * (f - u))
         a_new = ((1.0 + c * tau) * a - (tau / eps) * b + tau * d) / denom
         u_new = phis @ a_new
@@ -280,14 +275,12 @@ def gl_binary(
         diag.iterations = it + 1
         diag.final_change = float(change)
         if track_energy:
-            diag.energy_history.append(
-                _binary_energy_from_state(lambdas, a, u, labels, cfg)
-            )
+            diag.energy_history.append(state_energy(a, u))
         if change < cfg.tol:
             diag.converged = True
             break
 
-    diag.final_energy = _binary_energy_from_state(lambdas, a, u, labels, cfg)
+    diag.final_energy = state_energy(a, u)
     labels_out = np.where(u >= 0, 1, -1).astype(np.int64)
     return u, labels_out, diag
 
@@ -297,16 +290,14 @@ def gl_binary(
 
 
 def multiclass_potential(U: np.ndarray) -> float:
-    """sum_i prod_l ||u_i - e_l||_1^2 / 4, the simplex-vertex well."""
-    U = np.asarray(U, dtype=float)
-    dist = _vertex_distances(U)
-    return float(np.prod(0.25 * dist**2, axis=1).sum())
+    """sum_i prod_l ||u_i - e_l||_1^2 / 4, the simplex-vertex well.
 
-
-def _vertex_distances(U: np.ndarray) -> np.ndarray:
-    # dist[i, l] = ||u_i - e_l||_1
-    K = U.shape[1]
-    return np.abs(U[:, None, :] - np.eye(K)[None, :, :]).sum(axis=2)
+    Every row of U must lie on the probability simplex (nonnegative
+    entries summing to one).  There ||u_i - e_l||_1 = 2 (1 - U_il), which
+    is the form evaluated; off the simplex the result is not the well.
+    """
+    gap = 1.0 - np.asarray(U, dtype=float)
+    return float(np.prod(gap * gap, axis=1).sum())
 
 
 def multiclass_potential_gradient(U: np.ndarray) -> np.ndarray:
@@ -315,16 +306,24 @@ def multiclass_potential_gradient(U: np.ndarray) -> np.ndarray:
     Row i, class k:
         sum_l (1 - 2*delta_kl)/2 * ||u_i - e_l||_1 * prod_{m != l} ||u_i - e_m||_1^2 / 4
     with the interior sign convention of the L1 distances baked in.
+
+    Every row of U must lie on the probability simplex.  There
+    ||u_i - e_l||_1 = 2 (1 - U_il), so the term for l is
+    (1 - U_il) prod_{m != l} (1 - U_im)^2, and the product over m != l
+    is a prefix times a suffix product over the K columns.
     """
     U = np.asarray(U, dtype=float)
-    n, K = U.shape
-    dist = _vertex_distances(U)
-    q = 0.25 * dist**2
-    prod_excl = np.empty_like(q)
-    for l in range(K):
-        prod_excl[:, l] = np.prod(np.delete(q, l, axis=1), axis=1)
-    base = 0.5 * dist * prod_excl
-    return base.sum(axis=1, keepdims=True) - 2.0 * base
+    # class-major (K x n) so each step below is one contiguous vector op
+    gap = np.subtract(1.0, U.T, order="C")
+    q = gap * gap
+    K = q.shape[0]
+    prefix = np.ones_like(q)
+    suffix = np.ones_like(q)
+    for l in range(1, K):
+        prefix[l] = prefix[l - 1] * q[l - 1]
+        suffix[K - 1 - l] = suffix[K - l] * q[K - l]
+    base = gap * (prefix * suffix)
+    return np.ascontiguousarray((base.sum(axis=0) - 2.0 * base).T)
 
 
 def project_rows_onto_simplex(V: np.ndarray) -> np.ndarray:
@@ -332,10 +331,11 @@ def project_rows_onto_simplex(V: np.ndarray) -> np.ndarray:
     V = np.asarray(V, dtype=float)
     n, K = V.shape
     s = np.sort(V, axis=1)[:, ::-1]
-    gaps = s - (np.cumsum(s, axis=1) - 1.0) / np.arange(1, K + 1)
+    cs = np.cumsum(s, axis=1)
+    gaps = s - (cs - 1.0) / np.arange(1, K + 1)
     # index of the last positive gap; the first is always positive
     rho = K - 1 - np.argmax(gaps[:, ::-1] > 0, axis=1)
-    theta = (np.cumsum(s, axis=1)[np.arange(n), rho] - 1.0) / (rho + 1)
+    theta = (cs[np.arange(n), rho] - 1.0) / (rho + 1)
     return np.maximum(V - theta[:, None], 0.0)
 
 

@@ -257,7 +257,7 @@ def run_experiment(
                         if method in GL_METHODS:
                             cfg = GLConfig(
                                 epsilon=eps, omega0=w0, tau=spec.tau,
-                                max_iter=spec.max_iter, tol=spec.tol, n_eigs=ne,
+                                max_iter=spec.max_iter, tol=spec.tol,
                             )
                             basis = bases[min(int(ne), comp.n)]
                         else:

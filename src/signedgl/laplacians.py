@@ -40,7 +40,9 @@ __all__ = [
     "build_operator",
 ]
 
-# Geometric-mean construction requires dense matrix square roots.
+# Largest node count handled with dense matrices: the geometric-mean
+# construction (dense matrix square roots), the LAPACK eigensolver path
+# and the direct baseline solves.
 DENSE_CAP = 2000
 
 

@@ -24,7 +24,7 @@ from scipy.sparse.linalg import (
     eigsh,
 )
 
-from .laplacians import OperatorHandle, OperatorKind, OperatorSpec
+from .laplacians import DENSE_CAP, OperatorHandle, OperatorKind, OperatorSpec
 
 __all__ = [
     "DENSE_CAP",
@@ -37,7 +37,6 @@ __all__ = [
     "eigenbasis_cache_file",
 ]
 
-DENSE_CAP = 2000
 _RESIDUAL_TOL = 1e-6
 
 

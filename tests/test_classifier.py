@@ -3,14 +3,17 @@ import itertools
 import numpy as np
 import pytest
 
+import signedgl.classifier as classifier
 from signedgl import (
     BinaryLabelData,
     DivergenceError,
     GLConfig,
     MulticlassLabelData,
+    SSBMParams,
     energy,
     energy_gradient,
     full_dense_eigs,
+    generate_ssbm,
     gl_binary,
     gl_multiclass,
     multiclass_energy,
@@ -247,6 +250,45 @@ def test_binary_energy_monotone_quick(rng):
     assert np.max(np.diff(diag.energy_history)) <= 1e-12
 
 
+def gl_binary_pow_oracle(basis, labels, cfg):
+    """The binary GL loop with the cube written as u**3."""
+    eps, c, tau = cfg.epsilon, cfg.c, cfg.tau
+    phis, lambdas = basis.phis, basis.lambdas
+    omega = labels.weights(cfg.omega0)
+    f = labels.f
+    denom = 1.0 + eps * tau * lambdas + c * tau
+    a = phis.T @ f
+    u = phis @ a
+    iterations = 0
+    for it in range(cfg.max_iter):
+        b = phis.T @ (u**3 - u)
+        d = phis.T @ (omega * (f - u))
+        a = ((1.0 + c * tau) * a - (tau / eps) * b + tau * d) / denom
+        u_new = phis @ a
+        change = np.linalg.norm(u_new - u) / max(np.linalg.norm(u_new), 1e-30)
+        u = u_new
+        iterations = it + 1
+        if change < cfg.tol:
+            break
+    return u, np.where(u >= 0, 1, -1), iterations
+
+
+def test_binary_matches_pow_cube_loop():
+    g, blocks = generate_ssbm(SSBMParams(n=300, k=2, p_in=0.06, p_out=0.06, eta=0.2, seed=5))
+    basis = full_dense_eigs(signed_ratio_laplacian(g, normalized=True)).truncate(20)
+    signs = np.where(blocks == 0, 1.0, -1.0)
+    for seed in range(3):
+        mask = np.random.default_rng(seed).random(g.n) < 0.1
+        labels = BinaryLabelData.from_signs(signs, mask)
+        cfg = GLConfig()
+        u, pred, diag = gl_binary(basis, labels, cfg)
+        oracle_u, oracle_pred, oracle_iters = gl_binary_pow_oracle(basis, labels, cfg)
+        assert diag.iterations == oracle_iters
+        assert 1 < diag.iterations < cfg.max_iter
+        assert np.array_equal(pred, oracle_pred)
+        assert np.allclose(u, oracle_u, rtol=0, atol=1e-12)
+
+
 def test_binary_label_fidelity(rng):
     g = random_signed_graph(rng, 40, weighted=True)
     basis = full_dense_eigs(signed_ratio_laplacian(g, normalized=True))
@@ -374,6 +416,83 @@ def potential_oracle(U):
             p *= 0.25 * d * d
         total += p
     return total
+
+
+def l1_vertex_distances(U):
+    """dist[i, l] = ||u_i - e_l||_1, by the n x K x K broadcast."""
+    K = U.shape[1]
+    return np.abs(U[:, None, :] - np.eye(K)[None, :, :]).sum(axis=2)
+
+
+def l1_potential(U):
+    """The well from explicit L1 distances; valid off the simplex too."""
+    return float(np.prod(0.25 * l1_vertex_distances(U) ** 2, axis=1).sum())
+
+
+def l1_potential_gradient(U):
+    """The well gradient from explicit L1 distances and np.delete products."""
+    K = U.shape[1]
+    dist = l1_vertex_distances(U)
+    q = 0.25 * dist**2
+    prod_excl = np.empty_like(q)
+    for l in range(K):
+        prod_excl[:, l] = np.prod(np.delete(q, l, axis=1), axis=1)
+    base = 0.5 * dist * prod_excl
+    return base.sum(axis=1, keepdims=True) - 2.0 * base
+
+
+def two_cumsum_projection(V):
+    """Row-wise simplex projection that computes the cumulative sums twice."""
+    n, K = V.shape
+    s = np.sort(V, axis=1)[:, ::-1]
+    gaps = s - (np.cumsum(s, axis=1) - 1.0) / np.arange(1, K + 1)
+    rho = K - 1 - np.argmax(gaps[:, ::-1] > 0, axis=1)
+    theta = (np.cumsum(s, axis=1)[np.arange(n), rho] - 1.0) / (rho + 1)
+    return np.maximum(V - theta[:, None], 0.0)
+
+
+def simplex_rows(rng, n, K):
+    """Projected random rows, with vertices and rows holding zero entries."""
+    U = project_rows_onto_simplex(rng.normal(0.3, 0.5, (n, K)))
+    U[:K] = np.eye(K)
+    U[K] = 0.0
+    U[K, :2] = 0.5
+    assert (U == 0).any(axis=1).sum() > K
+    return U
+
+
+def test_closed_form_well_matches_l1_formula(rng):
+    for K in range(2, 7):
+        U = simplex_rows(rng, 40, K)
+        T = multiclass_potential_gradient(U)
+        assert np.allclose(T, l1_potential_gradient(U), rtol=0, atol=1e-14)
+        assert np.array_equal(T[:K], np.zeros((K, K)))  # zero at every vertex
+        assert np.isclose(multiclass_potential(U), l1_potential(U), rtol=1e-14, atol=0)
+        assert np.isclose(multiclass_potential(U), potential_oracle(U), rtol=1e-14, atol=0)
+        assert multiclass_potential(U[:K]) == 0.0
+
+
+def test_projection_matches_two_cumsum_form(rng):
+    for K in range(1, 7):
+        V = rng.normal(0.3, 2.0, (200, K))
+        assert np.array_equal(project_rows_onto_simplex(V), two_cumsum_projection(V))
+
+
+def test_gl_multiclass_matches_l1_kernels(monkeypatch):
+    g, blocks = generate_ssbm(SSBMParams(n=240, k=3, p_in=0.08, p_out=0.08, eta=0.15, seed=4))
+    basis = full_dense_eigs(signed_ratio_laplacian(g, normalized=True)).truncate(15)
+    mask = np.random.default_rng(0).random(g.n) < 0.1
+    labels = MulticlassLabelData.from_classes(blocks, mask, 3)
+    new = [gl_multiclass(basis, labels, GLConfig(), init_seed=s) for s in range(3)]
+    monkeypatch.setattr(classifier, "multiclass_potential_gradient", l1_potential_gradient)
+    monkeypatch.setattr(classifier, "multiclass_potential", l1_potential)
+    monkeypatch.setattr(classifier, "project_rows_onto_simplex", two_cumsum_projection)
+    old = [gl_multiclass(basis, labels, GLConfig(), init_seed=s) for s in range(3)]
+    for (_, pred, diag), (_, old_pred, old_diag) in zip(new, old):
+        assert 1 < diag.iterations < GLConfig().max_iter
+        assert diag.iterations == old_diag.iterations
+        assert np.array_equal(pred, old_pred)
+        assert np.isclose(diag.final_energy, old_diag.final_energy, rtol=1e-12)
 
 
 def test_potential_gradient_finite_differences(rng):
