@@ -184,15 +184,20 @@ def _require_psd(spec: OperatorSpec) -> None:
         )
 
 
-def _quadratic_form(source, u: np.ndarray) -> float:
-    if isinstance(source, OperatorHandle):
-        if source.is_generalized:
-            raise ValueError(
-                "energy of a generalized pair needs an Eigenbasis, not the raw pair"
-            )
-        return float(u @ source.apply(u))
-    a = source.phis.T @ u
-    return float(a @ (source.lambdas * a))
+def _apply_operator(source, x: np.ndarray) -> np.ndarray:
+    """S x, with S an explicit OperatorHandle or Phi diag(lambdas) Phi^T of an Eigenbasis.
+
+    ``x`` is a vector or an n x K matrix.  Rejects operators that are not
+    PSD, and generalized pairs, whose eigenbasis must be passed instead.
+    """
+    if not isinstance(source, OperatorHandle):
+        _require_psd(source.source)
+        # lambdas scale the rows of the coefficients, for vectors and matrices alike
+        return source.phis @ (source.lambdas * (source.phis.T @ x).T).T
+    _require_psd(source.spec)
+    if source.is_generalized:
+        raise ValueError("energy of a generalized pair needs an Eigenbasis, not the raw pair")
+    return source.matrix @ x
 
 
 def _binary_energy(quad: float, u, labels: BinaryLabelData, cfg: GLConfig) -> float:
@@ -209,23 +214,16 @@ def energy(source, u, labels: BinaryLabelData, cfg: GLConfig) -> float:
     ``source`` is an OperatorHandle (exact quadratic form) or an
     Eigenbasis (quadratic form of the span-projected part).
     """
-    spec = source.spec if isinstance(source, OperatorHandle) else source.source
-    _require_psd(spec)
     u = np.asarray(u, dtype=float)
-    return _binary_energy(_quadratic_form(source, u), u, labels, cfg)
+    return _binary_energy(float(u @ _apply_operator(source, u)), u, labels, cfg)
 
 
 def energy_gradient(source, u, labels: BinaryLabelData, cfg: GLConfig) -> np.ndarray:
     """Analytic gradient of the binary energy: eps*S u + (u^3-u)/eps - omega*(f-u)."""
-    spec = source.spec if isinstance(source, OperatorHandle) else source.source
-    _require_psd(spec)
     u = np.asarray(u, dtype=float)
-    if isinstance(source, OperatorHandle):
-        Su = source.apply(u)
-    else:
-        Su = source.phis @ (source.lambdas * (source.phis.T @ u))
     omega = labels.weights(cfg.omega0)
-    return cfg.epsilon * Su + (u * u * u - u) / cfg.epsilon - omega * (labels.f - u)
+    return (cfg.epsilon * _apply_operator(source, u) + (u * u * u - u) / cfg.epsilon
+            - omega * (labels.f - u))
 
 
 def gl_binary(
@@ -347,14 +345,8 @@ def simplex_project(v) -> np.ndarray:
 
 def multiclass_energy(source, U, labels: MulticlassLabelData, cfg: GLConfig) -> float:
     """Vector-valued Ginzburg-Landau energy (trace form + well + fidelity)."""
-    spec = source.spec if isinstance(source, OperatorHandle) else source.source
-    _require_psd(spec)
     U = np.asarray(U, dtype=float)
-    if isinstance(source, OperatorHandle):
-        quad = float(np.tensordot(U, source.matrix @ U))
-    else:
-        C = source.phis.T @ U
-        quad = float(np.sum(source.lambdas[:, None] * C**2))
+    quad = float(np.tensordot(U, _apply_operator(source, U)))
     omega = labels.weights(cfg.omega0)
     fidelity = float(np.sum(omega[:, None] * (labels.U_hat - U) ** 2))
     return (

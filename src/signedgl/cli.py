@@ -30,15 +30,9 @@ from .data import (
     write_signed_edge_list,
 )
 from .graph import largest_connected_component
-from .harness import METHODS, ExperimentSpec, emit_csv, run_experiment
+from .harness import METHODS, ExperimentSpec, emit_csv, operator_component, run_experiment
 from .laplacians import OperatorKind, build_operator
 from .spectral import eigenbasis_cache_file, save_eigenbasis, smallest_eigs
-
-_CONFIG_KEYS = (
-    "dataset", "labels", "methods", "fractions", "neigs", "omega0", "epsilon",
-    "runs", "seed", "out", "cache_dir", "delimiter", "header", "alpha", "tau",
-    "max_iter", "tol",
-)
 
 
 def _parse_list(value, cast):
@@ -72,38 +66,55 @@ def _edge_format(args) -> EdgeListFormat:
     )
 
 
-def _build_spec(args, dataset_name: str) -> ExperimentSpec:
+# sweep flag -> (ExperimentSpec field, parser of the flag or config value, help)
+_SPEC_FLAGS = {
+    "fractions": ("fractions", lambda v: _parse_list(v, float),
+                  "labeled-node fractions, e.g. 0.01,0.05"),
+    "neigs": ("n_eigs", lambda v: _parse_list(v, int), "eigenvector counts, e.g. 20,100"),
+    "omega0": ("omega0", lambda v: _parse_list(v, float), "fidelity weights"),
+    "epsilon": ("epsilon", lambda v: _parse_list(v, float), "interface parameters"),
+    "runs": ("runs", int, "label resamplings per cell"),
+    "seed": ("base_seed", int, "base seed"),
+    "alpha": ("alpha", float, "LGC mixing parameter"),
+    "tau": ("tau", float, "time step"),
+    "max_iter": ("max_iter", int, "iteration cap"),
+    "tol": ("tol", float, "stopping tolerance"),
+}
+# keys a --config file may set: long flag names with "_" for "-"
+_CONFIG_KEYS = (
+    "dataset", "labels", "methods", "out", "cache_dir", "delimiter", "header", *_SPEC_FLAGS,
+)
+# the sweep defaults, for help strings and `eigs`; fractions is the CLI's own default
+_DEFAULTS = ExperimentSpec(methods=list(METHODS), fractions=[0.05])
+
+
+def _default_help(flag: str) -> str:
+    value = getattr(_DEFAULTS, _SPEC_FLAGS[flag][0])
+    shown = ",".join(map(str, value)) if isinstance(value, list) else value
+    return f"(default {shown})"
+
+
+def _build_spec(args) -> ExperimentSpec:
+    """The sweep spec from the flags the user set; ExperimentSpec fills in the rest."""
     methods = _parse_list(args.methods, str)
     if not methods:
         raise ValueError(f"--methods is required (choose from {', '.join(METHODS)})")
-    return ExperimentSpec(
-        methods=methods,
-        fractions=_parse_list(args.fractions, float) or [0.05],
-        n_eigs=_parse_list(args.neigs, int) or [100],
-        omega0=_parse_list(args.omega0, float) or [1000.0],
-        epsilon=_parse_list(args.epsilon, float) or [0.1],
-        runs=int(args.runs) if args.runs is not None else 10,
-        base_seed=int(args.seed) if args.seed is not None else 0,
-        dataset=dataset_name,
-        alpha=float(args.alpha) if args.alpha is not None else 0.99,
-        tau=float(args.tau) if args.tau is not None else 0.1,
-        max_iter=int(args.max_iter) if args.max_iter is not None else 2000,
-        tol=float(args.tol) if args.tol is not None else 1e-6,
-    )
+    given = {"fractions": list(_DEFAULTS.fractions)}
+    for flag, (name, parse, _) in _SPEC_FLAGS.items():
+        raw = getattr(args, flag)
+        value = None if raw is None else parse(raw)
+        if value not in (None, []):  # an empty list keeps the default too
+            given[name] = value
+    return ExperimentSpec(methods=methods, **given)
 
 
 def _add_sweep_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--methods", help=f"comma list from: {', '.join(METHODS)}")
-    p.add_argument("--fractions", help="labeled-node fractions, e.g. 0.01,0.05")
-    p.add_argument("--neigs", help="eigenvector counts, e.g. 20,100")
-    p.add_argument("--omega0", help="fidelity weights (default 1000)")
-    p.add_argument("--epsilon", help="interface parameters (default 0.1)")
-    p.add_argument("--runs", type=int, help="label resamplings per cell (default 10)")
-    p.add_argument("--seed", type=int, help="base seed (default 0)")
-    p.add_argument("--alpha", type=float, help="LGC mixing parameter (default 0.99)")
-    p.add_argument("--tau", type=float, help="time step (default 0.1)")
-    p.add_argument("--max-iter", dest="max_iter", type=int, help="iteration cap (default 2000)")
-    p.add_argument("--tol", type=float, help="stopping tolerance (default 1e-6)")
+    for flag, (_, parse, text) in _SPEC_FLAGS.items():
+        # scalar flags are typed at parse time; list flags stay comma strings
+        p.add_argument("--" + flag.replace("_", "-"), dest=flag,
+                       type=parse if parse in (int, float) else None,
+                       help=f"{text} {_default_help(flag)}")
     p.add_argument("--out", help="output CSV path")
     p.add_argument("--cache-dir", dest="cache_dir", help="eigenbasis cache directory")
     p.add_argument("--timings", action="store_true", help="include wall times in the CSV")
@@ -118,6 +129,15 @@ def _add_dataset_flags(p: argparse.ArgumentParser) -> None:
                    help="skip the first data line")
 
 
+def _sweep(args, g, labels) -> int:
+    """Run the sweep the flags describe on (g, labels) and write its CSV."""
+    spec = _build_spec(args)
+    result = run_experiment(g, labels, spec, cache_dir=args.cache_dir)
+    emit_csv(result, args.out, include_timings=args.timings)
+    print(f"wrote {args.out} ({len(result.runs)} run rows, {len(result.means)} mean rows)")
+    return 0
+
+
 def _cmd_run(args) -> int:
     args = _merge_config(args)
     if not args.dataset:
@@ -128,11 +148,7 @@ def _cmd_run(args) -> int:
         raise ValueError("--out is required")
     g = load_signed_edge_list(args.dataset, _edge_format(args))
     labels = load_labels(args.labels, g, strict=not args.skip_missing)
-    spec = _build_spec(args, dataset_name=str(args.dataset))
-    result = run_experiment(g, labels, spec, cache_dir=args.cache_dir)
-    emit_csv(result, args.out, include_timings=args.timings)
-    print(f"wrote {args.out} ({len(result.runs)} run rows, {len(result.means)} mean rows)")
-    return 0
+    return _sweep(args, g, labels)
 
 
 def _cmd_ssbm(args) -> int:
@@ -157,12 +173,7 @@ def _cmd_ssbm(args) -> int:
         return 0
     if not args.out:
         raise ValueError("--out is required when running a sweep")
-    name = f"ssbm(n={params.n},k={params.k},p_in={params.p_in},p_out={params.p_out},eta={params.eta},seed={params.seed})"
-    spec = _build_spec(args, dataset_name=name)
-    result = run_experiment(g, labels, spec, cache_dir=args.cache_dir)
-    emit_csv(result, args.out, include_timings=args.timings)
-    print(f"wrote {args.out} ({len(result.runs)} run rows, {len(result.means)} mean rows)")
-    return 0
+    return _sweep(args, g, labels)
 
 
 def _cmd_eigs(args) -> int:
@@ -173,19 +184,16 @@ def _cmd_eigs(args) -> int:
         raise ValueError("--cache-dir is required")
     g = load_signed_edge_list(args.dataset, _edge_format(args))
     kind = OperatorKind(args.operator)
-    mode = {
-        OperatorKind.LSYM_POS: "positive",
-        OperatorKind.QSYM_NEG: "negative",
-    }.get(kind, "signed")
-    comp, _ = largest_connected_component(g, mode)
+    comp, _ = largest_connected_component(g, operator_component(kind))
     digest = graph_digest(comp)
-    seed = int(args.seed) if args.seed is not None else 0
+    seed = int(args.seed) if args.seed is not None else _DEFAULTS.base_seed
+    ks = [min(k, comp.n) for k in _parse_list(args.neigs, int) or _DEFAULTS.n_eigs]
+    # one solve at the largest count; smaller counts are its leading vectors
+    full = smallest_eigs(build_operator(comp, kind), k=max(ks), seed=seed)
     Path(args.cache_dir).mkdir(parents=True, exist_ok=True)
-    for k in _parse_list(args.neigs, int) or [100]:
-        k = min(k, comp.n)
-        basis = smallest_eigs(build_operator(comp, kind), k=k, seed=seed)
+    for k in ks:
         path = eigenbasis_cache_file(args.cache_dir, digest, kind, k)
-        save_eigenbasis(path, basis)
+        save_eigenbasis(path, full.truncate(k))
         print(f"wrote {path} (n={comp.n}, k={k})")
     return 0
 
@@ -242,8 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=[k.value for k in OperatorKind if k not in
                  (OperatorKind.L, OperatorKind.LSYM, OperatorKind.Q, OperatorKind.QSYM)],
     )
-    p_eigs.add_argument("--neigs", help="eigenvector counts, e.g. 20,100")
-    p_eigs.add_argument("--seed", type=int)
+    p_eigs.add_argument("--neigs", help=f"{_SPEC_FLAGS['neigs'][2]} {_default_help('neigs')}")
+    p_eigs.add_argument("--seed", type=int, help=f"eigensolver seed {_default_help('seed')}")
     p_eigs.add_argument("--cache-dir", dest="cache_dir")
     p_eigs.add_argument("--config", help="YAML key-value config file; flags win")
     p_eigs.set_defaults(func=_cmd_eigs)

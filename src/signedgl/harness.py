@@ -3,9 +3,12 @@
 Each method runs on its own connected component (positive subgraph for
 the unsigned methods, negative for the signless one, the full signed
 graph otherwise), with label masks redrawn per run from a seed derived
-deterministically from (base_seed, method, fraction).  Eigenbases are
-computed once per (operator, eigenvector count) and reused across runs,
-optionally through an on-disk cache.
+deterministically from (base_seed, method, fraction).  Each component is
+extracted once per sweep and shared by the methods that run on it.  Each
+operator is solved once, at the largest eigenvector count of the sweep
+(capped by the component size); smaller counts use leading truncations
+of that basis.  The solve can go through an on-disk cache, which then
+holds one file per operator at that largest count.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ __all__ = [
     "run_experiment",
     "emit_csv",
     "method_component",
+    "operator_component",
 ]
 
 # method token -> operator kind (GL methods only)
@@ -74,14 +78,21 @@ _CSV_COLUMNS = [
 ]
 
 
+# operators built on a one-sign component; every other kind uses the signed graph
+_ONE_SIGN_COMPONENT = {OperatorKind.LSYM_POS: "positive", OperatorKind.QSYM_NEG: "negative"}
+
+
+def operator_component(kind) -> str:
+    """Connectivity mode whose largest component an operator is built on."""
+    return _ONE_SIGN_COMPONENT.get(OperatorKind(kind), "signed")
+
+
 def method_component(method: str) -> str:
     """Connectivity mode whose largest component a method runs on."""
-    if method in ("gl-plus", "hf", "lgc"):
-        return "positive"
-    if method == "gl-minus":
-        return "negative"
     if method in GL_METHODS:
-        return "signed"
+        return operator_component(GL_METHODS[method])
+    if method in BASELINE_METHODS:
+        return "positive"
     raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
 
 
@@ -92,15 +103,14 @@ class ExperimentSpec:
     methods: list
     fractions: list
     n_eigs: list = field(default_factory=lambda: [100])
-    omega0: list = field(default_factory=lambda: [1000.0])
-    epsilon: list = field(default_factory=lambda: [0.1])
+    omega0: list = field(default_factory=lambda: [GLConfig.omega0])
+    epsilon: list = field(default_factory=lambda: [GLConfig.epsilon])
     runs: int = 10
     base_seed: int = 0
-    dataset: str = ""
     alpha: float = 0.99
-    tau: float = 0.1
-    max_iter: int = 2000
-    tol: float = 1e-6
+    tau: float = GLConfig.tau
+    max_iter: int = GLConfig.max_iter
+    tol: float = GLConfig.tol
 
     def __post_init__(self):
         if not self.methods:
@@ -143,7 +153,6 @@ class MeanRecord:
     epsilon: float | None
     accuracy: float | None
     iterations: float | None
-    runs: int
     error: str = ""
 
 
@@ -212,72 +221,76 @@ def run_experiment(
     g: SignedGraph, labels: LabelData, spec: ExperimentSpec, cache_dir=None
 ) -> ExperimentResult:
     """Run the full sweep; failures become error rows and the sweep continues."""
+    components: dict[str, tuple] = {}
     run_rows: list[RunRecord] = []
     for method in spec.methods:
-        comp, old_to_new = largest_connected_component(g, method_component(method))
-        comp_labels = labels.restrict(old_to_new, comp.n)
-        digest = graph_digest(comp) if cache_dir is not None else ""
-        if method in GL_METHODS:
-            cells = [
-                (ne, w0, eps)
-                for ne in spec.n_eigs
-                for w0 in spec.omega0
-                for eps in spec.epsilon
-            ]
-            bases: dict[int, Eigenbasis] = {}
-            for ne in spec.n_eigs:
-                k = min(int(ne), comp.n)
-                if k not in bases:
-                    bases[k] = _get_eigenbasis(
-                        comp, GL_METHODS[method], k, spec.base_seed, cache_dir, digest
-                    )
-        else:
-            cells = [(None, None, None)]
-            bases = {}
-        for fraction in spec.fractions:
-            mask_seed = _derived_seed(spec.base_seed, method, "mask", fraction)
-            init_seed_base = _derived_seed(spec.base_seed, method, "init", fraction)
-            for run_index in range(spec.runs):
-                try:
-                    train = sample_labeled_nodes(
-                        comp_labels, fraction, run_index, base_seed=mask_seed
-                    )
-                except ValueError as exc:
-                    for ne, w0, eps in cells:
-                        run_rows.append(
-                            RunRecord(method, fraction, ne, w0, eps, run_index,
-                                      None, None, 0.0, error=str(exc))
-                        )
-                    continue
-                truth, data, binary = _truth_and_labels(comp_labels, train)
-                eval_mask = comp_labels.known & ~train
-                for ne, w0, eps in cells:
-                    t0 = time.perf_counter()
-                    try:
-                        if method in GL_METHODS:
-                            cfg = GLConfig(
-                                epsilon=eps, omega0=w0, tau=spec.tau,
-                                max_iter=spec.max_iter, tol=spec.tol,
-                            )
-                            basis = bases[min(int(ne), comp.n)]
-                        else:
-                            cfg, basis = None, None
-                        pred, iters = _classify(
-                            method, comp, basis, data, binary, cfg, spec.alpha,
-                            init_seed_base + run_index,
-                        )
-                        acc = accuracy(pred, truth, eval_mask)
-                        err = ""
-                    except Exception as exc:  # keep sweeping, record the failure
-                        pred, iters, acc, err = None, None, None, str(exc)
-                    run_rows.append(
+        mode = method_component(method)
+        if mode not in components:
+            comp, old_to_new = largest_connected_component(g, mode)
+            digest = graph_digest(comp) if cache_dir is not None else ""
+            components[mode] = (comp, labels.restrict(old_to_new, comp.n), digest)
+        run_rows += _method_rows(method, *components[mode], spec, cache_dir)
+    return ExperimentResult(runs=run_rows, means=_aggregate(run_rows))
+
+
+def _method_rows(method, comp, comp_labels, digest, spec, cache_dir) -> list:
+    """The run rows of one method on its component."""
+    if method in GL_METHODS:
+        # one solve at the largest N_e; smaller N_e take its leading vectors
+        k_max = min(max(int(ne) for ne in spec.n_eigs), comp.n)
+        full = _get_eigenbasis(comp, GL_METHODS[method], k_max, spec.base_seed, cache_dir, digest)
+        bases = [(ne, full.truncate(min(int(ne), comp.n))) for ne in spec.n_eigs]
+        cells = [
+            (ne, w0, eps, basis)
+            for ne, basis in bases
+            for w0 in spec.omega0
+            for eps in spec.epsilon
+        ]
+    else:
+        cells = [(None, None, None, None)]
+    rows = []
+    for fraction in spec.fractions:
+        mask_seed = _derived_seed(spec.base_seed, method, "mask", fraction)
+        init_seed_base = _derived_seed(spec.base_seed, method, "init", fraction)
+        for run_index in range(spec.runs):
+            try:
+                train = sample_labeled_nodes(
+                    comp_labels, fraction, run_index, base_seed=mask_seed
+                )
+            except ValueError as exc:
+                for ne, w0, eps, _ in cells:
+                    rows.append(
                         RunRecord(method, fraction, ne, w0, eps, run_index,
-                                  acc, iters, time.perf_counter() - t0, error=err)
+                                  None, None, 0.0, error=str(exc))
                     )
-    return ExperimentResult(runs=run_rows, means=_aggregate(run_rows, spec.runs))
+                continue
+            truth, data, binary = _truth_and_labels(comp_labels, train)
+            eval_mask = comp_labels.known & ~train
+            for ne, w0, eps, basis in cells:
+                t0 = time.perf_counter()
+                try:
+                    cfg = None
+                    if method in GL_METHODS:
+                        cfg = GLConfig(
+                            epsilon=eps, omega0=w0, tau=spec.tau,
+                            max_iter=spec.max_iter, tol=spec.tol,
+                        )
+                    pred, iters = _classify(
+                        method, comp, basis, data, binary, cfg, spec.alpha,
+                        init_seed_base + run_index,
+                    )
+                    acc = accuracy(pred, truth, eval_mask)
+                    err = ""
+                except Exception as exc:  # keep sweeping, record the failure
+                    pred, iters, acc, err = None, None, None, str(exc)
+                rows.append(
+                    RunRecord(method, fraction, ne, w0, eps, run_index,
+                              acc, iters, time.perf_counter() - t0, error=err)
+                )
+    return rows
 
 
-def _aggregate(run_rows, runs) -> list:
+def _aggregate(run_rows) -> list:
     groups: dict[tuple, list[RunRecord]] = {}
     for row in run_rows:
         key = (row.method, row.fraction, row.n_eigs, row.omega0, row.epsilon)
@@ -296,7 +309,7 @@ def _aggregate(run_rows, runs) -> list:
         else:
             acc, its = None, None
             err = f"{len(rows) - len(ok)}/{len(rows)} runs failed"
-        means.append(MeanRecord(*key, accuracy=acc, iterations=its, runs=runs, error=err))
+        means.append(MeanRecord(*key, accuracy=acc, iterations=its, error=err))
     return means
 
 
@@ -309,44 +322,28 @@ def _fmt(value) -> str:
 
 
 def _row_cells(row) -> dict:
-    if isinstance(row, RunRecord):
-        return {
-            "record": "run",
-            "method": row.method,
-            "fraction": _fmt(row.fraction),
-            "n_eigs": _fmt(row.n_eigs),
-            "omega0": _fmt(row.omega0),
-            "epsilon": _fmt(row.epsilon),
-            "run": str(row.run_index),
-            "accuracy": _fmt(row.accuracy),
-            "iterations": _fmt(row.iterations),
-            "error": row.error,
-            "wall_time": repr(float(row.wall_time)),
-        }
+    run = isinstance(row, RunRecord)
     return {
-        "record": "mean",
+        "record": "run" if run else "mean",
         "method": row.method,
         "fraction": _fmt(row.fraction),
         "n_eigs": _fmt(row.n_eigs),
         "omega0": _fmt(row.omega0),
         "epsilon": _fmt(row.epsilon),
-        "run": "",
+        "run": str(row.run_index) if run else "",
         "accuracy": _fmt(row.accuracy),
         "iterations": _fmt(row.iterations),
         "error": row.error,
-        "wall_time": "",
+        "wall_time": repr(float(row.wall_time)) if run else "",
     }
 
 
 def _sort_key(row):
-    def num(v):
-        return -1.0 if v is None else float(v)
-
-    if isinstance(row, RunRecord):
-        return (row.method, num(row.fraction), num(row.n_eigs), num(row.omega0),
-                num(row.epsilon), 0, row.run_index)
-    return (row.method, num(row.fraction), num(row.n_eigs), num(row.omega0),
-            num(row.epsilon), 1, -1)
+    """Cell order, then each cell's run rows by index, then its mean row."""
+    run = isinstance(row, RunRecord)
+    cell = (row.fraction, row.n_eigs, row.omega0, row.epsilon)
+    return (row.method, *(-1.0 if v is None else float(v) for v in cell),
+            not run, row.run_index if run else -1)
 
 
 def emit_csv(result: ExperimentResult, path, include_timings: bool = False) -> None:

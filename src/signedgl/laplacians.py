@@ -104,18 +104,6 @@ class OperatorHandle:
     def psd_guaranteed(self) -> bool:
         return self.spec.psd_guaranteed
 
-    def apply(self, x):
-        """Matrix-vector product S @ x (explicit operators only)."""
-        if self.is_generalized:
-            raise ValueError("generalized pair has no single matrix to apply")
-        return self.matrix @ x
-
-    def apply_pair(self, x):
-        """(A @ x, B @ x) for generalized operators."""
-        if not self.is_generalized:
-            raise ValueError("not a generalized operator")
-        return self.pair[0] @ x, self.pair[1] @ x
-
     def dense(self) -> np.ndarray:
         if self.is_generalized:
             raise ValueError("use dense_pair() for generalized operators")

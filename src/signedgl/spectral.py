@@ -66,8 +66,11 @@ class Eigenbasis:
         return self.phis.shape[1]
 
     def truncate(self, k: int) -> "Eigenbasis":
+        """The k leading eigenpairs: a copy, or this basis itself when k is its size."""
         if not 1 <= k <= self.k:
             raise ValueError(f"cannot truncate basis of size {self.k} to k={k}")
+        if k == self.k:
+            return self
         return Eigenbasis(self.lambdas[:k].copy(), self.phis[:, :k].copy(), self.source)
 
 
@@ -76,11 +79,6 @@ def _canonical_signs(phis: np.ndarray) -> np.ndarray:
     signs = np.sign(phis[idx, np.arange(phis.shape[1])])
     signs[signs == 0] = 1.0
     return phis * signs
-
-
-def _dense_standard(S: np.ndarray):
-    lam, V = np.linalg.eigh(S)
-    return lam, V
 
 
 def _dense_generalized(A: np.ndarray, B: np.ndarray):
@@ -174,7 +172,7 @@ def smallest_eigs(op: OperatorHandle, k: int, seed: int = 0) -> Eigenbasis:
         if op.is_generalized:
             lam, V = _dense_generalized(*op.dense_pair())
         else:
-            lam, V = _dense_standard(op.dense())
+            lam, V = np.linalg.eigh(op.dense())
         lam, V = lam[:k], V[:, :k]
     else:
         lam, V = _arpack_smallest(op, k, seed)
@@ -187,13 +185,7 @@ def full_dense_eigs(op: OperatorHandle) -> Eigenbasis:
     """All n eigenpairs, ascending; dense oracle path, n <= DENSE_CAP only."""
     if op.n > DENSE_CAP:
         raise ValueError(f"full dense solve limited to n <= {DENSE_CAP}, got n={op.n}")
-    if op.is_generalized:
-        lam, V = _dense_generalized(*op.dense_pair())
-    else:
-        lam, V = _dense_standard(op.dense())
-    V = _canonical_signs(V)
-    _check_residuals(op, lam, V)
-    return Eigenbasis(lambdas=lam, phis=V, source=op.spec)
+    return smallest_eigs(op, op.n)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from signedgl import (
     multiclass_energy,
     signed_ratio_laplacian,
     simplex_project,
+    sponge_operator,
     unsigned_laplacian,
 )
 from signedgl.classifier import (
@@ -389,6 +390,27 @@ def test_multiclass_energy_matches_handle_and_basis(rng):
     assert np.isclose(
         multiclass_energy(op, U, labels, cfg), multiclass_energy(basis, U, labels, cfg)
     )
+
+
+def test_energies_reject_generalized_pair(rng):
+    # a raw (A, B) pair has no single matrix S; its eigenbasis is what to pass
+    g = random_signed_graph(rng, 10, weighted=True)
+    op = sponge_operator(g)
+    cfg = GLConfig()
+    u = rng.standard_normal(10)
+    binary = BinaryLabelData.from_signs(np.ones(10), np.zeros(10, bool))
+    U = project_rows_onto_simplex(rng.random((10, 3)))
+    multi = MulticlassLabelData.from_classes(np.zeros(10, int), np.zeros(10, bool), 3)
+    with pytest.raises(ValueError, match="generalized pair"):
+        energy(op, u, binary, cfg)
+    with pytest.raises(ValueError, match="generalized pair"):
+        energy_gradient(op, u, binary, cfg)
+    with pytest.raises(ValueError, match="generalized pair"):
+        multiclass_energy(op, U, multi, cfg)
+    # the eigenbasis of the same pair is accepted
+    basis = full_dense_eigs(op)
+    assert np.isfinite(multiclass_energy(basis, U, multi, cfg))
+    assert np.isfinite(energy(basis, u, binary, cfg))
 
 
 # ----------------------------------------------------- potential derivative

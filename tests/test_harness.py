@@ -3,17 +3,27 @@ import csv
 import numpy as np
 import pytest
 
+import signedgl.cli
+import signedgl.harness
 from signedgl import (
     ExperimentSpec,
     SSBMParams,
     accuracy,
     emit_csv,
     generate_ssbm,
+    load_eigenbasis,
     run_experiment,
     ssbm_label_data,
 )
 from signedgl.cli import main as cli_main
-from signedgl.harness import ExperimentResult, MeanRecord, RunRecord, method_component
+from signedgl.harness import (
+    ExperimentResult,
+    MeanRecord,
+    RunRecord,
+    method_component,
+    operator_component,
+)
+from signedgl.laplacians import OperatorKind
 
 
 def small_dataset(seed=1, n=80, eta=0.05, p=0.15):
@@ -40,6 +50,13 @@ def test_method_component_mapping():
         assert method_component(m) == "signed"
     with pytest.raises(ValueError, match="unknown method"):
         method_component("gl-gm")
+
+
+def test_operator_component_mapping():
+    assert operator_component(OperatorKind.LSYM_POS) == "positive"
+    assert operator_component(OperatorKind.QSYM_NEG) == "negative"
+    for kind in ("SR", "SN", "SPONGE", "AM", "GM"):
+        assert operator_component(kind) == "signed"
 
 
 def test_spec_validation():
@@ -101,6 +118,58 @@ def test_eigenbasis_cache_reused(tmp_path):
     assert [r.accuracy for r in res1.runs] == [r.accuracy for r in res2.runs]
 
 
+def count_calls(monkeypatch, name, record):
+    """Wrap signedgl.harness.<name> so every call appends record(*args, **kwargs)."""
+    calls = []
+    real = getattr(signedgl.harness, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(record(*args, **kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(signedgl.harness, name, wrapper)
+    return calls
+
+
+MULTI_NE_SPEC = dict(methods=["gl-sn", "gl-am", "hf", "lgc"], fractions=[0.1], n_eigs=[4, 8],
+                     runs=2)
+
+
+def test_sweep_solves_once_per_operator_and_component_once_per_mode(monkeypatch):
+    g, labels = small_dataset()
+    solves = count_calls(monkeypatch, "smallest_eigs",
+                         lambda op, k, seed=0: (op.spec.kind.value, k))
+    modes = count_calls(monkeypatch, "largest_connected_component", lambda g, mode: mode)
+    res = run_experiment(g, labels, ExperimentSpec(**MULTI_NE_SPEC))
+    assert sorted(solves) == [("AM", 8), ("SN", 8)]
+    assert sorted(modes) == ["positive", "signed"]
+    assert len(res.runs) == 2 * (2 + 2 + 1 + 1)
+    # the truncated k=4 basis gives the rows a k=4 solve of its own gives
+    alone = run_experiment(g, labels, ExperimentSpec(**{**MULTI_NE_SPEC, "n_eigs": [4]}))
+    four = [r for r in res.runs if r.n_eigs != 8]
+    assert [(r.method, r.accuracy, r.iterations) for r in four] == [
+        (r.method, r.accuracy, r.iterations) for r in alone.runs
+    ]
+
+
+def test_cache_holds_one_file_per_operator_and_warm_rerun_solves_nothing(
+    monkeypatch, tmp_path
+):
+    g, labels = small_dataset()
+    spec = ExperimentSpec(**MULTI_NE_SPEC)
+    cache = tmp_path / "cache"
+    cold = run_experiment(g, labels, spec, cache_dir=cache)
+    files = sorted(f.name for f in cache.glob("eig_*.npz"))
+    assert len(files) == 2
+    assert [f.split("_")[-2:] for f in files] == [["AM", "k8.npz"], ["SN", "k8.npz"]]
+    solves = count_calls(monkeypatch, "smallest_eigs", lambda *a, **kw: None)
+    warm = run_experiment(g, labels, spec, cache_dir=cache)
+    assert solves == []
+    emit_csv(cold, tmp_path / "cold.csv")
+    emit_csv(warm, tmp_path / "warm.csv")
+    assert (tmp_path / "cold.csv").read_bytes() == (tmp_path / "warm.csv").read_bytes()
+
+
 def test_sponge_and_negative_methods_run():
     g, labels = small_dataset(seed=6, n=100, eta=0.05, p=0.2)
     spec = ExperimentSpec(
@@ -145,7 +214,7 @@ def test_emit_csv_sorted_and_parseable(tmp_path):
         RunRecord("gl-sn", 0.1, 10, 1000.0, 0.1, 0, 1.0, 42, 0.02),
         RunRecord("hf", 0.1, None, None, None, 0, 0.75, None, 0.01),
     ]
-    means = [MeanRecord("hf", 0.1, None, None, None, 0.625, None, 2)]
+    means = [MeanRecord("hf", 0.1, None, None, None, 0.625, None)]
     path = tmp_path / "two.csv"
     emit_csv(ExperimentResult(runs=rows, means=means), path)
     with open(path, newline="") as fh:
@@ -261,6 +330,57 @@ def test_cli_eigs_cache_then_run(tmp_path):
         "--out", str(tmp_path / "o.csv"), "--cache-dir", str(cache),
     ]) == 0
     assert cached[0].stat().st_mtime_ns == stamp  # reused the precomputed basis
+
+
+def write_small_dataset(tmp_path):
+    edges, labels = tmp_path / "g.txt", tmp_path / "l.txt"
+    assert cli_main([
+        "ssbm", "--n", "50", "--k", "2", "--p-in", "0.3", "--p-out", "0.3",
+        "--eta", "0.05", "--graph-seed", "4",
+        "--save-edges", str(edges), "--save-labels", str(labels),
+    ]) == 0
+    return edges, labels
+
+
+def test_cli_spec_defaults_come_from_experiment_spec(monkeypatch, tmp_path):
+    edges, labels = write_small_dataset(tmp_path)
+    specs = []
+
+    def capture(g, labels, spec, cache_dir=None):
+        specs.append(spec)
+        return ExperimentResult(runs=[], means=[])
+
+    monkeypatch.setattr(signedgl.cli, "run_experiment", capture)
+    base = ["run", "--dataset", str(edges), "--labels", str(labels),
+            "--methods", "gl-sn,hf", "--out", str(tmp_path / "o.csv")]
+    assert cli_main(base) == 0
+    assert cli_main(base + ["--tau", "0.2", "--neigs", "5,7", "--seed", "3"]) == 0
+    assert specs[0] == ExperimentSpec(methods=["gl-sn", "hf"], fractions=[0.05])
+    assert specs[1] == ExperimentSpec(methods=["gl-sn", "hf"], fractions=[0.05], tau=0.2,
+                                      n_eigs=[5, 7], base_seed=3)
+
+
+def test_cli_eigs_saves_truncations_of_one_solve(monkeypatch, tmp_path):
+    edges, _ = write_small_dataset(tmp_path)
+    cache = tmp_path / "cache"
+    solves = []
+    real = signedgl.cli.smallest_eigs
+
+    def counted(op, k, seed=0):
+        solves.append(k)
+        return real(op, k=k, seed=seed)
+
+    monkeypatch.setattr(signedgl.cli, "smallest_eigs", counted)
+    assert cli_main([
+        "eigs", "--dataset", str(edges), "--operator", "AM",
+        "--neigs", "4,6", "--cache-dir", str(cache),
+    ]) == 0
+    assert solves == [6]
+    (k4,) = cache.glob("eig_*_AM_k4.npz")
+    (k6,) = cache.glob("eig_*_AM_k6.npz")
+    small, large = load_eigenbasis(k4), load_eigenbasis(k6)
+    assert np.array_equal(small.phis, large.phis[:, :4])
+    assert np.array_equal(small.lambdas, large.lambdas[:4])
 
 
 def test_cli_errors_exit_nonzero(tmp_path, capsys):

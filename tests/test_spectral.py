@@ -8,6 +8,7 @@ from signedgl import (
     OperatorKind,
     OperatorSpec,
     SSBMParams,
+    build_operator,
     full_dense_eigs,
     generate_ssbm,
     load_eigenbasis,
@@ -67,7 +68,7 @@ def test_generalized_matches_dense_oracle(rng):
         oracle = sla.eigh(A, B, eigvals_only=True)  # independent generalized solver
         assert np.allclose(basis.lambdas, oracle[:4], atol=1e-6)
         assert np.allclose(basis.phis.T @ B @ basis.phis, np.eye(4), atol=1e-8)
-        ax, bx = op.apply_pair(basis.phis[:, 0])
+        ax, bx = (M @ basis.phis[:, 0] for M in op.pair)
         assert np.allclose(ax, basis.lambdas[0] * bx, atol=1e-8)
 
 
@@ -173,8 +174,21 @@ def test_truncate():
     basis = smallest_eigs(unsigned_laplacian(np.zeros((4, 4)), normalized=True), k=4)
     t = basis.truncate(2)
     assert t.k == 2 and t.n == 4
+    assert basis.truncate(4) is basis
     with pytest.raises(ValueError):
         basis.truncate(9)
+
+
+def test_truncated_solve_equals_smaller_solve(rng):
+    # the dense path solves the full spectrum, so a sweep may solve once at
+    # its largest N_e and truncate for the others
+    g = random_signed_graph(rng, 40, weighted=True)
+    for kind in (OperatorKind.SN, OperatorKind.AM, OperatorKind.SPONGE):
+        op = build_operator(g, kind)
+        truncated = smallest_eigs(op, 8).truncate(4)
+        direct = smallest_eigs(op, 4)
+        assert np.array_equal(truncated.lambdas, direct.lambdas)
+        assert np.array_equal(truncated.phis, direct.phis)
 
 
 def test_cache_round_trip(tmp_path, rng):
