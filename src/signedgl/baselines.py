@@ -12,8 +12,9 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import cg
 
-from .classifier import BinaryLabelData, MulticlassLabelData
-from .laplacians import DENSE_CAP, _coerce, _norm_adjacency
+from .classifier import TrainingLabels
+from .graph import _as_csr
+from .laplacians import DENSE_CAP, _degree_matrix, _norm_adjacency
 
 __all__ = ["harmonic_functions", "local_global"]
 
@@ -49,19 +50,9 @@ def _solve_columns(A, B):
     return X if B.ndim == 2 else X[:, 0]
 
 
-def _label_arrays(labels):
-    """(values, mask, K) with values an n-vector (binary) or n x K matrix."""
-    if isinstance(labels, BinaryLabelData):
-        return labels.f, labels.mask, None
-    if isinstance(labels, MulticlassLabelData):
-        return labels.U_hat, labels.mask, labels.num_classes
-    raise TypeError("labels must be BinaryLabelData or MulticlassLabelData")
-
-
-def _readout(scores, K):
-    if K is None:
-        return np.where(scores >= 0, 1, -1).astype(np.int64)
-    return np.argmax(scores, axis=1).astype(np.int64)
+def _require_labels(labels) -> None:
+    if not isinstance(labels, TrainingLabels):
+        raise TypeError("labels must be BinaryLabelData or MulticlassLabelData")
 
 
 def harmonic_functions(Wp, labels):
@@ -72,23 +63,24 @@ def harmonic_functions(Wp, labels):
     no labeled attachment (singular block).
 
     Returns:
-        (labels_out, scores): sign/argmax labels and the harmonic values.
+        (labels_out, scores): the label object's readout of the harmonic
+        values, and the values.
     """
-    W = _coerce(Wp)
-    values, mask, K = _label_arrays(labels)
-    if not mask.any():
+    _require_labels(labels)
+    W = _as_csr(Wp)
+    if not labels.mask.any():
         raise ValueError("harmonic functions need at least one labeled node")
-    lab = np.flatnonzero(mask)
-    unl = np.flatnonzero(~mask)
+    values = labels.target
+    lab = np.flatnonzero(labels.mask)
+    unl = np.flatnonzero(~labels.mask)
     scores = np.array(values, dtype=float)
     if unl.size:
-        d = np.asarray(W.sum(axis=1)).ravel()
-        L = sp.csr_array(sp.diags_array(d, format="csr") - W)
+        L = sp.csr_array(_degree_matrix(W) - W)
         L_uu = L[unl, :][:, unl]
         W_ul = W[unl, :][:, lab]
         rhs = W_ul @ values[lab]
         scores[unl] = _solve_columns(L_uu, rhs)
-    return _readout(scores, K), scores
+    return labels.readout(scores), scores
 
 
 def local_global(Wp, labels, alpha: float = 0.99):
@@ -101,9 +93,9 @@ def local_global(Wp, labels, alpha: float = 0.99):
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    W = _coerce(Wp)
-    values, _, K = _label_arrays(labels)
+    _require_labels(labels)
+    W = _as_csr(Wp)
     n = W.shape[0]
     M = sp.csr_array(sp.eye_array(n, format="csr") - alpha * _norm_adjacency(W))
-    scores = _solve_columns(M, np.asarray(values, dtype=float))
-    return _readout(scores, K), scores
+    scores = _solve_columns(M, labels.target)
+    return labels.readout(scores), scores

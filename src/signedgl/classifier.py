@@ -1,18 +1,18 @@
 """Diffuse-interface node classification via the Ginzburg-Landau functional.
 
-The binary classifier minimizes
+One scheme, two wells.  Both classifiers minimize
 
-    E(u) = eps/2 u^T S u + 1/(4 eps) sum_i (u_i^2 - 1)^2
-           + sum_i omega_i/2 (f_i - u_i)^2
+    E(x) = eps/2 <x, S x> + W(x)/eps + sum_i omega_i/2 ||target_i - x_i||^2
 
 over the span of an eigenbasis of S by convexity splitting: the
-quadratic part is treated implicitly, the double-well and fidelity
-forces explicitly, which reduces every time step to a diagonal solve in
-eigenvector coordinates.  The multiclass variant replaces the double
-well by an L1 simplex-vertex potential and projects each row of the
-iterate back onto the Gibbs simplex after every step (Garcia-Cardona et
-al., "Multiclass data segmentation using diffuse interface methods on
-graphs", 2014).
+quadratic part is treated implicitly, the well and fidelity forces
+explicitly, so every time step is a diagonal solve in eigenvector
+coordinates.  Two classes use the double well sum_i (u_i^2 - 1)^2 / 4 on
+a vector u; K classes use half the L1 simplex-vertex well on an n x K
+iterate whose rows are projected back onto the Gibbs simplex after
+every step (Garcia-Cardona et al., "Multiclass data segmentation using
+diffuse interface methods on graphs", 2014).  The label objects own the
+target, the fidelity weights and the readout (sign or row argmax).
 
 S must be positive semi-definite (otherwise E is unbounded below), so
 balance-ratio operators are rejected.
@@ -29,10 +29,12 @@ from .spectral import Eigenbasis
 
 __all__ = [
     "GLConfig",
+    "TrainingLabels",
     "BinaryLabelData",
     "MulticlassLabelData",
     "GLDiagnostics",
     "DivergenceError",
+    "training_labels",
     "energy",
     "energy_gradient",
     "multiclass_energy",
@@ -91,8 +93,23 @@ class GLConfig:
             )
 
 
+class TrainingLabels:
+    """Base of the label objects: a boolean ``mask`` of labeled nodes, the
+    ``target`` the fidelity term pulls them toward, and a ``readout`` from
+    scores shaped like the target to predicted labels."""
+
+    @property
+    def n(self) -> int:
+        return self.mask.shape[0]
+
+    def weights(self, omega0: float) -> np.ndarray:
+        """omega0 on labeled nodes, 0 elsewhere; a column for an n x K target."""
+        mask = self.mask if self.target.ndim == 1 else self.mask[:, None]
+        return np.where(mask, float(omega0), 0.0)
+
+
 @dataclass(frozen=True)
-class BinaryLabelData:
+class BinaryLabelData(TrainingLabels):
     """Per-node labels f in {-1, 0, +1}; f is 0 exactly on unlabeled nodes."""
 
     f: np.ndarray
@@ -116,16 +133,16 @@ class BinaryLabelData:
         train_mask = np.asarray(train_mask, dtype=bool)
         return cls(f=np.where(train_mask, signs, 0.0), mask=train_mask)
 
-    @property
-    def n(self) -> int:
-        return self.f.shape[0]
+    target = property(lambda self: self.f)
 
-    def weights(self, omega0: float) -> np.ndarray:
-        return np.where(self.mask, float(omega0), 0.0)
+    @staticmethod
+    def readout(scores) -> np.ndarray:
+        """sign(scores) as int64, with sign(0) = +1."""
+        return np.where(scores >= 0, 1, -1).astype(np.int64)
 
 
 @dataclass(frozen=True)
-class MulticlassLabelData:
+class MulticlassLabelData(TrainingLabels):
     """One-hot rows for labeled nodes, zero rows elsewhere."""
 
     U_hat: np.ndarray
@@ -156,15 +173,25 @@ class MulticlassLabelData:
         return cls(U_hat=U, mask=train_mask)
 
     @property
-    def n(self) -> int:
-        return self.U_hat.shape[0]
-
-    @property
     def num_classes(self) -> int:
         return self.U_hat.shape[1]
 
-    def weights(self, omega0: float) -> np.ndarray:
-        return np.where(self.mask, float(omega0), 0.0)
+    target = property(lambda self: self.U_hat)
+
+    @staticmethod
+    def readout(scores) -> np.ndarray:
+        """Row argmax as int64, ties to the lowest class index."""
+        return np.argmax(scores, axis=1).astype(np.int64)
+
+
+def training_labels(labels, train_mask):
+    """(label object, truth in its readout's codes) for a training mask over a
+    data.LabelData: BinaryLabelData (class 0 -> +1, 1 -> -1) for two classes,
+    MulticlassLabelData for more."""
+    if labels.num_classes == 2:
+        truth = labels.binary_signs()
+        return BinaryLabelData.from_signs(truth, train_mask), truth
+    return MulticlassLabelData.from_classes(labels.y, train_mask, labels.num_classes), labels.y
 
 
 @dataclass
@@ -200,12 +227,62 @@ def _apply_operator(source, x: np.ndarray) -> np.ndarray:
     return source.matrix @ x
 
 
-def _binary_energy(quad: float, u, labels: BinaryLabelData, cfg: GLConfig) -> float:
-    """The binary energy given its quadratic term u^T S u."""
-    omega = labels.weights(cfg.omega0)
-    potential = float(np.sum((u**2 - 1.0) ** 2))
-    fidelity = float(np.sum(omega * (labels.f - u) ** 2))
-    return 0.5 * cfg.epsilon * quad + potential / (4.0 * cfg.epsilon) + 0.5 * fidelity
+def _energy(quad: float, well: float, x, labels: TrainingLabels, cfg: GLConfig) -> float:
+    """eps/2 quad + well/eps + the fidelity term, given <x, S x> and W(x)."""
+    fidelity = float(np.sum(labels.weights(cfg.omega0) * (labels.target - x) ** 2))
+    return 0.5 * cfg.epsilon * quad + well / cfg.epsilon + 0.5 * fidelity
+
+
+def _double_well(u) -> float:
+    return float(np.sum((u**2 - 1.0) ** 2)) / 4.0
+
+
+def _split_step(basis, labels, cfg, x, well_gradient, well_step, denom, state_energy,
+                project=None, track_energy=False):
+    """The convexity-splitting loop of both wells, in coefficients a = Phi^T x:
+
+        a_new = ((1 + c tau) a - well_step Phi^T well_gradient(x)
+                 + tau Phi^T omega (target - x)) / denom,   x_new = Phi a_new
+
+    with denom = 1 + c tau + eps tau lambdas (each well keeps its own
+    summation order, which differs in the last bit).  Without ``project``,
+    x starts as its span part and a carries over; with it, x_new =
+    project(Phi a_new) and a is recomputed.  Returns (x, readout, diag)."""
+    _require_psd(basis.source)
+    if labels.n != basis.n:
+        raise ValueError(f"labels cover {labels.n} nodes, the eigenbasis {basis.n}")
+    phis, tau = basis.phis, cfg.tau
+    keep = 1.0 + cfg.c * tau
+    omega, target = labels.weights(cfg.omega0), labels.target
+    a = phis.T @ x
+    if project is None:
+        x = phis @ a
+    diag = GLDiagnostics(0, np.inf, np.nan, False)
+    if track_energy:
+        diag.energy_history.append(state_energy(a, x))
+
+    for it in range(cfg.max_iter):
+        b = phis.T @ well_gradient(x)
+        d = phis.T @ (omega * (target - x))
+        a_new = (keep * a - well_step * b + tau * d) / denom
+        x_new = phis @ a_new
+        if not np.all(np.isfinite(x_new)):
+            raise DivergenceError(it)
+        if project is not None:
+            x_new = project(x_new)
+            a_new = phis.T @ x_new
+        change = np.linalg.norm(x_new - x) / max(np.linalg.norm(x_new), _NORM_FLOOR)
+        a, x = a_new, x_new
+        diag.iterations = it + 1
+        diag.final_change = float(change)
+        if track_energy:
+            diag.energy_history.append(state_energy(a, x))
+        if change < cfg.tol:
+            diag.converged = True
+            break
+
+    diag.final_energy = state_energy(a, x)
+    return x, labels.readout(x), diag
 
 
 def energy(source, u, labels: BinaryLabelData, cfg: GLConfig) -> float:
@@ -215,7 +292,7 @@ def energy(source, u, labels: BinaryLabelData, cfg: GLConfig) -> float:
     Eigenbasis (quadratic form of the span-projected part).
     """
     u = np.asarray(u, dtype=float)
-    return _binary_energy(float(u @ _apply_operator(source, u)), u, labels, cfg)
+    return _energy(float(u @ _apply_operator(source, u)), _double_well(u), u, labels, cfg)
 
 
 def energy_gradient(source, u, labels: BinaryLabelData, cfg: GLConfig) -> np.ndarray:
@@ -234,53 +311,28 @@ def gl_binary(
 ):
     """Binary Ginzburg-Landau classification over an eigenbasis.
 
-    Starts from u = f and runs the semi-implicit convexity-splitting
-    update until the relative change of the iterate drops below
-    ``cfg.tol`` or ``cfg.max_iter`` is reached.
+    Starts from the span part of u = f and runs the convexity-splitting
+    step with the double well until the relative change of the iterate
+    drops below ``cfg.tol`` or ``cfg.max_iter`` is reached.
 
     Returns:
         (u, labels_out, diagnostics) with labels_out = sign(u), sign(0) = +1.
     """
-    _require_psd(basis.source)
-    if labels.n != basis.n:
-        raise ValueError("label vector length does not match eigenbasis")
-    eps, c, tau = cfg.epsilon, cfg.c, cfg.tau
-    phis, lambdas = basis.phis, basis.lambdas
-    omega = labels.weights(cfg.omega0)
-    f = labels.f
-    denom = 1.0 + eps * tau * lambdas + c * tau
+    eps, c, tau, lambdas = cfg.epsilon, cfg.c, cfg.tau, basis.lambdas
 
     def state_energy(a, u):
-        return _binary_energy(float(a @ (lambdas * a)), u, labels, cfg)
+        return _energy(float(a @ (lambdas * a)), _double_well(u), u, labels, cfg)
 
-    a = phis.T @ f
-    u = phis @ a
-    diag = GLDiagnostics(0, np.inf, np.nan, False)
-    if track_energy:
-        diag.energy_history.append(state_energy(a, u))
-
-    for it in range(cfg.max_iter):
-        # u * u * u, not u**3: numpy sends an integer power through pow(),
-        # which costs more than the rest of the step together.
-        b = phis.T @ (u * u * u - u)
-        d = phis.T @ (omega * (f - u))
-        a_new = ((1.0 + c * tau) * a - (tau / eps) * b + tau * d) / denom
-        u_new = phis @ a_new
-        if not np.all(np.isfinite(u_new)):
-            raise DivergenceError(it)
-        change = np.linalg.norm(u_new - u) / max(np.linalg.norm(u_new), _NORM_FLOOR)
-        a, u = a_new, u_new
-        diag.iterations = it + 1
-        diag.final_change = float(change)
-        if track_energy:
-            diag.energy_history.append(state_energy(a, u))
-        if change < cfg.tol:
-            diag.converged = True
-            break
-
-    diag.final_energy = state_energy(a, u)
-    labels_out = np.where(u >= 0, 1, -1).astype(np.int64)
-    return u, labels_out, diag
+    # u * u * u, not u**3: numpy sends an integer power through pow(),
+    # which costs more than the rest of the step together.
+    return _split_step(
+        basis, labels, cfg, labels.f,
+        well_gradient=lambda u: u * u * u - u,
+        well_step=tau / eps,
+        denom=1.0 + eps * tau * lambdas + c * tau,
+        state_energy=state_energy,
+        track_energy=track_energy,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -347,13 +399,7 @@ def multiclass_energy(source, U, labels: MulticlassLabelData, cfg: GLConfig) -> 
     """Vector-valued Ginzburg-Landau energy (trace form + well + fidelity)."""
     U = np.asarray(U, dtype=float)
     quad = float(np.tensordot(U, _apply_operator(source, U)))
-    omega = labels.weights(cfg.omega0)
-    fidelity = float(np.sum(omega[:, None] * (labels.U_hat - U) ** 2))
-    return (
-        0.5 * cfg.epsilon * quad
-        + multiclass_potential(U) / (2.0 * cfg.epsilon)
-        + 0.5 * fidelity
-    )
+    return _energy(quad, multiclass_potential(U) / 2.0, U, labels, cfg)
 
 
 def gl_multiclass(
@@ -368,24 +414,16 @@ def gl_multiclass(
 
     The iterate starts from uniform (0,1) noise projected onto the Gibbs
     simplex with labeled rows overwritten by their one-hot targets; pass
-    ``init`` to override the random draw.  Every step solves the
-    diagonal system in eigenvector coordinates and projects each row of
-    the reconstruction back onto the simplex.
+    ``init`` to override the random draw.  Every step is the
+    convexity-splitting step with the simplex-vertex well, followed by a
+    projection of each row back onto the simplex.
 
     Returns:
         (U, labels_out, diagnostics) with labels_out the row argmax
         (ties to the lowest class index).
     """
-    _require_psd(basis.source)
-    if labels.n != basis.n:
-        raise ValueError("label matrix height does not match eigenbasis")
     n, K = labels.n, labels.num_classes
     eps, c, tau = cfg.epsilon, cfg.c, cfg.tau
-    phis, lambdas = basis.phis, basis.lambdas
-    omega = labels.weights(cfg.omega0)
-    U_hat = labels.U_hat
-    denom = (1.0 + c * tau + eps * tau * lambdas)[:, None]
-
     if init is not None:
         U0 = np.array(init, dtype=float)
         if U0.shape != (n, K):
@@ -393,31 +431,13 @@ def gl_multiclass(
     else:
         U0 = np.random.default_rng(init_seed).random((n, K))
     U = project_rows_onto_simplex(U0)
-    U[labels.mask] = U_hat[labels.mask]
-
-    diag = GLDiagnostics(0, np.inf, np.nan, False)
-    if track_energy:
-        diag.energy_history.append(multiclass_energy(basis, U, labels, cfg))
-
-    for it in range(cfg.max_iter):
-        C = phis.T @ U
-        TU = multiclass_potential_gradient(U)
-        fid = phis.T @ (omega[:, None] * (U_hat - U))
-        C_new = ((1.0 + c * tau) * C - (tau / (2.0 * eps)) * (phis.T @ TU) + tau * fid) / denom
-        U_new = phis @ C_new
-        if not np.all(np.isfinite(U_new)):
-            raise DivergenceError(it)
-        U_new = project_rows_onto_simplex(U_new)
-        change = np.linalg.norm(U_new - U) / max(np.linalg.norm(U_new), _NORM_FLOOR)
-        U = U_new
-        diag.iterations = it + 1
-        diag.final_change = float(change)
-        if track_energy:
-            diag.energy_history.append(multiclass_energy(basis, U, labels, cfg))
-        if change < cfg.tol:
-            diag.converged = True
-            break
-
-    diag.final_energy = multiclass_energy(basis, U, labels, cfg)
-    labels_out = np.argmax(U, axis=1).astype(np.int64)
-    return U, labels_out, diag
+    U[labels.mask] = labels.U_hat[labels.mask]
+    return _split_step(
+        basis, labels, cfg, U,
+        well_gradient=multiclass_potential_gradient,
+        well_step=tau / (2.0 * eps),
+        denom=(1.0 + c * tau + eps * tau * basis.lambdas)[:, None],
+        state_energy=lambda C, U: multiclass_energy(basis, U, labels, cfg),
+        project=project_rows_onto_simplex,
+        track_energy=track_energy,
+    )

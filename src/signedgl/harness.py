@@ -8,7 +8,8 @@ extracted once per sweep and shared by the methods that run on it.  Each
 operator is solved once, at the largest eigenvector count of the sweep
 (capped by the component size); smaller counts use leading truncations
 of that basis.  The solve can go through an on-disk cache, which then
-holds one file per operator at that largest count.
+holds one file per operator at that largest count.  A failed solve or an
+unreadable cache file turns that method's rows into error rows.
 """
 
 from __future__ import annotations
@@ -22,11 +23,11 @@ import numpy as np
 
 from .baselines import harmonic_functions, local_global
 from .classifier import (
-    BinaryLabelData,
     GLConfig,
     MulticlassLabelData,
     gl_binary,
     gl_multiclass,
+    training_labels,
 )
 from .data import LabelData, graph_digest, sample_labeled_nodes
 from .graph import SignedGraph, largest_connected_component
@@ -184,7 +185,10 @@ def _get_eigenbasis(g, kind, k, seed, cache_dir, digest) -> Eigenbasis:
     if cache_dir is not None:
         path = eigenbasis_cache_file(cache_dir, digest, kind, k)
         if path.exists():
-            return load_eigenbasis(path)
+            try:
+                return load_eigenbasis(path)
+            except Exception as exc:
+                raise ValueError(f"cannot read cached eigenbasis {path.name}: {exc}") from exc
     basis = smallest_eigs(build_operator(g, kind), k=k, seed=seed)
     if path is not None:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -192,28 +196,18 @@ def _get_eigenbasis(g, kind, k, seed, cache_dir, digest) -> Eigenbasis:
     return basis
 
 
-def _truth_and_labels(labels: LabelData, train_mask):
-    """(truth vector, labeled data object, binary?) on one component."""
-    if labels.num_classes == 2:
-        truth = labels.binary_signs()
-        data = BinaryLabelData.from_signs(truth, train_mask)
-        return truth, data, True
-    truth = labels.y
-    data = MulticlassLabelData.from_classes(labels.y, train_mask, labels.num_classes)
-    return truth, data, False
-
-
-def _classify(method, g, basis, data, binary, cfg, alpha, init_seed):
+def _classify(method, g, basis, data, spec, w0, eps, init_seed):
     if method in GL_METHODS:
-        if binary:
-            _, pred, diag = gl_binary(basis, data, cfg)
-        else:
+        cfg = GLConfig(epsilon=eps, omega0=w0, tau=spec.tau, max_iter=spec.max_iter, tol=spec.tol)
+        if isinstance(data, MulticlassLabelData):
             _, pred, diag = gl_multiclass(basis, data, cfg, init_seed=init_seed)
+        else:
+            _, pred, diag = gl_binary(basis, data, cfg)
         return pred, diag.iterations
     if method == "hf":
         pred, _ = harmonic_functions(g.Wp, data)
     else:
-        pred, _ = local_global(g.Wp, data, alpha=alpha)
+        pred, _ = local_global(g.Wp, data, alpha=spec.alpha)
     return pred, None
 
 
@@ -234,12 +228,22 @@ def run_experiment(
 
 
 def _method_rows(method, comp, comp_labels, digest, spec, cache_dir) -> list:
-    """The run rows of one method on its component."""
+    """The run rows of one method on its component.
+
+    A basis that cannot be solved or read, or a label sample that cannot
+    be drawn, turns the cells it affects into error rows.
+    """
+    failure = ""
     if method in GL_METHODS:
         # one solve at the largest N_e; smaller N_e take its leading vectors
         k_max = min(max(int(ne) for ne in spec.n_eigs), comp.n)
-        full = _get_eigenbasis(comp, GL_METHODS[method], k_max, spec.base_seed, cache_dir, digest)
-        bases = [(ne, full.truncate(min(int(ne), comp.n))) for ne in spec.n_eigs]
+        try:
+            full = _get_eigenbasis(
+                comp, GL_METHODS[method], k_max, spec.base_seed, cache_dir, digest
+            )
+            bases = [(ne, full.truncate(min(int(ne), comp.n))) for ne in spec.n_eigs]
+        except Exception as exc:  # keep sweeping, record the failure
+            bases, failure = [(ne, None) for ne in spec.n_eigs], str(exc)
         cells = [
             (ne, w0, eps, basis)
             for ne, basis in bases
@@ -253,31 +257,25 @@ def _method_rows(method, comp, comp_labels, digest, spec, cache_dir) -> list:
         mask_seed = _derived_seed(spec.base_seed, method, "mask", fraction)
         init_seed_base = _derived_seed(spec.base_seed, method, "init", fraction)
         for run_index in range(spec.runs):
-            try:
-                train = sample_labeled_nodes(
-                    comp_labels, fraction, run_index, base_seed=mask_seed
-                )
-            except ValueError as exc:
-                for ne, w0, eps, _ in cells:
-                    rows.append(
-                        RunRecord(method, fraction, ne, w0, eps, run_index,
-                                  None, None, 0.0, error=str(exc))
+            error = failure
+            if not error:
+                try:
+                    train = sample_labeled_nodes(
+                        comp_labels, fraction, run_index, base_seed=mask_seed
                     )
+                except ValueError as exc:
+                    error = str(exc)
+            if error:
+                rows += [RunRecord(method, fraction, ne, w0, eps, run_index, None, None, 0.0,
+                                   error=error) for ne, w0, eps, _ in cells]
                 continue
-            truth, data, binary = _truth_and_labels(comp_labels, train)
+            data, truth = training_labels(comp_labels, train)
             eval_mask = comp_labels.known & ~train
             for ne, w0, eps, basis in cells:
                 t0 = time.perf_counter()
                 try:
-                    cfg = None
-                    if method in GL_METHODS:
-                        cfg = GLConfig(
-                            epsilon=eps, omega0=w0, tau=spec.tau,
-                            max_iter=spec.max_iter, tol=spec.tol,
-                        )
                     pred, iters = _classify(
-                        method, comp, basis, data, binary, cfg, spec.alpha,
-                        init_seed_base + run_index,
+                        method, comp, basis, data, spec, w0, eps, init_seed_base + run_index
                     )
                     acc = accuracy(pred, truth, eval_mask)
                     err = ""

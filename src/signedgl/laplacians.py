@@ -22,7 +22,7 @@ from enum import Enum
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import SignedGraph, degrees
+from .graph import SignedGraph, _as_csr, degrees
 
 __all__ = [
     "DENSE_CAP",
@@ -119,15 +119,6 @@ def _to_dense(M) -> np.ndarray:
     return M.toarray() if sp.issparse(M) else np.asarray(M, dtype=float)
 
 
-def _coerce(W) -> sp.csr_array:
-    if sp.issparse(W):
-        A = sp.csr_array(W).astype(float)
-    else:
-        A = sp.csr_array(np.asarray(W, dtype=float))
-    A.eliminate_zeros()
-    return A
-
-
 def _symmetrized(S) -> sp.csr_array:
     return sp.csr_array((S + S.T) * 0.5)
 
@@ -139,11 +130,15 @@ def _sqrt_inv_degrees(d: np.ndarray) -> np.ndarray:
     return out
 
 
-def _norm_adjacency(W: sp.csr_array) -> sp.csr_array:
-    """D^{-1/2} W D^{-1/2} with zero rows for zero-degree nodes."""
-    d = np.asarray(W.sum(axis=1)).ravel()
+def _degree_scaled(M, d: np.ndarray) -> sp.csr_array:
+    """D^{-1/2} M D^{-1/2} for degrees d, with zero rows for zero-degree nodes."""
     Di = sp.diags_array(_sqrt_inv_degrees(d), format="csr")
-    return sp.csr_array(Di @ W @ Di)
+    return sp.csr_array(Di @ M @ Di)
+
+
+def _norm_adjacency(W: sp.csr_array) -> sp.csr_array:
+    """D^{-1/2} W D^{-1/2} with D the row sums of W."""
+    return _degree_scaled(W, np.asarray(W.sum(axis=1)).ravel())
 
 
 def _eye(n: int) -> sp.csr_array:
@@ -158,30 +153,28 @@ def _norm_signless(W: sp.csr_array) -> sp.csr_array:
     return sp.csr_array(_eye(W.shape[0]) + _norm_adjacency(W))
 
 
+def _degree_matrix(W: sp.csr_array) -> sp.csr_array:
+    return sp.diags_array(np.asarray(W.sum(axis=1)).ravel(), format="csr")
+
+
+def _handle(kind: OperatorKind, S) -> OperatorHandle:
+    return OperatorHandle(OperatorSpec(kind), matrix=_symmetrized(S))
+
+
 def unsigned_laplacian(W, normalized: bool = False) -> OperatorHandle:
     """L = D - W, or its normalized form I - D^{-1/2} W D^{-1/2}."""
-    W = _coerce(W)
+    W = _as_csr(W)
     if normalized:
-        S = _norm_laplacian(W)
-        kind = OperatorKind.LSYM
-    else:
-        d = np.asarray(W.sum(axis=1)).ravel()
-        S = sp.csr_array(sp.diags_array(d, format="csr") - W)
-        kind = OperatorKind.L
-    return OperatorHandle(OperatorSpec(kind), matrix=_symmetrized(S))
+        return _handle(OperatorKind.LSYM, _norm_laplacian(W))
+    return _handle(OperatorKind.L, _degree_matrix(W) - W)
 
 
 def signless_laplacian(W, normalized: bool = False) -> OperatorHandle:
     """Q = D + W, or its normalized form I + D^{-1/2} W D^{-1/2}."""
-    W = _coerce(W)
+    W = _as_csr(W)
     if normalized:
-        S = _norm_signless(W)
-        kind = OperatorKind.QSYM
-    else:
-        d = np.asarray(W.sum(axis=1)).ravel()
-        S = sp.csr_array(sp.diags_array(d, format="csr") + W)
-        kind = OperatorKind.Q
-    return OperatorHandle(OperatorSpec(kind), matrix=_symmetrized(S))
+        return _handle(OperatorKind.QSYM, _norm_signless(W))
+    return _handle(OperatorKind.Q, _degree_matrix(W) + W)
 
 
 def signed_ratio_laplacian(g: SignedGraph, normalized: bool = False) -> OperatorHandle:
@@ -189,13 +182,8 @@ def signed_ratio_laplacian(g: SignedGraph, normalized: bool = False) -> Operator
     dbar = degrees(g).dbar
     W = g.signed_adjacency()
     if normalized:
-        Di = sp.diags_array(_sqrt_inv_degrees(dbar), format="csr")
-        S = _eye(g.n) - sp.csr_array(Di @ W @ Di)
-        kind = OperatorKind.SN
-    else:
-        S = sp.csr_array(sp.diags_array(dbar, format="csr") - W)
-        kind = OperatorKind.SR
-    return OperatorHandle(OperatorSpec(kind), matrix=_symmetrized(S))
+        return _handle(OperatorKind.SN, _eye(g.n) - _degree_scaled(W, dbar))
+    return _handle(OperatorKind.SR, sp.diags_array(dbar, format="csr") - W)
 
 
 def balance_ratio_laplacian(g: SignedGraph, normalized: bool = False) -> OperatorHandle:
@@ -203,12 +191,9 @@ def balance_ratio_laplacian(g: SignedGraph, normalized: bool = False) -> Operato
     handle is flagged accordingly and rejected by the classifier."""
     deg = degrees(g)
     S = sp.csr_array(sp.diags_array(deg.dp, format="csr") - g.Wp + g.Wn)
-    kind = OperatorKind.BR
     if normalized:
-        Di = sp.diags_array(_sqrt_inv_degrees(deg.dbar), format="csr")
-        S = sp.csr_array(Di @ S @ Di)
-        kind = OperatorKind.BN
-    return OperatorHandle(OperatorSpec(kind), matrix=_symmetrized(S))
+        return _handle(OperatorKind.BN, _degree_scaled(S, deg.dbar))
+    return _handle(OperatorKind.BR, S)
 
 
 def sponge_operator(g: SignedGraph) -> OperatorHandle:
@@ -238,7 +223,7 @@ def arithmetic_mean_laplacian(g: SignedGraph) -> OperatorHandle:
         S = sp.csr_array((n, n))
     else:
         S = parts[0] if len(parts) == 1 else sp.csr_array(parts[0] + parts[1])
-    return OperatorHandle(OperatorSpec(OperatorKind.AM), matrix=_symmetrized(S))
+    return _handle(OperatorKind.AM, S)
 
 
 def matrix_geometric_mean(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -274,11 +259,13 @@ def geometric_mean_laplacian(g: SignedGraph, delta: float = 1e-8) -> OperatorHan
     return OperatorHandle(OperatorSpec(OperatorKind.GM, regularization=delta), matrix=X)
 
 
-def build_operator(g: SignedGraph, kind, delta: float = 1e-8) -> OperatorHandle:
+def build_operator(g: SignedGraph, kind) -> OperatorHandle:
     """Construct any signed-graph operator kind from a SignedGraph.
 
-    The unsigned kinds (L, Lsym, Q, Qsym) need an explicit adjacency and
-    must go through unsigned_laplacian/signless_laplacian directly.
+    GM takes the default regularization of geometric_mean_laplacian,
+    which is the function to call for another one.  The unsigned kinds
+    (L, Lsym, Q, Qsym) need an explicit adjacency and must go through
+    unsigned_laplacian/signless_laplacian directly.
     """
     kind = OperatorKind(kind)
     if kind == OperatorKind.LSYM_POS:
@@ -300,7 +287,7 @@ def build_operator(g: SignedGraph, kind, delta: float = 1e-8) -> OperatorHandle:
     if kind == OperatorKind.AM:
         return arithmetic_mean_laplacian(g)
     if kind == OperatorKind.GM:
-        return geometric_mean_laplacian(g, delta=delta)
+        return geometric_mean_laplacian(g)
     raise ValueError(
         f"kind {kind.value} takes a plain adjacency; use unsigned_laplacian or signless_laplacian"
     )

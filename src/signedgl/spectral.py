@@ -131,26 +131,25 @@ def _arpack_smallest(op: OperatorHandle, k: int, seed: int):
     return lam[order], V[:, order]
 
 
+def _residual_norms(op: OperatorHandle, lam, V) -> np.ndarray:
+    """||A v - lam B v|| per eigenpair, with B = I for a plain operator."""
+    if op.is_generalized:
+        A, B = op.pair
+        R = A @ V - (B @ V) * lam
+    else:
+        R = op.matrix @ V - V * lam
+    return np.linalg.norm(R, axis=0)
+
+
 def _best_residual(op, lam, V) -> float:
     if lam is None or len(lam) == 0:
         return float("inf")
-    if op.is_generalized:
-        A, B = op.pair
-        R = A @ V - (B @ V) * lam
-    else:
-        R = op.matrix @ V - V * lam
-    return float(np.linalg.norm(R, axis=0).min())
+    return float(_residual_norms(op, lam, V).min())
 
 
 def _check_residuals(op: OperatorHandle, lam: np.ndarray, V: np.ndarray) -> None:
-    if op.is_generalized:
-        A, B = op.pair
-        R = A @ V - (B @ V) * lam
-        bound = _RESIDUAL_TOL
-    else:
-        R = op.matrix @ V - V * lam
-        bound = _RESIDUAL_TOL * np.linalg.norm(V, axis=0)
-    rnorm = np.linalg.norm(R, axis=0)
+    rnorm = _residual_norms(op, lam, V)
+    bound = _RESIDUAL_TOL if op.is_generalized else _RESIDUAL_TOL * np.linalg.norm(V, axis=0)
     if np.any(rnorm > bound):
         raise EigenSolveError(
             f"eigenpair residual {rnorm.max():.3e} exceeds tolerance {_RESIDUAL_TOL:.1e}"

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from signedgl import (
     generate_ssbm,
     harmonic_functions,
     local_global,
+    ssbm_label_data,
 )
 
 from conftest import clique_graph, random_signed_graph
@@ -159,3 +162,15 @@ def test_cg_path_matches_dense_oracle():
     M = np.eye(2200) - 0.9 * (dinv[:, None] * Wp * dinv[None, :])
     expected = np.linalg.solve(M, labels.f)
     assert np.allclose(scores, expected, atol=1e-6)
+
+
+def test_baselines_reject_objects_that_are_not_label_objects():
+    g, truth = clique_graph([3, 3])
+    mask = np.array([True, False, False, True, False, False])
+    binary = BinaryLabelData.from_signs(np.where(truth == 0, 1.0, -1.0), mask)
+    # look-alikes with the same attributes are refused too, not just raw arrays
+    look_alike = SimpleNamespace(target=binary.f, mask=mask, n=6, readout=binary.readout)
+    for bad in (binary.f, ssbm_label_data(truth), look_alike):
+        for baseline in (harmonic_functions, local_global):
+            with pytest.raises(TypeError, match="BinaryLabelData or MulticlassLabelData"):
+                baseline(g.Wp, bad)

@@ -27,7 +27,13 @@ from signedgl.classifier import (
     multiclass_potential_gradient,
     project_rows_onto_simplex,
 )
-from signedgl.laplacians import balance_ratio_laplacian
+from signedgl.laplacians import (
+    OperatorKind,
+    OperatorSpec,
+    arithmetic_mean_laplacian,
+    balance_ratio_laplacian,
+)
+from signedgl.spectral import Eigenbasis
 
 from conftest import balanced_four_cycle, clique_graph, random_signed_graph
 
@@ -64,6 +70,7 @@ def test_multiclass_label_data_validation():
     U[0, 1] = 1.0
     d = MulticlassLabelData(U_hat=U, mask=np.array([True, False, False]))
     assert d.num_classes == 3
+    assert np.array_equal(d.weights(10.0), [[10], [0], [0]])  # broadcasts over the classes
     with pytest.raises(ValueError, match="basis vectors"):
         MulticlassLabelData(U_hat=U * 0.5, mask=np.array([True, False, False]))
     bad = U.copy()
@@ -300,6 +307,160 @@ def test_binary_label_fidelity(rng):
     _, pred, _ = gl_binary(basis, labels, GLConfig())
     agree = np.mean(pred[mask] == signs[mask].astype(int))
     assert agree >= 0.99
+
+
+# ------------------------------------------- frozen two-loop reference scheme
+
+
+def reference_gl_binary(basis, labels, cfg):
+    """The binary GL loop as it stood before both wells shared one loop."""
+    eps, c, tau = cfg.epsilon, cfg.c, cfg.tau
+    phis, lambdas = basis.phis, basis.lambdas
+    omega = np.where(labels.mask, cfg.omega0, 0.0)
+    f = labels.f
+    denom = 1.0 + eps * tau * lambdas + c * tau
+
+    def state_energy(a, u):
+        potential = float(np.sum((u**2 - 1.0) ** 2))
+        fidelity = float(np.sum(omega * (f - u) ** 2))
+        return (0.5 * eps * float(a @ (lambdas * a)) + potential / (4.0 * eps)
+                + 0.5 * fidelity)
+
+    a = phis.T @ f
+    u = phis @ a
+    history = [state_energy(a, u)]
+    iterations, final_change = 0, np.inf
+    for it in range(cfg.max_iter):
+        b = phis.T @ (u * u * u - u)
+        d = phis.T @ (omega * (f - u))
+        a_new = ((1.0 + c * tau) * a - (tau / eps) * b + tau * d) / denom
+        u_new = phis @ a_new
+        if not np.all(np.isfinite(u_new)):
+            raise DivergenceError(it)
+        change = np.linalg.norm(u_new - u) / max(np.linalg.norm(u_new), 1e-30)
+        a, u = a_new, u_new
+        iterations, final_change = it + 1, float(change)
+        history.append(state_energy(a, u))
+        if change < cfg.tol:
+            break
+    return u, np.where(u >= 0, 1, -1).astype(np.int64), iterations, final_change, history
+
+
+def reference_gl_multiclass(basis, labels, cfg, init_seed):
+    """The multiclass GL loop as it stood before both wells shared one loop."""
+    n, K = labels.n, labels.num_classes
+    eps, c, tau = cfg.epsilon, cfg.c, cfg.tau
+    phis, lambdas = basis.phis, basis.lambdas
+    omega = np.where(labels.mask, cfg.omega0, 0.0)
+    U_hat = labels.U_hat
+    denom = (1.0 + c * tau + eps * tau * lambdas)[:, None]
+
+    def state_energy(U):
+        quad = float(np.tensordot(U, phis @ (lambdas * (phis.T @ U).T).T))
+        fidelity = float(np.sum(omega[:, None] * (U_hat - U) ** 2))
+        return (0.5 * eps * quad + multiclass_potential(U) / (2.0 * eps)
+                + 0.5 * fidelity)
+
+    U = project_rows_onto_simplex(np.random.default_rng(init_seed).random((n, K)))
+    U[labels.mask] = U_hat[labels.mask]
+    history = [state_energy(U)]
+    iterations, final_change = 0, np.inf
+    for it in range(cfg.max_iter):
+        C = phis.T @ U
+        TU = multiclass_potential_gradient(U)
+        fid = phis.T @ (omega[:, None] * (U_hat - U))
+        C_new = ((1.0 + c * tau) * C - (tau / (2.0 * eps)) * (phis.T @ TU) + tau * fid) / denom
+        U_new = phis @ C_new
+        if not np.all(np.isfinite(U_new)):
+            raise DivergenceError(it)
+        U_new = project_rows_onto_simplex(U_new)
+        change = np.linalg.norm(U_new - U) / max(np.linalg.norm(U_new), 1e-30)
+        U = U_new
+        iterations, final_change = it + 1, float(change)
+        history.append(state_energy(U))
+        if change < cfg.tol:
+            break
+    return U, np.argmax(U, axis=1).astype(np.int64), iterations, final_change, history
+
+
+def reference_bases(g):
+    """Truncated SN, AM and SPONGE eigenbases of one graph (SPONGE's is B-orthonormal)."""
+    ops = (signed_ratio_laplacian(g, normalized=True), arithmetic_mean_laplacian(g),
+           sponge_operator(g))
+    return [full_dense_eigs(op).truncate(12) for op in ops]
+
+
+def assert_same_run(new, ref):
+    x, pred, diag = new
+    ref_x, ref_pred, iterations, final_change, history = ref
+    assert np.array_equal(x, ref_x)
+    assert np.array_equal(pred, ref_pred)
+    assert diag.iterations == iterations
+    assert diag.final_change == final_change
+    assert diag.energy_history == history
+    assert diag.final_energy == history[-1]
+
+
+def test_shared_loop_matches_frozen_binary_loop():
+    g, blocks = generate_ssbm(SSBMParams(n=160, k=2, p_in=0.08, p_out=0.08, eta=0.15, seed=8))
+    signs = np.where(blocks == 0, 1.0, -1.0)
+    for basis in reference_bases(g):
+        for seed in range(2):
+            mask = np.random.default_rng(seed).random(g.n) < 0.1
+            labels = BinaryLabelData.from_signs(signs, mask)
+            for cfg in (GLConfig(), GLConfig(epsilon=0.3, omega0=50.0, max_iter=40, tol=0.0)):
+                assert_same_run(gl_binary(basis, labels, cfg, track_energy=True),
+                                reference_gl_binary(basis, labels, cfg))
+
+
+def test_shared_loop_matches_frozen_multiclass_loop():
+    g, blocks = generate_ssbm(SSBMParams(n=150, k=3, p_in=0.1, p_out=0.1, eta=0.15, seed=2))
+    for basis in reference_bases(g):
+        for seed in range(2):
+            mask = np.random.default_rng(seed).random(g.n) < 0.1
+            labels = MulticlassLabelData.from_classes(blocks, mask, 3)
+            for cfg in (GLConfig(), GLConfig(epsilon=0.3, omega0=50.0, max_iter=40, tol=0.0)):
+                new = gl_multiclass(basis, labels, cfg, init_seed=seed, track_energy=True)
+                assert_same_run(new, reference_gl_multiclass(basis, labels, cfg, seed))
+
+
+def test_shared_loop_reports_the_frozen_divergence_iteration():
+    g, blocks = generate_ssbm(SSBMParams(n=60, k=3, p_in=0.2, p_out=0.2, eta=0.1, seed=1))
+    sn = full_dense_eigs(signed_ratio_laplacian(g, normalized=True)).truncate(6)
+    cfg = GLConfig()
+    # eigenvalues that leave a denominator of 1e-2: the iterate blows up over a few steps
+    lambdas = np.full(6, (1e-2 - 1.0 - cfg.c * cfg.tau) / (cfg.epsilon * cfg.tau))
+    unstable = Eigenbasis(lambdas, sn.phis, OperatorSpec(OperatorKind.SN))
+    mask = np.zeros(g.n, bool)
+    mask[:6] = True
+    binary = BinaryLabelData.from_signs(np.where(blocks == 0, 1.0, -1.0), mask)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DivergenceError) as new:
+            gl_binary(unstable, binary, cfg)
+        with pytest.raises(DivergenceError) as ref:
+            reference_gl_binary(unstable, binary, cfg)
+    assert new.value.iteration == ref.value.iteration > 0
+    # c overflows to inf, so the first multiclass step is already NaN
+    huge = GLConfig(epsilon=1e-308, omega0=0.0)
+    multi = MulticlassLabelData.from_classes(blocks, mask, 3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DivergenceError) as new:
+            gl_multiclass(sn, multi, huge, init_seed=0)
+        with pytest.raises(DivergenceError) as ref:
+            reference_gl_multiclass(sn, multi, huge, 0)
+    assert new.value.iteration == ref.value.iteration == 0
+
+
+def test_label_objects_own_target_and_readout():
+    b = BinaryLabelData.from_signs([1, -1, 1], [True, True, False])
+    assert b.target is b.f and b.n == 3
+    assert np.array_equal(b.readout(np.array([0.0, -1e-300, 2.0])), [1, -1, 1])
+    m = MulticlassLabelData.from_classes([2, 0, 1], [True, False, True], 3)
+    assert m.target is m.U_hat and m.n == 3
+    ties = np.array([[0.4, 0.4, 0.2], [0.0, 0.5, 0.5], [1.0, 1.0, 1.0]])
+    assert np.array_equal(m.readout(ties), [0, 1, 0])
+    for pred in (b.readout(np.zeros(3)), m.readout(ties)):
+        assert pred.dtype == np.int64
 
 
 # ------------------------------------------------------------ gl_multiclass

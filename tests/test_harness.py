@@ -170,6 +170,33 @@ def test_cache_holds_one_file_per_operator_and_warm_rerun_solves_nothing(
     assert (tmp_path / "cold.csv").read_bytes() == (tmp_path / "warm.csv").read_bytes()
 
 
+def read_rows(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_corrupt_cache_file_fails_only_its_method(tmp_path):
+    cache = tmp_path / "cache"
+    argv = ["ssbm", "--n", "80", "--p-in", "0.15", "--p-out", "0.15", "--eta", "0.05",
+            "--methods", "gl-sn,gl-am,hf", "--fractions", "0.1", "--neigs", "4,8",
+            "--runs", "2", "--cache-dir", str(cache)]
+    assert cli_main(argv + ["--out", str(tmp_path / "cold.csv")]) == 0
+    (sn_file,) = cache.glob("eig_*_SN_k8.npz")
+    sn_file.write_text("not an npz file\n")
+    assert cli_main(argv + ["--out", str(tmp_path / "warm.csv")]) == 0
+    cold, warm = read_rows(tmp_path / "cold.csv"), read_rows(tmp_path / "warm.csv")
+    # run rows: 2 N_e x 2 runs for each GL method, 2 for hf; one mean row per cell
+    assert len(cold) == len(warm) == (4 + 4 + 2) + (2 + 2 + 1)
+    for before, after in zip(cold, warm):
+        if after["method"] != "gl-sn":
+            assert after == before
+        elif after["record"] == "run":
+            assert after["error"].startswith(f"cannot read cached eigenbasis {sn_file.name}")
+            assert after["accuracy"] == after["iterations"] == ""
+        else:
+            assert after["error"] == "2/2 runs failed"
+
+
 def test_sponge_and_negative_methods_run():
     g, labels = small_dataset(seed=6, n=100, eta=0.05, p=0.2)
     spec = ExperimentSpec(
