@@ -53,8 +53,6 @@ from .laplacians import (
     arithmetic_mean_laplacian,
     balance_ratio_laplacian,
     build_operator,
-    geometric_mean_laplacian,
-    matrix_geometric_mean,
     signed_ratio_laplacian,
     signless_laplacian,
     sponge_operator,

@@ -61,14 +61,11 @@ class DivergenceError(RuntimeError):
 class GLConfig:
     """Parameters of the Ginzburg-Landau scheme.
 
-    ``c`` defaults to 3/epsilon + omega0 and must satisfy
-    c >= omega0 + 1/epsilon for the convexity splitting to be stable.
     The solvers use whatever eigenbasis they are handed.
     """
 
     epsilon: float = 0.1
     omega0: float = 1000.0
-    c: float | None = None
     tau: float = 0.1
     max_iter: int = 2000
     tol: float = 1e-6
@@ -84,13 +81,12 @@ class GLConfig:
             raise ValueError("max_iter must be at least 1")
         if self.tol < 0:
             raise ValueError("tol must be nonnegative")
-        if self.c is None:
-            self.c = 3.0 / self.epsilon + self.omega0
-        if self.c < self.omega0 + 1.0 / self.epsilon:
-            raise ValueError(
-                f"c={self.c} violates the convexity requirement "
-                f"c >= omega0 + 1/epsilon = {self.omega0 + 1.0 / self.epsilon}"
-            )
+
+    @property
+    def c(self) -> float:
+        """The splitting constant 3/epsilon + omega0, above the convexity bound
+        omega0 + 1/epsilon that keeps the splitting stable."""
+        return 3.0 / self.epsilon + self.omega0
 
 
 class TrainingLabels:
@@ -407,29 +403,21 @@ def gl_multiclass(
     labels: MulticlassLabelData,
     cfg: GLConfig,
     init_seed: int | None = None,
-    init: np.ndarray | None = None,
     track_energy: bool = False,
 ):
     """Multiclass Ginzburg-Landau classification over an eigenbasis.
 
     The iterate starts from uniform (0,1) noise projected onto the Gibbs
-    simplex with labeled rows overwritten by their one-hot targets; pass
-    ``init`` to override the random draw.  Every step is the
-    convexity-splitting step with the simplex-vertex well, followed by a
-    projection of each row back onto the simplex.
+    simplex with labeled rows overwritten by their one-hot targets.  Every
+    step is the convexity-splitting step with the simplex-vertex well,
+    followed by a projection of each row back onto the simplex.
 
     Returns:
         (U, labels_out, diagnostics) with labels_out the row argmax
         (ties to the lowest class index).
     """
-    n, K = labels.n, labels.num_classes
     eps, c, tau = cfg.epsilon, cfg.c, cfg.tau
-    if init is not None:
-        U0 = np.array(init, dtype=float)
-        if U0.shape != (n, K):
-            raise ValueError(f"init must have shape {(n, K)}")
-    else:
-        U0 = np.random.default_rng(init_seed).random((n, K))
+    U0 = np.random.default_rng(init_seed).random((labels.n, labels.num_classes))
     U = project_rows_onto_simplex(U0)
     U[labels.mask] = labels.U_hat[labels.mask]
     return _split_step(

@@ -30,8 +30,8 @@ from .data import (
     write_signed_edge_list,
 )
 from .graph import largest_connected_component
-from .harness import METHODS, ExperimentSpec, emit_csv, operator_component, run_experiment
-from .laplacians import OperatorKind, build_operator
+from .harness import GL_METHODS, METHODS, ExperimentSpec, emit_csv, run_experiment
+from .laplacians import OperatorKind, build_operator, operator_component
 from .spectral import eigenbasis_cache_file, save_eigenbasis, smallest_eigs
 
 
@@ -118,7 +118,6 @@ def _add_sweep_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="output CSV path")
     p.add_argument("--cache-dir", dest="cache_dir", help="eigenbasis cache directory")
     p.add_argument("--timings", action="store_true", help="include wall times in the CSV")
-    p.add_argument("--config", help="YAML key-value config file; flags win")
 
 
 def _add_dataset_flags(p: argparse.ArgumentParser) -> None:
@@ -139,7 +138,6 @@ def _sweep(args, g, labels) -> int:
 
 
 def _cmd_run(args) -> int:
-    args = _merge_config(args)
     if not args.dataset:
         raise ValueError("--dataset is required")
     if not args.labels:
@@ -152,7 +150,6 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_ssbm(args) -> int:
-    args = _merge_config(args)
     params = SSBMParams(
         n=args.n, k=args.k, p_in=args.p_in, p_out=args.p_out,
         eta=args.eta, seed=args.graph_seed,
@@ -177,7 +174,6 @@ def _cmd_ssbm(args) -> int:
 
 
 def _cmd_eigs(args) -> int:
-    args = _merge_config(args)
     if not args.dataset:
         raise ValueError("--dataset is required")
     if not args.cache_dir:
@@ -199,7 +195,6 @@ def _cmd_eigs(args) -> int:
 
 
 def _cmd_balance_check(args) -> int:
-    args = _merge_config(args)
     if not args.dataset:
         raise ValueError("--dataset is required")
     g = load_signed_edge_list(args.dataset, _edge_format(args))
@@ -246,21 +241,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_eigs = sub.add_parser("eigs", help="precompute eigenbasis cache files")
     _add_dataset_flags(p_eigs)
     p_eigs.add_argument(
-        "--operator", required=True,
-        choices=[k.value for k in OperatorKind if k not in
-                 (OperatorKind.L, OperatorKind.LSYM, OperatorKind.Q, OperatorKind.QSYM)],
+        "--operator", required=True, choices=[kind.value for kind in GL_METHODS.values()]
     )
     p_eigs.add_argument("--neigs", help=f"{_SPEC_FLAGS['neigs'][2]} {_default_help('neigs')}")
     p_eigs.add_argument("--seed", type=int, help=f"eigensolver seed {_default_help('seed')}")
     p_eigs.add_argument("--cache-dir", dest="cache_dir")
-    p_eigs.add_argument("--config", help="YAML key-value config file; flags win")
     p_eigs.set_defaults(func=_cmd_eigs)
 
     p_bal = sub.add_parser("balance-check", help="report lambda_min of the signed ratio Laplacian")
     _add_dataset_flags(p_bal)
-    p_bal.add_argument("--config", help="YAML key-value config file; flags win")
     p_bal.set_defaults(func=_cmd_balance_check)
 
+    for p in sub.choices.values():
+        p.add_argument("--config", help="YAML key-value config file; flags win")
     return parser
 
 
@@ -268,7 +261,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(_merge_config(args))
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

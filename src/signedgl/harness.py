@@ -31,7 +31,7 @@ from .classifier import (
 )
 from .data import LabelData, graph_digest, sample_labeled_nodes
 from .graph import SignedGraph, largest_connected_component
-from .laplacians import OperatorKind, build_operator
+from .laplacians import OperatorKind, build_operator, operator_component
 from .spectral import (
     Eigenbasis,
     eigenbasis_cache_file,
@@ -51,7 +51,6 @@ __all__ = [
     "run_experiment",
     "emit_csv",
     "method_component",
-    "operator_component",
 ]
 
 # method token -> operator kind (GL methods only)
@@ -77,15 +76,6 @@ _CSV_COLUMNS = [
     "iterations",
     "error",
 ]
-
-
-# operators built on a one-sign component; every other kind uses the signed graph
-_ONE_SIGN_COMPONENT = {OperatorKind.LSYM_POS: "positive", OperatorKind.QSYM_NEG: "negative"}
-
-
-def operator_component(kind) -> str:
-    """Connectivity mode whose largest component an operator is built on."""
-    return _ONE_SIGN_COMPONENT.get(OperatorKind(kind), "signed")
 
 
 def method_component(method: str) -> str:

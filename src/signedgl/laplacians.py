@@ -16,7 +16,7 @@ Conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -35,14 +35,12 @@ __all__ = [
     "balance_ratio_laplacian",
     "sponge_operator",
     "arithmetic_mean_laplacian",
-    "geometric_mean_laplacian",
-    "matrix_geometric_mean",
     "build_operator",
+    "operator_component",
 ]
 
-# Largest node count handled with dense matrices: the geometric-mean
-# construction (dense matrix square roots), the LAPACK eigensolver path
-# and the direct baseline solves.
+# Largest node count handled with dense matrices: the LAPACK eigensolver
+# path and the direct baseline solves.
 DENSE_CAP = 2000
 
 
@@ -59,7 +57,6 @@ class OperatorKind(str, Enum):
     BN = "BN"
     SPONGE = "SPONGE"
     AM = "AM"
-    GM = "GM"
 
 
 # Balance-ratio operators may have negative eigenvalues; everything else
@@ -69,10 +66,9 @@ _NOT_PSD = frozenset({OperatorKind.BR, OperatorKind.BN})
 
 @dataclass(frozen=True)
 class OperatorSpec:
-    """Which operator a handle holds, plus its regularization (GM only)."""
+    """Which operator a handle holds."""
 
     kind: OperatorKind
-    regularization: float = 0.0
 
     @property
     def psd_guaranteed(self) -> bool:
@@ -226,68 +222,43 @@ def arithmetic_mean_laplacian(g: SignedGraph) -> OperatorHandle:
     return _handle(OperatorKind.AM, S)
 
 
-def matrix_geometric_mean(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """A # B = A^{1/2} (A^{-1/2} B A^{-1/2})^{1/2} A^{1/2} for SPD A, symmetric PSD B."""
-    lam, V = np.linalg.eigh(np.asarray(A, dtype=float))
-    if lam.min() <= 0:
-        raise ValueError("left operand must be positive definite (try a larger delta)")
-    sq = np.sqrt(lam)
-    Ah = (V * sq) @ V.T
-    Aih = (V / sq) @ V.T
-    M = Aih @ np.asarray(B, dtype=float) @ Aih
-    mlam, MV = np.linalg.eigh((M + M.T) * 0.5)
-    Mh = (MV * np.sqrt(np.clip(mlam, 0.0, None))) @ MV.T
-    X = Ah @ Mh @ Ah
-    return (X + X.T) * 0.5
+# Every kind built on a SignedGraph: its builder, and the connectivity mode
+# of the largest component it is built on.  The unsigned kinds (L, Lsym,
+# Q, Qsym) take a plain adjacency and are not listed.
+_SIGNED_KINDS = {
+    OperatorKind.LSYM_POS: (lambda g: _handle(OperatorKind.LSYM_POS, _norm_laplacian(g.Wp)),
+                            "positive"),
+    OperatorKind.QSYM_NEG: (lambda g: _handle(OperatorKind.QSYM_NEG, _norm_signless(g.Wn)),
+                            "negative"),
+    OperatorKind.SR: (signed_ratio_laplacian, "signed"),
+    OperatorKind.SN: (lambda g: signed_ratio_laplacian(g, normalized=True), "signed"),
+    OperatorKind.BR: (balance_ratio_laplacian, "signed"),
+    OperatorKind.BN: (lambda g: balance_ratio_laplacian(g, normalized=True), "signed"),
+    OperatorKind.SPONGE: (sponge_operator, "signed"),
+    OperatorKind.AM: (arithmetic_mean_laplacian, "signed"),
+}
 
 
-def geometric_mean_laplacian(g: SignedGraph, delta: float = 1e-8) -> OperatorHandle:
-    """Matrix geometric mean of Lsym(Wp) + delta*I and Qsym(Wn) + delta*I.
-
-    Dense computation; only supported up to DENSE_CAP nodes.
-    """
-    if g.n > DENSE_CAP:
+def _signed_kind(kind) -> tuple:
+    kind = OperatorKind(kind)
+    if kind not in _SIGNED_KINDS:
         raise ValueError(
-            f"geometric mean requires dense matrix roots; n={g.n} exceeds cap {DENSE_CAP}"
+            f"kind {kind.value} takes a plain adjacency; "
+            "use unsigned_laplacian or signless_laplacian"
         )
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
-    eyed = np.eye(g.n) * delta
-    A = (np.zeros((g.n, g.n)) if g.Wp.nnz == 0 else _norm_laplacian(g.Wp).toarray()) + eyed
-    B = (np.zeros((g.n, g.n)) if g.Wn.nnz == 0 else _norm_signless(g.Wn).toarray()) + eyed
-    X = matrix_geometric_mean(A, B)
-    return OperatorHandle(OperatorSpec(OperatorKind.GM, regularization=delta), matrix=X)
+    return _SIGNED_KINDS[kind]
 
 
 def build_operator(g: SignedGraph, kind) -> OperatorHandle:
     """Construct any signed-graph operator kind from a SignedGraph.
 
-    GM takes the default regularization of geometric_mean_laplacian,
-    which is the function to call for another one.  The unsigned kinds
-    (L, Lsym, Q, Qsym) need an explicit adjacency and must go through
-    unsigned_laplacian/signless_laplacian directly.
+    The unsigned kinds (L, Lsym, Q, Qsym) need an explicit adjacency and
+    must go through unsigned_laplacian/signless_laplacian directly.
     """
-    kind = OperatorKind(kind)
-    if kind == OperatorKind.LSYM_POS:
-        h = unsigned_laplacian(g.Wp, normalized=True)
-        return replace(h, spec=OperatorSpec(kind))
-    if kind == OperatorKind.QSYM_NEG:
-        h = signless_laplacian(g.Wn, normalized=True)
-        return replace(h, spec=OperatorSpec(kind))
-    if kind == OperatorKind.SR:
-        return signed_ratio_laplacian(g, normalized=False)
-    if kind == OperatorKind.SN:
-        return signed_ratio_laplacian(g, normalized=True)
-    if kind == OperatorKind.BR:
-        return balance_ratio_laplacian(g, normalized=False)
-    if kind == OperatorKind.BN:
-        return balance_ratio_laplacian(g, normalized=True)
-    if kind == OperatorKind.SPONGE:
-        return sponge_operator(g)
-    if kind == OperatorKind.AM:
-        return arithmetic_mean_laplacian(g)
-    if kind == OperatorKind.GM:
-        return geometric_mean_laplacian(g)
-    raise ValueError(
-        f"kind {kind.value} takes a plain adjacency; use unsigned_laplacian or signless_laplacian"
-    )
+    build, _ = _signed_kind(kind)
+    return build(g)
+
+
+def operator_component(kind) -> str:
+    """Connectivity mode whose largest component an operator kind is built on."""
+    return _signed_kind(kind)[1]

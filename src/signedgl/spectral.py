@@ -205,22 +205,19 @@ def save_eigenbasis(path, eig: Eigenbasis) -> None:
         path,
         version=np.int64(_CACHE_VERSION),
         kind=np.str_(eig.source.kind.value),
-        regularization=np.float64(eig.source.regularization),
         lambdas=eig.lambdas.astype("<f8"),
         phis=eig.phis.astype("<f8"),
     )
 
 
 def load_eigenbasis(path) -> Eigenbasis:
+    """Read a save_eigenbasis dump; entries it does not write are ignored."""
     with np.load(path, allow_pickle=False) as data:
         version = int(data["version"])
         if version != _CACHE_VERSION:
             raise ValueError(f"unsupported eigenbasis cache version {version}")
-        spec = OperatorSpec(
-            OperatorKind(str(data["kind"])), regularization=float(data["regularization"])
-        )
         return Eigenbasis(
             lambdas=data["lambdas"].astype(float),
             phis=data["phis"].astype(float),
-            source=spec,
+            source=OperatorSpec(OperatorKind(str(data["kind"]))),
         )

@@ -7,13 +7,16 @@ import signedgl.cli
 import signedgl.harness
 from signedgl import (
     ExperimentSpec,
+    SignedGraph,
     SSBMParams,
     accuracy,
     emit_csv,
     generate_ssbm,
+    largest_connected_component,
     load_eigenbasis,
     run_experiment,
     ssbm_label_data,
+    write_signed_edge_list,
 )
 from signedgl.cli import main as cli_main
 from signedgl.harness import (
@@ -55,7 +58,7 @@ def test_method_component_mapping():
 def test_operator_component_mapping():
     assert operator_component(OperatorKind.LSYM_POS) == "positive"
     assert operator_component(OperatorKind.QSYM_NEG) == "negative"
-    for kind in ("SR", "SN", "SPONGE", "AM", "GM"):
+    for kind in ("SR", "SN", "SPONGE", "AM"):
         assert operator_component(kind) == "signed"
 
 
@@ -408,6 +411,72 @@ def test_cli_eigs_saves_truncations_of_one_solve(monkeypatch, tmp_path):
     small, large = load_eigenbasis(k4), load_eigenbasis(k6)
     assert np.array_equal(small.phis, large.phis[:, :4])
     assert np.array_equal(small.lambdas, large.lambdas[:4])
+
+
+def write_split_component_dataset(tmp_path):
+    """An SSBM plus pendant nodes whose only edge is negative (two) or
+    positive (one), so the positive and the negative component are proper
+    subsets of the signed one."""
+    g, blocks = generate_ssbm(SSBMParams(n=60, k=2, p_in=0.3, p_out=0.3, eta=0.05, seed=2))
+    n = g.n + 3
+    Wp, Wn = np.zeros((n, n)), np.zeros((n, n))
+    Wp[:g.n, :g.n], Wn[:g.n, :g.n] = g.Wp.toarray(), g.Wn.toarray()
+    for W, node, anchor in ((Wn, g.n, 0), (Wn, g.n + 1, 1), (Wp, g.n + 2, 2)):
+        W[node, anchor] = W[anchor, node] = 1.0
+    g = SignedGraph(Wp, Wn)
+    sizes = {mode: largest_connected_component(g, mode)[0].n
+             for mode in ("positive", "negative", "signed")}
+    assert sizes["signed"] == n and max(sizes["positive"], sizes["negative"]) < n
+    edges, labels = tmp_path / "g.txt", tmp_path / "l.txt"
+    write_signed_edge_list(g, edges)
+    labels.write_text("".join(f"{i} block{b}\n" for i, b in enumerate([*blocks, 0, 1, 0])))
+    return edges, labels
+
+
+@pytest.mark.parametrize("method", list(signedgl.harness.GL_METHODS))
+def test_cli_eigs_cache_serves_the_sweep_of_every_gl_method(method, monkeypatch, tmp_path):
+    edges, labels = write_split_component_dataset(tmp_path)
+    cache, out = tmp_path / "cache", tmp_path / "o.csv"
+    kind = signedgl.harness.GL_METHODS[method].value
+    assert cli_main(["eigs", "--dataset", str(edges), "--operator", kind,
+                     "--neigs", "6", "--cache-dir", str(cache)]) == 0
+    solves = count_calls(monkeypatch, "smallest_eigs", lambda *a, **kw: None)
+    assert cli_main(["run", "--dataset", str(edges), "--labels", str(labels),
+                     "--methods", method, "--fractions", "0.2", "--neigs", "6", "--runs", "1",
+                     "--out", str(out), "--cache-dir", str(cache)]) == 0
+    assert solves == []
+    (cached,) = cache.glob("eig_*.npz")
+    assert cached.name.endswith(f"_{kind}_k6.npz")
+    assert all(row["error"] == "" for row in read_rows(out))
+
+
+def test_cli_eigs_refuses_kinds_no_sweep_method_uses(tmp_path, capsys):
+    edges, _ = write_small_dataset(tmp_path)
+    for kind in ("BR", "BN", "SR", "Lsym", "GM"):
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["eigs", "--dataset", str(edges), "--operator", kind,
+                      "--cache-dir", str(tmp_path / "cache")])
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+    assert not (tmp_path / "cache").exists()
+
+
+def test_cache_file_with_a_regularization_entry_still_loads(monkeypatch, tmp_path):
+    g, labels = small_dataset()
+    spec = ExperimentSpec(methods=["gl-sn"], fractions=[0.1], n_eigs=[6], runs=2)
+    cache = tmp_path / "cache"
+    cold = run_experiment(g, labels, spec, cache_dir=cache)
+    # rewrite the cache file as earlier versions wrote it, with a regularization entry
+    (path,) = cache.glob("eig_*_SN_k6.npz")
+    basis = load_eigenbasis(path)
+    np.savez(path, version=np.int64(1), kind=np.str_("SN"), regularization=np.float64(0.0),
+             lambdas=basis.lambdas, phis=basis.phis)
+    solves = count_calls(monkeypatch, "smallest_eigs", lambda *a, **kw: None)
+    warm = run_experiment(g, labels, spec, cache_dir=cache)
+    assert solves == []
+    emit_csv(cold, tmp_path / "cold.csv")
+    emit_csv(warm, tmp_path / "warm.csv")
+    assert (tmp_path / "cold.csv").read_bytes() == (tmp_path / "warm.csv").read_bytes()
 
 
 def test_cli_errors_exit_nonzero(tmp_path, capsys):

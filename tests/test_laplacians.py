@@ -1,16 +1,12 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
-import scipy.sparse as sp
 
 from signedgl import (
     OperatorKind,
-    SignedGraph,
     arithmetic_mean_laplacian,
     balance_ratio_laplacian,
     build_operator,
-    geometric_mean_laplacian,
-    matrix_geometric_mean,
     signed_ratio_laplacian,
     signless_laplacian,
     split_signs,
@@ -154,54 +150,6 @@ def test_arithmetic_mean_separates_balanced_groups():
     assert np.sign(v[0]) == np.sign(v[1]) == -np.sign(v[2]) == -np.sign(v[3])
 
 
-def test_geometric_mean_of_matrix_with_itself(rng):
-    M = rng.standard_normal((8, 8))
-    A = M @ M.T + 0.5 * np.eye(8)
-    assert np.allclose(matrix_geometric_mean(A, A), A, atol=1e-10)
-
-
-def test_geometric_mean_with_identity_is_sqrt(rng):
-    M = rng.standard_normal((6, 6))
-    B = M @ M.T + 0.1 * np.eye(6)
-    lam, V = np.linalg.eigh(B)
-    sqrtB = (V * np.sqrt(lam)) @ V.T
-    assert np.allclose(matrix_geometric_mean(np.eye(6), B), sqrtB, atol=1e-10)
-
-
-def test_geometric_mean_riccati_identity(rng):
-    M1 = rng.standard_normal((10, 10))
-    M2 = rng.standard_normal((10, 10))
-    A = M1 @ M1.T + np.eye(10)
-    B = M2 @ M2.T + np.eye(10)
-    X = matrix_geometric_mean(A, B)
-    resid = X @ np.linalg.solve(A, X) - B
-    assert np.linalg.norm(resid) <= 1e-8 * np.linalg.norm(B)
-
-
-def test_geometric_mean_on_graph(rng):
-    g = random_signed_graph(rng, 25)
-    h = geometric_mean_laplacian(g, delta=1e-8)
-    X = h.dense()
-    A = unsigned_laplacian(g.Wp, normalized=True).dense() + 1e-8 * np.eye(g.n)
-    B = signless_laplacian(g.Wn, normalized=True).dense() + 1e-8 * np.eye(g.n)
-    resid = X @ np.linalg.solve(A, X) - B
-    assert np.linalg.norm(resid) <= 1e-6 * np.linalg.norm(B)
-    assert np.linalg.eigvalsh(X)[0] >= -1e-10
-
-
-def test_geometric_mean_size_cap():
-    n = 2001
-    g = SignedGraph(sp.csr_array((n, n)), sp.csr_array((n, n)))
-    with pytest.raises(ValueError, match="cap"):
-        geometric_mean_laplacian(g)
-
-
-def test_geometric_mean_negative_delta():
-    g = balanced_four_cycle()
-    with pytest.raises(ValueError, match="delta"):
-        geometric_mean_laplacian(g, delta=-1.0)
-
-
 def test_explicit_matrices_are_symmetric(rng):
     for _ in range(5):
         g = random_signed_graph(rng, 30, weighted=True)
@@ -246,7 +194,6 @@ def test_build_operator_dispatch():
     assert build_operator(g, "L_plus_sym").spec.kind == OperatorKind.LSYM_POS
     assert build_operator(g, "Q_minus_sym").spec.kind == OperatorKind.QSYM_NEG
     assert build_operator(g, OperatorKind.SPONGE).is_generalized
-    assert build_operator(g, "GM").spec.regularization == 1e-8
     with pytest.raises(ValueError, match="adjacency"):
         build_operator(g, "Lsym")
 
