@@ -7,8 +7,8 @@ Subcommands:
   balance-check  report the smallest signed-ratio eigenvalue
 
 Flag values may also come from a YAML key-value config file (--config);
-explicit flags win on conflict.  Exit code is 0 on success, 1 on any
-fatal error.
+explicit flags win on conflict, and a key the subcommand has no flag for
+is refused.  Exit code is 0 on success, 1 on any fatal error.
 """
 
 from __future__ import annotations
@@ -54,7 +54,9 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
         key = key.replace("-", "_")
         if key not in _CONFIG_KEYS:
             raise ValueError(f"{args.config}: unknown config key {key!r}")
-        if getattr(args, key, None) is None:
+        if not hasattr(args, key):
+            raise ValueError(f"{args.config}: {args.command} has no flag for config key {key!r}")
+        if getattr(args, key) is None:
             setattr(args, key, value)
     return args
 

@@ -77,7 +77,7 @@ class OperatorSpec:
 
 @dataclass(frozen=True)
 class OperatorHandle:
-    """A symmetric matrix, or a generalized pair (A, B) with B positive definite."""
+    """A symmetric matrix, or a generalized pair (A, B) with A and B positive definite."""
 
     spec: OperatorSpec
     matrix: object = None
@@ -195,8 +195,10 @@ def balance_ratio_laplacian(g: SignedGraph, normalized: bool = False) -> Operato
 def sponge_operator(g: SignedGraph) -> OperatorHandle:
     """Generalized pair A = Lsym(Wp) + I, B = Lsym(Wn) + I.
 
-    B is symmetric positive definite, so the pair is suitable for a
-    symmetric-definite generalized eigensolver.  An absent sign
+    Both are I plus a positive semidefinite normalized Laplacian, so both
+    are symmetric positive definite with spectra in [1, 3]: B makes the
+    pair symmetric-definite, and A lets a solver invert it, as shift-invert
+    at sigma = 0 does.  An absent sign
     contributes the zero operator (so e.g. Wn = 0 gives B = I).
     """
     eye = _eye(g.n)

@@ -3,10 +3,13 @@
 Small problems (n <= DENSE_CAP) go through LAPACK on dense matrices,
 with generalized pairs reduced by a Cholesky factorization of B; larger
 ones through ARPACK's Lanczos iteration with a seeded start vector so
-repeated solves are reproducible (generalized pairs apply B^{-1} by
-conjugate gradients rather than factorizing, since sparse LU fill-in is
-prohibitive on graph operators).  Either way the returned eigenvectors
-are orthonormal, B-orthonormal in the generalized case.
+repeated solves are reproducible.  Generalized pairs run shift-invert
+Lanczos at sigma = 0: A is positive definite, so the largest 1/lambda
+are the smallest lambda, and the tight cluster at the bottom of the
+spectrum is stretched apart.  A^{-1} is applied by conjugate gradients
+rather than by factorizing, since sparse LU fill-in is prohibitive on
+graph operators.  Either way the returned eigenvectors are orthonormal,
+B-orthonormal in the generalized case.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from scipy.sparse.linalg import (
     ArpackError,
     ArpackNoConvergence,
     LinearOperator,
-    cg,
     eigsh,
 )
 
@@ -38,6 +40,7 @@ __all__ = [
 ]
 
 _RESIDUAL_TOL = 1e-6
+_CG_RTOL = 1e-12
 
 
 class EigenSolveError(RuntimeError):
@@ -97,18 +100,46 @@ def _start_vector(n: int, seed: int) -> np.ndarray:
     return np.random.default_rng(seed).standard_normal(n)
 
 
-def _cg_inverse(B) -> LinearOperator:
-    """Apply B^{-1} by conjugate gradients; B is well conditioned by
-    construction (I + a normalized Laplacian), so no factorization is
-    needed and sparsity fill-in is avoided."""
+def _cg_solve(A, b: np.ndarray) -> np.ndarray:
+    """Solve A x = b by conjugate gradients from x = 0, stopping when
+    ||r|| < 1e-12 ||b||; the arithmetic of scipy's unpreconditioned ``cg``.
 
-    def solve(x):
-        y, info = cg(B, x, rtol=1e-12, atol=0.0)
-        if info != 0:
-            raise EigenSolveError(f"inner CG solve failed (info={info})")
-        return y
+    Raises EigenSolveError when p^T A p <= 0 (A is not positive definite)
+    or when 10 n steps do not reach the tolerance.
+    """
+    bnorm = np.linalg.norm(b)
+    x = np.zeros_like(b)
+    if bnorm == 0:
+        return x
+    r = b.copy()
+    p = r.copy()
+    rho_prev = None
+    for step in range(10 * len(b)):
+        if np.linalg.norm(r) < _CG_RTOL * bnorm:
+            return x
+        rho = np.dot(r, r)
+        if step > 0:
+            p *= rho / rho_prev
+            p += r
+        q = A @ p
+        curvature = np.dot(p, q)
+        if not curvature > 0:
+            raise EigenSolveError(
+                f"inner CG solve met p^T A p = {curvature:.3e}: A is not positive definite"
+            )
+        alpha = rho / curvature
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+    raise EigenSolveError(f"inner CG solve did not converge in {10 * len(b)} steps")
 
-    return LinearOperator(B.shape, matvec=solve, dtype=float)
+
+def _cg_inverse(A) -> LinearOperator:
+    """Apply A^{-1} by conjugate gradients: the shift-invert operator at
+    sigma = 0.  A is well conditioned by construction (I + a normalized
+    Laplacian), so no factorization is needed and sparsity fill-in is
+    avoided."""
+    return LinearOperator(A.shape, matvec=lambda x: _cg_solve(A, x), dtype=float)
 
 
 def _arpack_smallest(op: OperatorHandle, k: int, seed: int):
@@ -116,7 +147,8 @@ def _arpack_smallest(op: OperatorHandle, k: int, seed: int):
     try:
         if op.is_generalized:
             A, B = op.pair
-            lam, V = eigsh(A, k=k, M=B, Minv=_cg_inverse(B), which="SA", v0=v0)
+            # lambda -> 1/lambda: the k largest of 1/lambda are the k smallest lambda
+            lam, V = eigsh(A, k=k, M=B, sigma=0.0, which="LM", OPinv=_cg_inverse(A), v0=v0)
         else:
             lam, V = eigsh(op.matrix, k=k, which="SA", v0=v0)
     except ArpackNoConvergence as exc:

@@ -325,6 +325,30 @@ def test_cli_config_file_with_flag_override(tmp_path):
     assert sum(r["record"] == "run" for r in records) == 3
 
 
+def test_cli_config_key_the_subcommand_has_no_flag_for_is_refused(tmp_path, capsys):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("runs: 3\n")
+    edges = tmp_path / "g.txt"
+    labels = tmp_path / "l.txt"
+    assert cli_main([
+        "ssbm", "--n", "40", "--k", "2", "--p-in", "0.4", "--p-out", "0.4",
+        "--save-edges", str(edges), "--save-labels", str(labels),
+    ]) == 0
+    capsys.readouterr()
+    assert cli_main(["balance-check", "--dataset", str(edges), "--config", str(cfg)]) != 0
+    err = capsys.readouterr().err
+    assert "'runs'" in err and "balance-check" in err
+    # the same key is a flag of `run`, so there it applies
+    out = tmp_path / "a.csv"
+    assert cli_main([
+        "run", "--dataset", str(edges), "--labels", str(labels), "--methods", "hf",
+        "--config", str(cfg), "--out", str(out),
+    ]) == 0
+    with open(out, newline="") as fh:
+        records = list(csv.DictReader(fh))
+    assert sum(r["record"] == "run" for r in records) == 3
+
+
 def test_cli_balance_check(tmp_path, capsys):
     edges = tmp_path / "g.txt"
     assert cli_main([

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.sparse.linalg import cg
 
 from signedgl import (
     OperatorHandle,
@@ -18,7 +19,7 @@ from signedgl import (
     sponge_operator,
     unsigned_laplacian,
 )
-from signedgl.spectral import eigenbasis_cache_file
+from signedgl.spectral import EigenSolveError, _cg_solve, eigenbasis_cache_file
 
 from conftest import random_signed_graph
 
@@ -124,13 +125,49 @@ def test_lanczos_path_matches_dense_oracle():
 
 
 def test_lanczos_generalized_path():
-    params = SSBMParams(n=2200, k=2, p_in=0.01, p_out=0.01, eta=0.1, seed=9)
+    # the ssbm2 benchmark pair: lambda_2..lambda_20 sit within 0.015 of each
+    # other at the bottom of a spectrum that reaches 3
+    params = SSBMParams(n=2200, k=2, p_in=0.007, p_out=0.007, eta=0.2, seed=1)
     g, _ = generate_ssbm(params)
     op = sponge_operator(g)
-    basis = smallest_eigs(op, k=4, seed=2)
-    A, B = op.dense_pair()
-    oracle = sla.eigh(A, B, eigvals_only=True)
-    assert np.allclose(basis.lambdas, oracle[:4], atol=1e-6)
+    basis = smallest_eigs(op, k=20, seed=1)
+    A, B = op.pair
+    oracle = sla.eigh(*op.dense_pair(), eigvals_only=True, subset_by_index=[0, 19])
+    assert np.allclose(basis.lambdas, oracle, rtol=0.0, atol=1e-8)
+    Phi = basis.phis
+    assert np.allclose(Phi.T @ (B @ Phi), np.eye(20), rtol=0.0, atol=1e-10)
+    assert np.linalg.norm(A @ Phi - (B @ Phi) * basis.lambdas, axis=0).max() <= 1e-6
+    again = smallest_eigs(op, k=20, seed=1)
+    assert np.array_equal(basis.lambdas, again.lambdas)
+    assert np.array_equal(basis.phis, again.phis)
+
+
+def test_lanczos_generalized_path_refuses_indefinite_A():
+    # shift-invert at sigma = 0 needs A positive definite; taking 2 off one
+    # diagonal entry of A = I + Lsym(W+) gives it one negative eigenvalue
+    params = SSBMParams(n=2050, k=2, p_in=0.01, p_out=0.01, eta=0.1, seed=0)
+    g, _ = generate_ssbm(params)
+    A, B = sponge_operator(g).pair
+    A = sp.csr_array(A - 2.0 * sp.csr_array(([1.0], ([0], [0])), shape=A.shape))
+    lowest = np.linalg.eigvalsh(A.toarray())[:2]
+    assert lowest[0] < 0 < lowest[1]
+    op = OperatorHandle(OperatorSpec(OperatorKind.SPONGE), pair=(A, B))
+    with pytest.raises(EigenSolveError, match="not positive definite"):
+        smallest_eigs(op, k=5, seed=1)
+
+
+def test_cg_solve_matches_scipy_cg(rng):
+    g = random_signed_graph(rng, 300, weighted=True)
+    for M in sponge_operator(g).pair:
+        for _ in range(3):
+            b = rng.standard_normal(g.n)
+            expected, info = cg(M, b, rtol=1e-12, atol=0.0)
+            assert info == 0
+            x = _cg_solve(M, b)
+            assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
+    assert not _cg_solve(sp.eye_array(3, format="csr"), np.zeros(3)).any()
+    with pytest.raises(EigenSolveError, match="not positive definite"):
+        _cg_solve(sp.csr_array(np.diag([1.0, -1.0])), np.array([1.0, 2.0]))
 
 
 def test_k_out_of_range(rng):
