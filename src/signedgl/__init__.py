@@ -21,7 +21,6 @@ from .classifier import (
     simplex_project,
 )
 from .data import (
-    EdgeListFormat,
     LabelData,
     SSBMParams,
     generate_ssbm,

@@ -3,18 +3,20 @@
 Harmonic-function label propagation solves the Dirichlet problem on the
 unlabeled block of the combinatorial Laplacian; local-global
 consistency solves (I - alpha * D^{-1/2} W D^{-1/2}) u = f.  Systems are
-solved densely below DENSE_CAP nodes and by conjugate gradients above.
+solved densely below DENSE_CAP nodes and above it by the conjugate-gradient
+solver of ``spectral``, at a relative tolerance of 1e-10.  A singular or
+badly conditioned system raises np.linalg.LinAlgError.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import cg
 
 from .classifier import TrainingLabels
 from .graph import _as_csr
-from .laplacians import DENSE_CAP, _degree_matrix, _norm_adjacency
+from .laplacians import DENSE_CAP, _norm_adjacency, unsigned_laplacian
+from .spectral import _cg_solve
 
 __all__ = ["harmonic_functions", "local_global"]
 
@@ -32,14 +34,7 @@ def _solve_columns(A, B):
         except np.linalg.LinAlgError as exc:
             raise np.linalg.LinAlgError(f"linear system is singular: {exc}") from exc
     else:
-        X = np.empty_like(rhs)
-        for j in range(rhs.shape[1]):
-            x, info = cg(A, rhs[:, j], rtol=_SOLVE_TOL, atol=0.0)
-            if info != 0:
-                raise np.linalg.LinAlgError(
-                    f"conjugate gradient did not converge (info={info})"
-                )
-            X[:, j] = x
+        X = np.column_stack([_cg_solve(A, b, _SOLVE_TOL) for b in np.ascontiguousarray(rhs.T)])
     resid = np.linalg.norm(A @ X - rhs)
     scale = max(np.linalg.norm(rhs), 1.0)
     if not np.isfinite(resid) or resid > 1e-8 * scale:
@@ -48,6 +43,11 @@ def _solve_columns(A, B):
             "or badly conditioned"
         )
     return X if B.ndim == 2 else X[:, 0]
+
+
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
 
 
 def _require_labels(labels) -> None:
@@ -75,7 +75,7 @@ def harmonic_functions(Wp, labels):
     unl = np.flatnonzero(~labels.mask)
     scores = np.array(values, dtype=float)
     if unl.size:
-        L = sp.csr_array(_degree_matrix(W) - W)
+        L = unsigned_laplacian(W).matrix
         L_uu = L[unl, :][:, unl]
         W_ul = W[unl, :][:, lab]
         rhs = W_ul @ values[lab]
@@ -91,8 +91,7 @@ def local_global(Wp, labels, alpha: float = 0.99):
     Returns:
         (labels_out, scores).
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    _check_alpha(alpha)
     _require_labels(labels)
     W = _as_csr(Wp)
     n = W.shape[0]

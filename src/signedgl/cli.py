@@ -20,7 +20,6 @@ from pathlib import Path
 import yaml
 
 from .data import (
-    EdgeListFormat,
     SSBMParams,
     generate_ssbm,
     graph_digest,
@@ -61,13 +60,6 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
     return args
 
 
-def _edge_format(args) -> EdgeListFormat:
-    return EdgeListFormat(
-        delimiter=args.delimiter or "whitespace",
-        header=bool(args.header),
-    )
-
-
 # sweep flag -> (ExperimentSpec field, parser of the flag or config value, help)
 _SPEC_FLAGS = {
     "fractions": ("fractions", lambda v: _parse_list(v, float),
@@ -84,7 +76,7 @@ _SPEC_FLAGS = {
 }
 # keys a --config file may set: long flag names with "_" for "-"
 _CONFIG_KEYS = (
-    "dataset", "labels", "methods", "out", "cache_dir", "delimiter", "header", *_SPEC_FLAGS,
+    "dataset", "labels", "methods", "out", "cache_dir", "header", *_SPEC_FLAGS,
 )
 # the sweep defaults, for help strings and `eigs`; fractions is the CLI's own default
 _DEFAULTS = ExperimentSpec(methods=list(METHODS), fractions=[0.05])
@@ -123,8 +115,7 @@ def _add_sweep_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_dataset_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--dataset", help="signed edge-list file")
-    p.add_argument("--delimiter", choices=("whitespace", "comma"))
+    p.add_argument("--dataset", help="signed edge-list file (comma or whitespace delimited)")
     # default None so a config-file value can fill it in
     p.add_argument("--header", action="store_true", default=None,
                    help="skip the first data line")
@@ -146,7 +137,7 @@ def _cmd_run(args) -> int:
         raise ValueError("--labels is required")
     if not args.out:
         raise ValueError("--out is required")
-    g = load_signed_edge_list(args.dataset, _edge_format(args))
+    g = load_signed_edge_list(args.dataset, header=bool(args.header))
     labels = load_labels(args.labels, g, strict=not args.skip_missing)
     return _sweep(args, g, labels)
 
@@ -180,7 +171,7 @@ def _cmd_eigs(args) -> int:
         raise ValueError("--dataset is required")
     if not args.cache_dir:
         raise ValueError("--cache-dir is required")
-    g = load_signed_edge_list(args.dataset, _edge_format(args))
+    g = load_signed_edge_list(args.dataset, header=bool(args.header))
     kind = OperatorKind(args.operator)
     comp, _ = largest_connected_component(g, operator_component(kind))
     digest = graph_digest(comp)
@@ -199,7 +190,7 @@ def _cmd_eigs(args) -> int:
 def _cmd_balance_check(args) -> int:
     if not args.dataset:
         raise ValueError("--dataset is required")
-    g = load_signed_edge_list(args.dataset, _edge_format(args))
+    g = load_signed_edge_list(args.dataset, header=bool(args.header))
     op = build_operator(g, OperatorKind.SR)
     lam = smallest_eigs(op, k=1, seed=0).lambdas[0]
     balanced = "yes" if lam <= 1e-10 else "no"

@@ -1,7 +1,10 @@
 """Dataset ingestion, canonical export, synthetic generation, label sampling.
 
-Edge lists are plain text with one ``src dst weight`` record per line
-(whitespace or comma delimited, ``#``/``%`` comments, optional header).
+Edge lists are plain text with one ``src dst weight`` record per line,
+label files one ``node_id class_label`` record.  Both go through one
+record reader: ``#``/``%`` lines are comments, and a line that holds a
+comma is split on commas, any other line on whitespace.  Edge lists may
+start with a header line.
 Records with the same node pair are summed per sign, so a pair voted
 both ways keeps a positive and a negative edge.  Zero-weight records
 (neutral votes) and self-loops are dropped with a counted warning.
@@ -15,7 +18,6 @@ isolated nodes.
 from __future__ import annotations
 
 import hashlib
-import io
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,7 +28,6 @@ import scipy.sparse as sp
 from .graph import SignedGraph
 
 __all__ = [
-    "EdgeListFormat",
     "EdgeListError",
     "LabelData",
     "SSBMParams",
@@ -47,26 +48,13 @@ class EdgeListError(ValueError):
     """Malformed edge-list or label file; message carries the line number."""
 
 
-@dataclass(frozen=True)
-class EdgeListFormat:
-    """Parsing options for edge-list files."""
+def _iter_records(text: str, node_order: list[str], header: bool = False):
+    """Yield (lineno, fields) for data rows; collect '# node:' directives.
 
-    delimiter: str = "whitespace"  # or "comma"
-    header: bool = False
-
-    def split(self, line: str) -> list[str]:
-        if self.delimiter == "comma":
-            return [p.strip() for p in line.split(",")]
-        return line.split()
-
-    def __post_init__(self):
-        if self.delimiter not in ("whitespace", "comma"):
-            raise ValueError(f"unknown delimiter {self.delimiter!r}")
-
-
-def _iter_records(text: str, fmt: EdgeListFormat, node_order: list[str]):
-    """Yield (lineno, fields) for data rows; collect '# node:' directives."""
-    skipped_header = not fmt.header
+    A line with a comma is split on commas (fields stripped), any other
+    line on whitespace; ``header`` skips the first data row.
+    """
+    skipped_header = not header
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -79,20 +67,20 @@ def _iter_records(text: str, fmt: EdgeListFormat, node_order: list[str]):
         if not skipped_header:
             skipped_header = True
             continue
-        yield lineno, fmt.split(line)
+        yield lineno, [p.strip() for p in line.split(",")] if "," in line else line.split()
 
 
-def load_signed_edge_list(path, fmt: EdgeListFormat | None = None) -> SignedGraph:
+def load_signed_edge_list(path, *, header: bool = False) -> SignedGraph:
     """Parse a signed edge list into a SignedGraph.
 
     Node identifiers are arbitrary strings mapped to dense 0-based
     indices in order of first appearance (or in ``# node:`` manifest
     order when present).  Duplicate records are summed per sign.
+    ``header`` skips the first data row.
 
     Raises:
         EdgeListError: on malformed rows (with line number) or an empty file.
     """
-    fmt = fmt or EdgeListFormat()
     text = Path(path).read_text(encoding="utf-8")
     node_order: list[str] = []
     index: dict[str, int] = {}
@@ -107,7 +95,7 @@ def load_signed_edge_list(path, fmt: EdgeListFormat | None = None) -> SignedGrap
             index[ident] = len(index)
         return index[ident]
 
-    records = list(_iter_records(text, fmt, node_order))
+    records = list(_iter_records(text, node_order, header))
     for ident in node_order:
         node(ident)
     for lineno, fields in records:
@@ -187,10 +175,10 @@ def write_signed_edge_list(g: SignedGraph, path) -> None:
 
 def graph_digest(g: SignedGraph) -> str:
     """SHA-256 of the canonical edge-list serialization."""
-    buf = io.StringIO()
+    h = hashlib.sha256()
     for line in _canonical_lines(g):
-        buf.write(line + "\n")
-    return hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
+        h.update((line + "\n").encode("utf-8"))
+    return h.hexdigest()
 
 
 @dataclass(frozen=True)
@@ -240,11 +228,7 @@ def load_labels(path, g: SignedGraph, strict: bool = True) -> LabelData:
     y = np.full(g.n, -1, dtype=np.int64)
     known = np.zeros(g.n, dtype=bool)
     n_skipped = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith(_COMMENT_PREFIXES):
-            continue
-        fields = [p.strip() for p in line.split(",")] if "," in line else line.split()
+    for lineno, fields in _iter_records(text, []):
         if len(fields) < 2:
             raise EdgeListError(
                 f"{path}: line {lineno}: expected 'node_id class_label'"

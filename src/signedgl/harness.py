@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baselines import harmonic_functions, local_global
+from .baselines import _check_alpha, harmonic_functions, local_global
 from .classifier import (
     GLConfig,
     MulticlassLabelData,
@@ -89,7 +89,11 @@ def method_component(method: str) -> str:
 
 @dataclass
 class ExperimentSpec:
-    """One sweep: methods x fractions x (N_e, omega0, epsilon) x runs."""
+    """One sweep: methods x fractions x (N_e, omega0, epsilon) x runs.
+
+    Refuses, before anything is solved, a list that repeats an entry and
+    parameters that GLConfig or local_global reject.
+    """
 
     methods: list
     fractions: list
@@ -104,13 +108,14 @@ class ExperimentSpec:
     tol: float = GLConfig.tol
 
     def __post_init__(self):
-        if not self.methods:
-            raise ValueError("methods list is empty")
+        for name in ("methods", "fractions", "n_eigs", "omega0", "epsilon"):
+            values = getattr(self, name)
+            if not values:
+                raise ValueError(f"{name} list is empty")
+            if len(set(values)) < len(values):
+                raise ValueError(f"{name} list repeats an entry: {values}")
         for m in self.methods:
             method_component(m)
-        for name in ("fractions", "n_eigs", "omega0", "epsilon"):
-            if not getattr(self, name):
-                raise ValueError(f"{name} list is empty")
         for f in self.fractions:
             if not 0.0 < f <= 1.0:
                 raise ValueError(f"fractions must lie in (0, 1], got {f}")
@@ -119,6 +124,16 @@ class ExperimentSpec:
                 raise ValueError(f"n_eigs entries must be positive, got {ne}")
         if self.runs < 1:
             raise ValueError("runs must be at least 1")
+        # refuse parameters no cell can run before anything is solved
+        for w0 in self.omega0:
+            for eps in self.epsilon:
+                self.gl_config(w0, eps)
+        _check_alpha(self.alpha)
+
+    def gl_config(self, omega0: float, epsilon: float) -> GLConfig:
+        """The GL parameters of one (omega0, epsilon) cell."""
+        return GLConfig(epsilon=epsilon, omega0=omega0, tau=self.tau,
+                        max_iter=self.max_iter, tol=self.tol)
 
 
 @dataclass
@@ -188,7 +203,7 @@ def _get_eigenbasis(g, kind, k, seed, cache_dir, digest) -> Eigenbasis:
 
 def _classify(method, g, basis, data, spec, w0, eps, init_seed):
     if method in GL_METHODS:
-        cfg = GLConfig(epsilon=eps, omega0=w0, tau=spec.tau, max_iter=spec.max_iter, tol=spec.tol)
+        cfg = spec.gl_config(w0, eps)
         if isinstance(data, MulticlassLabelData):
             _, pred, diag = gl_multiclass(basis, data, cfg, init_seed=init_seed)
         else:

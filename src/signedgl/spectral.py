@@ -8,8 +8,9 @@ Lanczos at sigma = 0: A is positive definite, so the largest 1/lambda
 are the smallest lambda, and the tight cluster at the bottom of the
 spectrum is stretched apart.  A^{-1} is applied by conjugate gradients
 rather than by factorizing, since sparse LU fill-in is prohibitive on
-graph operators.  Either way the returned eigenvectors are orthonormal,
-B-orthonormal in the generalized case.
+graph operators; ``_cg_solve`` is the package's one CG solver, which the
+baselines share at their own tolerance.  Either way the returned
+eigenvectors are orthonormal, B-orthonormal in the generalized case.
 """
 
 from __future__ import annotations
@@ -100,12 +101,12 @@ def _start_vector(n: int, seed: int) -> np.ndarray:
     return np.random.default_rng(seed).standard_normal(n)
 
 
-def _cg_solve(A, b: np.ndarray) -> np.ndarray:
+def _cg_solve(A, b: np.ndarray, rtol: float) -> np.ndarray:
     """Solve A x = b by conjugate gradients from x = 0, stopping when
-    ||r|| < 1e-12 ||b||; the arithmetic of scipy's unpreconditioned ``cg``.
+    ||r|| < rtol ||b||; the arithmetic of scipy's unpreconditioned ``cg``.
 
-    Raises EigenSolveError when p^T A p <= 0 (A is not positive definite)
-    or when 10 n steps do not reach the tolerance.
+    Raises np.linalg.LinAlgError when p^T A p <= 0 (A is not positive
+    definite) or when 10 n steps do not reach the tolerance.
     """
     bnorm = np.linalg.norm(b)
     x = np.zeros_like(b)
@@ -115,7 +116,7 @@ def _cg_solve(A, b: np.ndarray) -> np.ndarray:
     p = r.copy()
     rho_prev = None
     for step in range(10 * len(b)):
-        if np.linalg.norm(r) < _CG_RTOL * bnorm:
+        if np.linalg.norm(r) < rtol * bnorm:
             return x
         rho = np.dot(r, r)
         if step > 0:
@@ -124,14 +125,14 @@ def _cg_solve(A, b: np.ndarray) -> np.ndarray:
         q = A @ p
         curvature = np.dot(p, q)
         if not curvature > 0:
-            raise EigenSolveError(
-                f"inner CG solve met p^T A p = {curvature:.3e}: A is not positive definite"
+            raise np.linalg.LinAlgError(
+                f"CG solve met p^T A p = {curvature:.3e}: A is not positive definite"
             )
         alpha = rho / curvature
         x += alpha * p
         r -= alpha * q
         rho_prev = rho
-    raise EigenSolveError(f"inner CG solve did not converge in {10 * len(b)} steps")
+    raise np.linalg.LinAlgError(f"CG solve did not converge in {10 * len(b)} steps")
 
 
 def _cg_inverse(A) -> LinearOperator:
@@ -139,7 +140,7 @@ def _cg_inverse(A) -> LinearOperator:
     sigma = 0.  A is well conditioned by construction (I + a normalized
     Laplacian), so no factorization is needed and sparsity fill-in is
     avoided."""
-    return LinearOperator(A.shape, matvec=lambda x: _cg_solve(A, x), dtype=float)
+    return LinearOperator(A.shape, matvec=lambda x: _cg_solve(A, x, _CG_RTOL), dtype=float)
 
 
 def _arpack_smallest(op: OperatorHandle, k: int, seed: int):
@@ -159,6 +160,8 @@ def _arpack_smallest(op: OperatorHandle, k: int, seed: int):
         ) from exc
     except ArpackError as exc:
         raise EigenSolveError(f"eigensolver failed: {exc}") from exc
+    except np.linalg.LinAlgError as exc:
+        raise EigenSolveError(f"inner solve failed: {exc}") from exc
     order = np.argsort(lam)
     return lam[order], V[:, order]
 

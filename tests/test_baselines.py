@@ -2,6 +2,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from signedgl import (
     BinaryLabelData,
@@ -12,6 +13,9 @@ from signedgl import (
     local_global,
     ssbm_label_data,
 )
+
+from signedgl.baselines import _solve_columns
+from signedgl.laplacians import DENSE_CAP
 
 from conftest import clique_graph, random_signed_graph
 
@@ -162,6 +166,14 @@ def test_cg_path_matches_dense_oracle():
     M = np.eye(2200) - 0.9 * (dinv[:, None] * Wp * dinv[None, :])
     expected = np.linalg.solve(M, labels.f)
     assert np.allclose(scores, expected, atol=1e-6)
+
+
+def test_cg_path_reports_linalg_error():
+    # the shared CG solver refuses an indefinite system above the dense cap
+    n = DENSE_CAP + 1
+    M = sp.diags_array(np.r_[-1.0, np.ones(n - 1)], format="csr")
+    with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+        _solve_columns(M, np.eye(n)[:, 0])
 
 
 def test_baselines_reject_objects_that_are_not_label_objects():

@@ -1,8 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from signedgl import (
-    EdgeListFormat,
     SSBMParams,
     SignedGraph,
     generate_ssbm,
@@ -71,9 +72,35 @@ def test_load_empty_file_errors(tmp_path):
 
 def test_load_comma_format_and_header(tmp_path):
     text = "src,dst,w\n1,2,1\n2,3,-1\n"
-    fmt = EdgeListFormat(delimiter="comma", header=True)
-    g = load_signed_edge_list(write(tmp_path, text), fmt)
+    g = load_signed_edge_list(write(tmp_path, text), header=True)
     assert g.n == 3 and g.num_negative_edges == 1
+
+
+EDGE_RECORDS = [("a", "b", "1"), ("b", "c", "-2.5"), ("c", "a", "0.5"), ("c", "d", "-1")]
+LABEL_RECORDS = [("a", "x"), ("b", "y"), ("d", "x")]
+
+
+@pytest.mark.parametrize("sep", [" ", ",", ", ", "\t"])
+def test_both_loaders_read_every_delimiter_alike(sep, tmp_path):
+    def text(records):
+        return "# comment\n\n" + "".join(sep.join(r) + "\n" for r in records)
+
+    def load(edge_text, **kwargs):
+        g = load_signed_edge_list(write(tmp_path, edge_text), **kwargs)
+        return g, load_labels(write(tmp_path, text(LABEL_RECORDS), "l.txt"), g)
+
+    g_ref, labels_ref = load(text(EDGE_RECORDS).replace(sep, " "))
+    variants = [
+        load(text(EDGE_RECORDS)),
+        load(sep.join(("src", "dst", "w")) + "\n" + text(EDGE_RECORDS), header=True),
+    ]
+    for g, labels in variants:
+        assert g.node_ids == g_ref.node_ids == ("a", "b", "c", "d")
+        assert (g.Wp != g_ref.Wp).nnz == 0 and (g.Wn != g_ref.Wn).nnz == 0
+        assert g.Wn[1, 2] == 2.5
+        assert np.array_equal(labels.y, labels_ref.y)
+        assert np.array_equal(labels.y, [0, 1, -1, 0])
+        assert labels.class_names == labels_ref.class_names == ("x", "y")
 
 
 def test_load_skips_comments(tmp_path):
@@ -108,6 +135,13 @@ def test_graph_digest_distinguishes(rng):
     g2 = random_signed_graph(rng, 20)
     assert graph_digest(g1) == graph_digest(g1)
     assert graph_digest(g1) != graph_digest(g2)
+
+
+def test_graph_digest_is_sha256_of_the_canonical_file(tmp_path, rng):
+    g = random_signed_graph(rng, 30, density=0.1, weighted=True)
+    p = tmp_path / "g.txt"
+    write_signed_edge_list(g, p)
+    assert graph_digest(g) == hashlib.sha256(p.read_bytes()).hexdigest()
 
 
 def test_load_labels_two_class(tmp_path):

@@ -349,6 +349,30 @@ def test_cli_config_key_the_subcommand_has_no_flag_for_is_refused(tmp_path, caps
     assert sum(r["record"] == "run" for r in records) == 3
 
 
+@pytest.mark.parametrize("flag, named", [
+    ("--methods=hf,gl-sn,hf", "methods"),
+    ("--neigs=6,6", "n_eigs"),
+    ("--fractions=0.1,0.2,0.1", "fractions"),
+    ("--omega0=10,10", "omega0"),
+    ("--epsilon=0.1,0.1", "epsilon"),
+    ("--epsilon=-1", "epsilon"),
+    ("--omega0=-5", "omega0"),
+    ("--tau=0", "tau"),
+    ("--max-iter=0", "max_iter"),
+    ("--alpha=1.5", "alpha"),
+])
+def test_cli_run_refuses_a_sweep_no_cell_can_run(flag, named, monkeypatch, tmp_path, capsys):
+    edges, labels = write_small_dataset(tmp_path)
+    solves = count_calls(monkeypatch, "smallest_eigs", lambda *a, **kw: None)
+    out = tmp_path / "o.csv"
+    argv = ["run", "--dataset", str(edges), "--labels", str(labels), "--methods", "gl-sn,lgc",
+            "--neigs", "6", "--out", str(out), flag]
+    capsys.readouterr()
+    assert cli_main(argv) == 1
+    assert named in capsys.readouterr().err
+    assert solves == [] and not out.exists()
+
+
 def test_cli_balance_check(tmp_path, capsys):
     edges = tmp_path / "g.txt"
     assert cli_main([
