@@ -2,20 +2,21 @@
 
 Harmonic-function label propagation solves the Dirichlet problem on the
 unlabeled block of the combinatorial Laplacian; local-global
-consistency solves (I - alpha * D^{-1/2} W D^{-1/2}) u = f.  Systems are
-solved densely below DENSE_CAP nodes and above it by the conjugate-gradient
-solver of ``spectral``, at a relative tolerance of 1e-10.  A singular or
-badly conditioned system raises np.linalg.LinAlgError.
+consistency solves (I - alpha * D^{-1/2} W D^{-1/2}) u = f.  Every system,
+whatever its size, goes to the conjugate-gradient solver of ``spectral`` at
+a relative tolerance of 1e-10; a singular or badly conditioned one raises
+np.linalg.LinAlgError.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from .classifier import TrainingLabels
 from .graph import _as_csr
-from .laplacians import DENSE_CAP, _norm_adjacency, unsigned_laplacian
+from .laplacians import _norm_adjacency, unsigned_laplacian
 from .spectral import _cg_solve
 
 __all__ = ["harmonic_functions", "local_global"]
@@ -26,15 +27,7 @@ _SOLVE_TOL = 1e-10
 def _solve_columns(A, B):
     """Solve A X = B column by column; B may be a vector or a matrix."""
     rhs = B if B.ndim == 2 else B[:, None]
-    n = A.shape[0]
-    if n <= DENSE_CAP:
-        Ad = A.toarray() if sp.issparse(A) else np.asarray(A)
-        try:
-            X = np.linalg.solve(Ad, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise np.linalg.LinAlgError(f"linear system is singular: {exc}") from exc
-    else:
-        X = np.column_stack([_cg_solve(A, b, _SOLVE_TOL) for b in np.ascontiguousarray(rhs.T)])
+    X = np.column_stack([_cg_solve(A, b, _SOLVE_TOL) for b in np.ascontiguousarray(rhs.T)])
     resid = np.linalg.norm(A @ X - rhs)
     scale = max(np.linalg.norm(rhs), 1.0)
     if not np.isfinite(resid) or resid > 1e-8 * scale:
@@ -59,8 +52,8 @@ def harmonic_functions(Wp, labels):
     """Harmonic extension of the labeled values over the positive subgraph.
 
     Solves L_uu u_u = W_ul f_l for the unlabeled block; labeled nodes keep
-    their given values.  Raises a LinAlgError when an unlabeled region has
-    no labeled attachment (singular block).
+    their given values.  L_uu is singular exactly when an unlabeled node's
+    connected component of W holds no labeled node; that raises a LinAlgError.
 
     Returns:
         (labels_out, scores): the label object's readout of the harmonic
@@ -75,11 +68,13 @@ def harmonic_functions(Wp, labels):
     unl = np.flatnonzero(~labels.mask)
     scores = np.array(values, dtype=float)
     if unl.size:
-        L = unsigned_laplacian(W).matrix
-        L_uu = L[unl, :][:, unl]
-        W_ul = W[unl, :][:, lab]
-        rhs = W_ul @ values[lab]
-        scores[unl] = _solve_columns(L_uu, rhs)
+        _, comp = connected_components(W, directed=False)
+        orphans = unl[~np.isin(comp[unl], comp[lab])]
+        if orphans.size:
+            raise np.linalg.LinAlgError(f"linear system is singular: {orphans.size} unlabeled "
+                                        f"nodes (first {orphans[0]}) have no labeled node in reach")
+        L_uu = unsigned_laplacian(W).matrix[unl, :][:, unl]
+        scores[unl] = _solve_columns(L_uu, W[unl, :][:, lab] @ values[lab])
     return labels.readout(scores), scores
 
 

@@ -130,14 +130,18 @@ def _sweep(args, g, labels) -> int:
     return 0
 
 
-def _cmd_run(args) -> int:
+def _load_graph(args):
     if not args.dataset:
         raise ValueError("--dataset is required")
+    return load_signed_edge_list(args.dataset, header=bool(args.header))
+
+
+def _cmd_run(args) -> int:
     if not args.labels:
         raise ValueError("--labels is required")
     if not args.out:
         raise ValueError("--out is required")
-    g = load_signed_edge_list(args.dataset, header=bool(args.header))
+    g = _load_graph(args)
     labels = load_labels(args.labels, g, strict=not args.skip_missing)
     return _sweep(args, g, labels)
 
@@ -167,11 +171,9 @@ def _cmd_ssbm(args) -> int:
 
 
 def _cmd_eigs(args) -> int:
-    if not args.dataset:
-        raise ValueError("--dataset is required")
     if not args.cache_dir:
         raise ValueError("--cache-dir is required")
-    g = load_signed_edge_list(args.dataset, header=bool(args.header))
+    g = _load_graph(args)
     kind = OperatorKind(args.operator)
     comp, _ = largest_connected_component(g, operator_component(kind))
     digest = graph_digest(comp)
@@ -188,9 +190,7 @@ def _cmd_eigs(args) -> int:
 
 
 def _cmd_balance_check(args) -> int:
-    if not args.dataset:
-        raise ValueError("--dataset is required")
-    g = load_signed_edge_list(args.dataset, header=bool(args.header))
+    g = _load_graph(args)
     op = build_operator(g, OperatorKind.SR)
     lam = smallest_eigs(op, k=1, seed=0).lambdas[0]
     balanced = "yes" if lam <= 1e-10 else "no"

@@ -167,7 +167,13 @@ def _canonical_lines(g: SignedGraph):
 
 
 def write_signed_edge_list(g: SignedGraph, path) -> None:
-    """Write the canonical whitespace-delimited edge list (sorted, exact weights)."""
+    """Write the canonical whitespace-delimited edge list (sorted, exact weights).
+
+    A node id that would not reload as itself (empty, holding whitespace or
+    a comma, or starting with ``#``/``%``) raises ValueError first."""
+    for ident in g.node_ids:
+        if ident.split() != [ident] or "," in ident or ident.startswith(_COMMENT_PREFIXES):
+            raise ValueError(f"node id {ident!r} cannot be written to an edge list")
     with open(path, "w", encoding="utf-8") as fh:
         for line in _canonical_lines(g):
             fh.write(line + "\n")

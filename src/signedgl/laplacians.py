@@ -25,7 +25,6 @@ import scipy.sparse as sp
 from .graph import SignedGraph, _as_csr, degrees
 
 __all__ = [
-    "DENSE_CAP",
     "OperatorKind",
     "OperatorSpec",
     "OperatorHandle",
@@ -38,11 +37,6 @@ __all__ = [
     "build_operator",
     "operator_component",
 ]
-
-# Largest node count handled with dense matrices: the LAPACK eigensolver
-# path and the direct baseline solves.
-DENSE_CAP = 2000
-
 
 class OperatorKind(str, Enum):
     L = "L"

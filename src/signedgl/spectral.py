@@ -1,16 +1,16 @@
 """Smallest eigenpairs of symmetric operators and symmetric-definite pairs.
 
-Small problems (n <= DENSE_CAP) go through LAPACK on dense matrices,
-with generalized pairs reduced by a Cholesky factorization of B; larger
-ones through ARPACK's Lanczos iteration with a seeded start vector so
-repeated solves are reproducible.  Generalized pairs run shift-invert
-Lanczos at sigma = 0: A is positive definite, so the largest 1/lambda
-are the smallest lambda, and the tight cluster at the bottom of the
-spectrum is stretched apart.  A^{-1} is applied by conjugate gradients
-rather than by factorizing, since sparse LU fill-in is prohibitive on
-graph operators; ``_cg_solve`` is the package's one CG solver, which the
-baselines share at their own tolerance.  Either way the returned
-eigenvectors are orthonormal, B-orthonormal in the generalized case.
+Small problems (n <= DENSE_CAP, the package's one size rule) go through
+LAPACK on dense matrices, with generalized pairs reduced by a Cholesky
+factorization of B; larger ones through ARPACK's Lanczos iteration with a
+seeded start vector so repeated solves are reproducible.  Generalized
+pairs run shift-invert Lanczos at sigma = 0: A is positive definite, so
+the largest 1/lambda are the smallest lambda, and the tight cluster at
+the bottom of the spectrum is stretched apart.  A^{-1} is applied by
+conjugate gradients rather than by factorizing, since sparse LU fill-in
+is prohibitive on graph operators.  ``_cg_solve`` is the package's one CG
+solver; the baselines solve every system with it, at every size.  The
+returned eigenvectors are orthonormal, B-orthonormal for generalized pairs.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from scipy.sparse.linalg import (
     eigsh,
 )
 
-from .laplacians import DENSE_CAP, OperatorHandle, OperatorKind, OperatorSpec
+from .laplacians import OperatorHandle, OperatorKind, OperatorSpec
 
 __all__ = [
     "DENSE_CAP",
@@ -40,6 +40,7 @@ __all__ = [
     "eigenbasis_cache_file",
 ]
 
+DENSE_CAP = 2000  # largest n solved by dense LAPACK; Lanczos above it
 _RESIDUAL_TOL = 1e-6
 _CG_RTOL = 1e-12
 

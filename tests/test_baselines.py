@@ -15,7 +15,6 @@ from signedgl import (
 )
 
 from signedgl.baselines import _solve_columns
-from signedgl.laplacians import DENSE_CAP
 
 from conftest import clique_graph, random_signed_graph
 
@@ -68,6 +67,21 @@ def test_hf_singular_unlabeled_block():
     labels = BinaryLabelData.from_signs([1.0, 0, 0, 0], [True, False, False, False])
     with pytest.raises(np.linalg.LinAlgError):
         harmonic_functions(W, labels)
+
+
+@pytest.mark.parametrize("n", [10, 2010])
+def test_hf_unlabeled_region_raises_at_every_size(n):
+    # a labeled path plus an isolated unlabeled pair: the pair's block of
+    # L_uu is singular whatever the graph size
+    W = sp.lil_array((n, n))
+    for i in range(n - 3):
+        W[i, i + 1] = W[i + 1, i] = 1.0
+    W[n - 2, n - 1] = W[n - 1, n - 2] = 1.0
+    mask = np.zeros(n, bool)
+    mask[0] = True
+    labels = BinaryLabelData.from_signs(np.r_[1.0, np.zeros(n - 1)], mask)
+    with pytest.raises(np.linalg.LinAlgError, match="singular"):
+        harmonic_functions(W.tocsr(), labels)
 
 
 def test_hf_requires_some_labels():
@@ -152,7 +166,7 @@ def test_lgc_alpha_validation():
 
 
 def test_cg_path_matches_dense_oracle():
-    # n above the dense cap exercises the conjugate-gradient branch
+    # a 2200-node graph: the CG solve at a size where a dense oracle is still cheap
     g, blocks = generate_ssbm(SSBMParams(n=2200, k=2, p_in=0.01, p_out=0.0, seed=3))
     rng = np.random.default_rng(0)
     signs = np.where(blocks == 0, 1.0, -1.0)
@@ -169,11 +183,32 @@ def test_cg_path_matches_dense_oracle():
 
 
 def test_cg_path_reports_linalg_error():
-    # the shared CG solver refuses an indefinite system above the dense cap
-    n = DENSE_CAP + 1
+    # the shared CG solver refuses an indefinite system
+    n = 10
     M = sp.diags_array(np.r_[-1.0, np.ones(n - 1)], format="csr")
     with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
         _solve_columns(M, np.eye(n)[:, 0])
+
+
+def test_three_class_scores_match_dense_oracle():
+    # one CG solve per class column, checked against an independent dense solve
+    g, blocks = generate_ssbm(SSBMParams(n=300, k=3, p_in=0.1, p_out=0.05, seed=5))
+    mask = np.random.default_rng(2).random(300) < 0.1
+    labels = MulticlassLabelData.from_classes(blocks, mask, 3)
+    F = labels.U_hat
+    Wp = g.Wp.toarray()
+    d = Wp.sum(1)
+
+    _, hf_scores = harmonic_functions(g.Wp, labels)
+    unl, lab = np.flatnonzero(~mask), np.flatnonzero(mask)
+    expected = F.copy()
+    L = np.diag(d) - Wp
+    expected[unl] = np.linalg.solve(L[np.ix_(unl, unl)], Wp[np.ix_(unl, lab)] @ F[lab])
+    assert np.abs(hf_scores - expected).max() <= 1e-8
+
+    _, lgc_scores = local_global(g.Wp, labels)
+    M = np.eye(300) - 0.99 * Wp / np.sqrt(np.outer(d, d))
+    assert np.abs(lgc_scores - np.linalg.solve(M, F)).max() <= 1e-8
 
 
 def test_baselines_reject_objects_that_are_not_label_objects():

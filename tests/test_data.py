@@ -130,6 +130,19 @@ def test_round_trip_preserves_isolated_nodes(tmp_path):
     assert back.node_ids == ("a", "b", "c", "d")
 
 
+@pytest.mark.parametrize("bad", ["a b", "a,b", "", "#a", "%a"])
+def test_writer_refuses_ids_that_do_not_reload(bad, tmp_path):
+    # a 3-node path whose middle id would split, vanish, or read as a comment
+    Wp = np.zeros((3, 3))
+    Wp[0, 1] = Wp[1, 0] = Wp[1, 2] = Wp[2, 1] = 1.0
+    g = SignedGraph(Wp, np.zeros((3, 3)), node_ids=["x", bad, "y"])
+    p = tmp_path / "bad.txt"
+    with pytest.raises(ValueError, match=f"node id {bad!r}"):
+        write_signed_edge_list(g, p)
+    assert not p.exists()
+    graph_digest(g)  # the digest does not reload the file, so it accepts any id
+
+
 def test_graph_digest_distinguishes(rng):
     g1 = random_signed_graph(rng, 20)
     g2 = random_signed_graph(rng, 20)
