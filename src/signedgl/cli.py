@@ -6,9 +6,10 @@ Subcommands:
   eigs           precompute eigenbasis cache files
   balance-check  report the smallest signed-ratio eigenvalue
 
-Flag values may also come from a YAML key-value config file (--config);
-explicit flags win on conflict, and a key the subcommand has no flag for
-is refused.  Exit code is 0 on success, 1 on any fatal error.
+Flags may also come from a file: ``signedgl run @sweep.args --runs 3``
+reads one argument per line (``--methods=gl-am,gl-sn``), and a flag given
+later wins.  Exit code is 0 on success, 2 on a malformed command line,
+1 on any other fatal error.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-
-import yaml
 
 from .data import (
     SSBMParams,
@@ -34,39 +33,23 @@ from .laplacians import OperatorKind, build_operator, operator_component
 from .spectral import eigenbasis_cache_file, save_eigenbasis, smallest_eigs
 
 
-def _parse_list(value, cast):
-    if value is None:
-        return None
-    if isinstance(value, (list, tuple)):
-        return [cast(v) for v in value]
-    return [cast(v) for v in str(value).split(",") if str(v).strip()]
+def _list_of(cast):
+    """An argparse type for a comma list; blanks around items are dropped."""
+    def parse(value: str) -> list:
+        return [cast(v.strip()) for v in value.split(",") if v.strip()]
+    parse.__name__ = f"{cast.__name__} list"  # argparse: "invalid float list value: 'x'"
+    return parse
 
 
-def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
-    if not getattr(args, "config", None):
-        return args
-    with open(args.config, encoding="utf-8") as fh:
-        cfg = yaml.safe_load(fh) or {}
-    if not isinstance(cfg, dict):
-        raise ValueError(f"{args.config}: config must be a flat key-value mapping")
-    for key, value in cfg.items():
-        key = key.replace("-", "_")
-        if key not in _CONFIG_KEYS:
-            raise ValueError(f"{args.config}: unknown config key {key!r}")
-        if not hasattr(args, key):
-            raise ValueError(f"{args.config}: {args.command} has no flag for config key {key!r}")
-        if getattr(args, key) is None:
-            setattr(args, key, value)
-    return args
+_float_list, _int_list, _str_list = _list_of(float), _list_of(int), _list_of(str)
 
 
-# sweep flag -> (ExperimentSpec field, parser of the flag or config value, help)
+# sweep flag -> (ExperimentSpec field, argparse type, help)
 _SPEC_FLAGS = {
-    "fractions": ("fractions", lambda v: _parse_list(v, float),
-                  "labeled-node fractions, e.g. 0.01,0.05"),
-    "neigs": ("n_eigs", lambda v: _parse_list(v, int), "eigenvector counts, e.g. 20,100"),
-    "omega0": ("omega0", lambda v: _parse_list(v, float), "fidelity weights"),
-    "epsilon": ("epsilon", lambda v: _parse_list(v, float), "interface parameters"),
+    "fractions": ("fractions", _float_list, "labeled-node fractions, e.g. 0.01,0.05"),
+    "neigs": ("n_eigs", _int_list, "eigenvector counts, e.g. 20,100"),
+    "omega0": ("omega0", _float_list, "fidelity weights"),
+    "epsilon": ("epsilon", _float_list, "interface parameters"),
     "runs": ("runs", int, "label resamplings per cell"),
     "seed": ("base_seed", int, "base seed"),
     "alpha": ("alpha", float, "LGC mixing parameter"),
@@ -74,10 +57,6 @@ _SPEC_FLAGS = {
     "max_iter": ("max_iter", int, "iteration cap"),
     "tol": ("tol", float, "stopping tolerance"),
 }
-# keys a --config file may set: long flag names with "_" for "-"
-_CONFIG_KEYS = (
-    "dataset", "labels", "methods", "out", "cache_dir", "header", *_SPEC_FLAGS,
-)
 # the sweep defaults, for help strings and `eigs`; fractions is the CLI's own default
 _DEFAULTS = ExperimentSpec(methods=list(METHODS), fractions=[0.05])
 
@@ -90,24 +69,20 @@ def _default_help(flag: str) -> str:
 
 def _build_spec(args) -> ExperimentSpec:
     """The sweep spec from the flags the user set; ExperimentSpec fills in the rest."""
-    methods = _parse_list(args.methods, str)
-    if not methods:
+    if not args.methods:
         raise ValueError(f"--methods is required (choose from {', '.join(METHODS)})")
     given = {"fractions": list(_DEFAULTS.fractions)}
-    for flag, (name, parse, _) in _SPEC_FLAGS.items():
-        raw = getattr(args, flag)
-        value = None if raw is None else parse(raw)
+    for flag, (name, _, _) in _SPEC_FLAGS.items():
+        value = getattr(args, flag)
         if value not in (None, []):  # an empty list keeps the default too
             given[name] = value
-    return ExperimentSpec(methods=methods, **given)
+    return ExperimentSpec(methods=args.methods, **given)
 
 
 def _add_sweep_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--methods", help=f"comma list from: {', '.join(METHODS)}")
+    p.add_argument("--methods", type=_str_list, help=f"comma list from: {', '.join(METHODS)}")
     for flag, (_, parse, text) in _SPEC_FLAGS.items():
-        # scalar flags are typed at parse time; list flags stay comma strings
-        p.add_argument("--" + flag.replace("_", "-"), dest=flag,
-                       type=parse if parse in (int, float) else None,
+        p.add_argument("--" + flag.replace("_", "-"), dest=flag, type=parse,
                        help=f"{text} {_default_help(flag)}")
     p.add_argument("--out", help="output CSV path")
     p.add_argument("--cache-dir", dest="cache_dir", help="eigenbasis cache directory")
@@ -116,9 +91,7 @@ def _add_sweep_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_dataset_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dataset", help="signed edge-list file (comma or whitespace delimited)")
-    # default None so a config-file value can fill it in
-    p.add_argument("--header", action="store_true", default=None,
-                   help="skip the first data line")
+    p.add_argument("--header", action="store_true", help="skip the first data line")
 
 
 def _sweep(args, g, labels) -> int:
@@ -133,7 +106,7 @@ def _sweep(args, g, labels) -> int:
 def _load_graph(args):
     if not args.dataset:
         raise ValueError("--dataset is required")
-    return load_signed_edge_list(args.dataset, header=bool(args.header))
+    return load_signed_edge_list(args.dataset, header=args.header)
 
 
 def _cmd_run(args) -> int:
@@ -177,10 +150,9 @@ def _cmd_eigs(args) -> int:
     kind = OperatorKind(args.operator)
     comp, _ = largest_connected_component(g, operator_component(kind))
     digest = graph_digest(comp)
-    seed = int(args.seed) if args.seed is not None else _DEFAULTS.base_seed
-    ks = [min(k, comp.n) for k in _parse_list(args.neigs, int) or _DEFAULTS.n_eigs]
+    ks = [min(k, comp.n) for k in args.neigs or _DEFAULTS.n_eigs]
     # one solve at the largest count; smaller counts are its leading vectors
-    full = smallest_eigs(build_operator(comp, kind), k=max(ks), seed=seed)
+    full = smallest_eigs(build_operator(comp, kind), k=max(ks), seed=args.seed)
     Path(args.cache_dir).mkdir(parents=True, exist_ok=True)
     for k in ks:
         path = eigenbasis_cache_file(args.cache_dir, digest, kind, k)
@@ -206,6 +178,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="signedgl",
         description="Semi-supervised node classification on signed graphs "
         "via diffuse-interface methods.",
+        epilog="An argument @FILE is replaced by the lines of FILE, one argument per line.",
+        fromfile_prefix_chars="@",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -236,17 +210,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_eigs.add_argument(
         "--operator", required=True, choices=[kind.value for kind in GL_METHODS.values()]
     )
-    p_eigs.add_argument("--neigs", help=f"{_SPEC_FLAGS['neigs'][2]} {_default_help('neigs')}")
-    p_eigs.add_argument("--seed", type=int, help=f"eigensolver seed {_default_help('seed')}")
+    p_eigs.add_argument("--neigs", type=_int_list,
+                        help=f"{_SPEC_FLAGS['neigs'][2]} {_default_help('neigs')}")
+    p_eigs.add_argument("--seed", type=int, default=_DEFAULTS.base_seed,
+                        help=f"eigensolver seed {_default_help('seed')}")
     p_eigs.add_argument("--cache-dir", dest="cache_dir")
     p_eigs.set_defaults(func=_cmd_eigs)
 
     p_bal = sub.add_parser("balance-check", help="report lambda_min of the signed ratio Laplacian")
     _add_dataset_flags(p_bal)
     p_bal.set_defaults(func=_cmd_balance_check)
-
-    for p in sub.choices.values():
-        p.add_argument("--config", help="YAML key-value config file; flags win")
     return parser
 
 
@@ -254,7 +227,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(_merge_config(args))
+        return args.func(args)
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

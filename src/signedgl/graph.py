@@ -69,8 +69,8 @@ class SignedGraph:
         Wp: positive adjacency, sparse or dense, symmetric, nonnegative,
             zero diagonal.
         Wn: negative adjacency, same constraints and shape as ``Wp``.
-        node_ids: optional external identifier per node; defaults to the
-            stringified index.
+        node_ids: optional external identifier per node, distinct after
+            ``str``; defaults to the stringified index.
 
     The same node pair may appear in both matrices.  Instances are meant
     to be immutable after construction and safe to share across threads.
@@ -100,6 +100,11 @@ class SignedGraph:
             node_ids = tuple(str(v) for v in node_ids)
             if len(node_ids) != n:
                 raise ValueError(f"expected {n} node ids, got {len(node_ids)}")
+            seen = set()
+            for v in node_ids:
+                if v in seen:
+                    raise ValueError(f"node id {v!r} is repeated")
+                seen.add(v)
         self.n = n
         self.Wp = Wp
         self.Wn = Wn

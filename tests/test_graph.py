@@ -143,6 +143,15 @@ def test_signed_graph_validation():
         SignedGraph(ok, np.zeros((2, 2)), node_ids=["a"])
 
 
+def test_signed_graph_refuses_repeated_node_ids():
+    path = np.array([[0, 1.0, 0], [1.0, 0, 1.0], [0, 1.0, 0]])
+    with pytest.raises(ValueError, match="node id 'a' is repeated"):
+        SignedGraph(path, np.zeros((3, 3)), node_ids=["a", "a", "b"])
+    # ids are compared after str(), as they are stored and written
+    with pytest.raises(ValueError, match="node id '1' is repeated"):
+        SignedGraph(path, np.zeros((3, 3)), node_ids=[1, "1", 2])
+
+
 def test_parallel_opposite_edges_allowed():
     Wp = np.array([[0, 1.0], [1.0, 0]])
     Wn = np.array([[0, 2.0], [2.0, 0]])

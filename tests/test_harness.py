@@ -295,58 +295,85 @@ def test_cli_ssbm_run_and_exports(tmp_path, capsys):
     assert "run.csv" in caught.out
 
 
-def test_cli_config_file_with_flag_override(tmp_path):
-    cfg = tmp_path / "cfg.yaml"
-    cfg.write_text("methods: hf\nfractions: 0.2\nruns: 2\nseed: 5\n")
-    edges = tmp_path / "g.txt"
-    labels = tmp_path / "l.txt"
-    assert cli_main([
-        "ssbm", "--n", "40", "--k", "2", "--p-in", "0.4", "--p-out", "0.4",
-        "--save-edges", str(edges), "--save-labels", str(labels),
-    ]) == 0
+def run_rows(path):
+    with open(path, newline="") as fh:
+        return [r for r in csv.DictReader(fh) if r["record"] == "run"]
+
+
+def test_cli_args_file_with_flag_override(tmp_path):
+    edges, labels = write_small_dataset(tmp_path)
+    args = tmp_path / "sweep.args"
+    args.write_text("--methods=hf\n--fractions=0.2\n--runs=2\n--seed=5\n")
     out = tmp_path / "a.csv"
     rc = cli_main([
         "run", "--dataset", str(edges), "--labels", str(labels),
-        "--config", str(cfg), "--out", str(out),
+        f"@{args}", "--out", str(out),
     ])
     assert rc == 0
-    with open(out, newline="") as fh:
-        records = list(csv.DictReader(fh))
-    assert {r["method"] for r in records} == {"hf"}
-    # flag overrides the config's runs=2
+    rows = run_rows(out)
+    assert {r["method"] for r in rows} == {"hf"} and len(rows) == 2
+    # a flag after the file overrides the file's --runs=2
     out2 = tmp_path / "b.csv"
     rc = cli_main([
         "run", "--dataset", str(edges), "--labels", str(labels),
-        "--config", str(cfg), "--runs", "3", "--out", str(out2),
+        f"@{args}", "--runs", "3", "--out", str(out2),
     ])
     assert rc == 0
-    with open(out2, newline="") as fh:
-        records = list(csv.DictReader(fh))
-    assert sum(r["record"] == "run" for r in records) == 3
+    assert len(run_rows(out2)) == 3
 
 
-def test_cli_config_key_the_subcommand_has_no_flag_for_is_refused(tmp_path, capsys):
-    cfg = tmp_path / "cfg.yaml"
-    cfg.write_text("runs: 3\n")
-    edges = tmp_path / "g.txt"
-    labels = tmp_path / "l.txt"
-    assert cli_main([
-        "ssbm", "--n", "40", "--k", "2", "--p-in", "0.4", "--p-out", "0.4",
-        "--save-edges", str(edges), "--save-labels", str(labels),
-    ]) == 0
+def test_cli_args_file_writes_the_same_csv_as_flags(tmp_path):
+    edges, labels = write_small_dataset(tmp_path)
+    sweep = ["--methods=gl-sn,hf", "--fractions=0.1,0.2", "--neigs=6", "--runs=2"]
+    args = tmp_path / "sweep.args"
+    args.write_text("\n".join(sweep) + "\n")
+    base = ["run", "--dataset", str(edges), "--labels", str(labels)]
+    a, b = tmp_path / "flags.csv", tmp_path / "file.csv"
+    assert cli_main([*base, *sweep, "--out", str(a)]) == 0
+    assert cli_main([*base, f"@{args}", "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_cli_args_file_flag_the_subcommand_lacks_is_refused(tmp_path, capsys):
+    edges, _ = write_small_dataset(tmp_path)
+    args = tmp_path / "f"
+    args.write_text("--runs=3\n")
     capsys.readouterr()
-    assert cli_main(["balance-check", "--dataset", str(edges), "--config", str(cfg)]) != 0
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["balance-check", "--dataset", str(edges), f"@{args}"])
+    assert exc.value.code != 0
+    assert "--runs=3" in capsys.readouterr().err
+
+
+def test_cli_args_file_sets_an_ssbm_flag(tmp_path):
+    args = tmp_path / "graph.args"
+    args.write_text("--n=40\n--p-in=0.4\n--p-out=0.4\n")
+    labels = tmp_path / "l.txt"
+    assert cli_main(["ssbm", f"@{args}", "--save-labels", str(labels)]) == 0
+    assert len(labels.read_text().splitlines()) == 40
+
+
+@pytest.mark.parametrize("via_file", [False, True])
+def test_cli_list_items_may_have_blanks_after_commas(via_file, tmp_path):
+    edges, labels = write_small_dataset(tmp_path)
+    sweep = ["--methods=gl-sn, hf", "--neigs=6", "--runs=1"]
+    if via_file:
+        args = tmp_path / "sweep.args"
+        args.write_text("\n".join(sweep) + "\n")
+        sweep = [f"@{args}"]
+    out = tmp_path / "o.csv"
+    assert cli_main(["run", "--dataset", str(edges), "--labels", str(labels),
+                     *sweep, "--out", str(out)]) == 0
+    assert {r["method"] for r in run_rows(out)} == {"gl-sn", "hf"}
+
+
+@pytest.mark.parametrize("flag", ["--fractions=x", "--neigs=6,x", "--runs=x"])
+def test_cli_malformed_value_is_a_usage_error(flag, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["run", "--dataset", "g", "--labels", "l", "--out", "o", flag])
+    assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert "'runs'" in err and "balance-check" in err
-    # the same key is a flag of `run`, so there it applies
-    out = tmp_path / "a.csv"
-    assert cli_main([
-        "run", "--dataset", str(edges), "--labels", str(labels), "--methods", "hf",
-        "--config", str(cfg), "--out", str(out),
-    ]) == 0
-    with open(out, newline="") as fh:
-        records = list(csv.DictReader(fh))
-    assert sum(r["record"] == "run" for r in records) == 3
+    assert f"argument {flag.split('=')[0]}: invalid" in err and "<lambda>" not in err
 
 
 @pytest.mark.parametrize("flag, named", [
