@@ -22,6 +22,7 @@ from .spectral import _cg_solve
 __all__ = ["harmonic_functions", "local_global"]
 
 _SOLVE_TOL = 1e-10
+LGC_ALPHA = 0.99  # default mixing parameter of local_global
 
 
 def _solve_columns(A, B):
@@ -78,7 +79,7 @@ def harmonic_functions(Wp, labels):
     return labels.readout(scores), scores
 
 
-def local_global(Wp, labels, alpha: float = 0.99):
+def local_global(Wp, labels, alpha: float = LGC_ALPHA):
     """Local-global label propagation: (I - alpha * Wsym)^{-1} f.
 
     ``alpha`` must lie in (0, 1), which keeps the system nonsingular.

@@ -59,6 +59,8 @@ _SPEC_FLAGS = {
 }
 # the sweep defaults, for help strings and `eigs`; fractions is the CLI's own default
 _DEFAULTS = ExperimentSpec(methods=list(METHODS), fractions=[0.05])
+# balance-check reports 2-balanced when lambda_min(signed ratio Laplacian) is at most this
+_BALANCE_TOL = 1e-10
 
 
 def _default_help(flag: str) -> str:
@@ -165,11 +167,11 @@ def _cmd_balance_check(args) -> int:
     g = _load_graph(args)
     op = build_operator(g, OperatorKind.SR)
     lam = smallest_eigs(op, k=1, seed=0).lambdas[0]
-    balanced = "yes" if lam <= 1e-10 else "no"
+    balanced = "yes" if lam <= _BALANCE_TOL else "no"
     print(f"nodes={g.n} positive_edges={g.num_positive_edges} "
           f"negative_edges={g.num_negative_edges}")
     print(f"lambda_min(signed ratio Laplacian) = {lam:.6e}")
-    print(f"2-balanced (lambda_min <= 1e-10): {balanced}")
+    print(f"2-balanced (lambda_min <= {_BALANCE_TOL:g}): {balanced}")
     return 0
 
 

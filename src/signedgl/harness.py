@@ -9,19 +9,22 @@ operator is solved once, at the largest eigenvector count of the sweep
 (capped by the component size); smaller counts use leading truncations
 of that basis.  The solve can go through an on-disk cache, which then
 holds one file per operator at that largest count.  A failed solve or an
-unreadable cache file turns that method's rows into error rows.
+unreadable cache file turns that method's rows into error rows.  Every
+CSV row is a ``Record``; a cell's mean row (``run=None``) is derived from
+its run rows, so the two cannot disagree.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .baselines import _check_alpha, harmonic_functions, local_global
+from .baselines import LGC_ALPHA, _check_alpha, harmonic_functions, local_global
 from .classifier import (
     GLConfig,
     MulticlassLabelData,
@@ -45,7 +48,7 @@ __all__ = [
     "BASELINE_METHODS",
     "METHODS",
     "ExperimentSpec",
-    "RunRecord",
+    "Record",
     "ExperimentResult",
     "accuracy",
     "run_experiment",
@@ -64,19 +67,6 @@ GL_METHODS = {
 BASELINE_METHODS = ("hf", "lgc")
 METHODS = tuple(GL_METHODS) + BASELINE_METHODS
 
-_CSV_COLUMNS = [
-    "record",
-    "method",
-    "fraction",
-    "n_eigs",
-    "omega0",
-    "epsilon",
-    "run",
-    "accuracy",
-    "iterations",
-    "error",
-]
-
 
 def method_component(method: str) -> str:
     """Connectivity mode whose largest component a method runs on."""
@@ -91,7 +81,8 @@ def method_component(method: str) -> str:
 class ExperimentSpec:
     """One sweep: methods x fractions x (N_e, omega0, epsilon) x runs.
 
-    Refuses, before anything is solved, a list that repeats an entry and
+    Refuses, before anything is solved, a list that repeats an entry, an
+    n_eigs entry that is not a positive integer (kept as plain ints), and
     parameters that GLConfig or local_global reject.
     """
 
@@ -102,12 +93,16 @@ class ExperimentSpec:
     epsilon: list = field(default_factory=lambda: [GLConfig.epsilon])
     runs: int = 10
     base_seed: int = 0
-    alpha: float = 0.99
+    alpha: float = LGC_ALPHA
     tau: float = GLConfig.tau
     max_iter: int = GLConfig.max_iter
     tol: float = GLConfig.tol
 
     def __post_init__(self):
+        for ne in self.n_eigs:
+            if isinstance(ne, bool) or not hasattr(ne, "__index__") or ne < 1:
+                raise ValueError(f"n_eigs entries must be positive integers, got {ne!r}")
+        self.n_eigs = [int(ne) for ne in self.n_eigs]
         for name in ("methods", "fractions", "n_eigs", "omega0", "epsilon"):
             values = getattr(self, name)
             if not values:
@@ -119,9 +114,6 @@ class ExperimentSpec:
         for f in self.fractions:
             if not 0.0 < f <= 1.0:
                 raise ValueError(f"fractions must lie in (0, 1], got {f}")
-        for ne in self.n_eigs:
-            if int(ne) < 1:
-                raise ValueError(f"n_eigs entries must be positive, got {ne}")
         if self.runs < 1:
             raise ValueError("runs must be at least 1")
         # refuse parameters no cell can run before anything is solved
@@ -137,35 +129,34 @@ class ExperimentSpec:
 
 
 @dataclass
-class RunRecord:
+class Record:
+    """One CSV row: a run of one cell, or with ``run=None`` the cell's mean.
+
+    The field order is the CSV column order after ``record``; ``wall_time``
+    is written only with ``include_timings``.
+    """
+
     method: str
     fraction: float
     n_eigs: int | None
     omega0: float | None
     epsilon: float | None
-    run_index: int
-    accuracy: float | None
-    iterations: int | None
-    wall_time: float
-    error: str = ""
-
-
-@dataclass
-class MeanRecord:
-    method: str
-    fraction: float
-    n_eigs: int | None
-    omega0: float | None
-    epsilon: float | None
+    run: int | None
     accuracy: float | None
     iterations: float | None
     error: str = ""
+    wall_time: float | None = None
 
 
 @dataclass
 class ExperimentResult:
+    """The run rows of a sweep and the mean rows derived from them."""
+
     runs: list
-    means: list
+    means: list = field(init=False)
+
+    def __post_init__(self):
+        self.means = _aggregate(self.runs)
 
 
 def accuracy(pred, truth, eval_mask) -> float:
@@ -221,7 +212,7 @@ def run_experiment(
 ) -> ExperimentResult:
     """Run the full sweep; failures become error rows and the sweep continues."""
     components: dict[str, tuple] = {}
-    run_rows: list[RunRecord] = []
+    run_rows: list[Record] = []
     for method in spec.methods:
         mode = method_component(method)
         if mode not in components:
@@ -229,7 +220,7 @@ def run_experiment(
             digest = graph_digest(comp) if cache_dir is not None else ""
             components[mode] = (comp, labels.restrict(old_to_new, comp.n), digest)
         run_rows += _method_rows(method, *components[mode], spec, cache_dir)
-    return ExperimentResult(runs=run_rows, means=_aggregate(run_rows))
+    return ExperimentResult(run_rows)
 
 
 def _method_rows(method, comp, comp_labels, digest, spec, cache_dir) -> list:
@@ -241,12 +232,12 @@ def _method_rows(method, comp, comp_labels, digest, spec, cache_dir) -> list:
     failure = ""
     if method in GL_METHODS:
         # one solve at the largest N_e; smaller N_e take its leading vectors
-        k_max = min(max(int(ne) for ne in spec.n_eigs), comp.n)
+        k_max = min(max(spec.n_eigs), comp.n)
         try:
             full = _get_eigenbasis(
                 comp, GL_METHODS[method], k_max, spec.base_seed, cache_dir, digest
             )
-            bases = [(ne, full.truncate(min(int(ne), comp.n))) for ne in spec.n_eigs]
+            bases = [(ne, full.truncate(min(ne, comp.n))) for ne in spec.n_eigs]
         except Exception as exc:  # keep sweeping, record the failure
             bases, failure = [(ne, None) for ne in spec.n_eigs], str(exc)
         cells = [
@@ -271,8 +262,8 @@ def _method_rows(method, comp, comp_labels, digest, spec, cache_dir) -> list:
                 except ValueError as exc:
                     error = str(exc)
             if error:
-                rows += [RunRecord(method, fraction, ne, w0, eps, run_index, None, None, 0.0,
-                                   error=error) for ne, w0, eps, _ in cells]
+                rows += [Record(method, fraction, ne, w0, eps, run_index, None, None,
+                                error, wall_time=0.0) for ne, w0, eps, _ in cells]
                 continue
             data, truth = training_labels(comp_labels, train)
             eval_mask = comp_labels.known & ~train
@@ -286,33 +277,27 @@ def _method_rows(method, comp, comp_labels, digest, spec, cache_dir) -> list:
                     err = ""
                 except Exception as exc:  # keep sweeping, record the failure
                     pred, iters, acc, err = None, None, None, str(exc)
-                rows.append(
-                    RunRecord(method, fraction, ne, w0, eps, run_index,
-                              acc, iters, time.perf_counter() - t0, error=err)
-                )
+                rows.append(Record(method, fraction, ne, w0, eps, run_index, acc, iters, err,
+                                   wall_time=time.perf_counter() - t0))
     return rows
 
 
 def _aggregate(run_rows) -> list:
-    groups: dict[tuple, list[RunRecord]] = {}
+    """One mean row per cell, in the order the cells first appear."""
+    groups: dict[tuple, list[Record]] = {}
     for row in run_rows:
         key = (row.method, row.fraction, row.n_eigs, row.omega0, row.epsilon)
         groups.setdefault(key, []).append(row)
     means = []
     for key, rows in groups.items():
-        ok = [r for r in rows if not r.error]
-        if len(ok) == len(rows):
-            acc = float(np.mean([r.accuracy for r in ok]))
-            its = (
-                float(np.mean([r.iterations for r in ok]))
-                if all(r.iterations is not None for r in ok)
-                else None
-            )
-            err = ""
+        failed = sum(bool(r.error) for r in rows)
+        its = [r.iterations for r in rows]
+        if failed:
+            mean = Record(*key, None, None, None, f"{failed}/{len(rows)} runs failed")
         else:
-            acc, its = None, None
-            err = f"{len(rows) - len(ok)}/{len(rows)} runs failed"
-        means.append(MeanRecord(*key, accuracy=acc, iterations=its, error=err))
+            mean = Record(*key, None, float(np.mean([r.accuracy for r in rows])),
+                          None if None in its else float(np.mean(its)))
+        means.append(mean)
     return means
 
 
@@ -324,29 +309,11 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _row_cells(row) -> dict:
-    run = isinstance(row, RunRecord)
-    return {
-        "record": "run" if run else "mean",
-        "method": row.method,
-        "fraction": _fmt(row.fraction),
-        "n_eigs": _fmt(row.n_eigs),
-        "omega0": _fmt(row.omega0),
-        "epsilon": _fmt(row.epsilon),
-        "run": str(row.run_index) if run else "",
-        "accuracy": _fmt(row.accuracy),
-        "iterations": _fmt(row.iterations),
-        "error": row.error,
-        "wall_time": repr(float(row.wall_time)) if run else "",
-    }
-
-
-def _sort_key(row):
+def _sort_key(row: Record):
     """Cell order, then each cell's run rows by index, then its mean row."""
-    run = isinstance(row, RunRecord)
     cell = (row.fraction, row.n_eigs, row.omega0, row.epsilon)
     return (row.method, *(-1.0 if v is None else float(v) for v in cell),
-            not run, row.run_index if run else -1)
+            math.inf if row.run is None else row.run)
 
 
 def emit_csv(result: ExperimentResult, path, include_timings: bool = False) -> None:
@@ -356,11 +323,13 @@ def emit_csv(result: ExperimentResult, path, include_timings: bool = False) -> N
     unless ``include_timings`` is set; the default output is
     byte-reproducible for a fixed spec and seed.
     """
-    columns = _CSV_COLUMNS + (["wall_time"] if include_timings else [])
+    names = [f.name for f in fields(Record)]
+    if not include_timings:
+        names.remove("wall_time")
     rows = sorted(result.runs + result.means, key=_sort_key)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(columns)
+        writer.writerow(["record", *names])
         for row in rows:
-            cells = _row_cells(row)
-            writer.writerow([cells[c] for c in columns])
+            kind = "mean" if row.run is None else "run"
+            writer.writerow([kind, *(_fmt(getattr(row, n)) for n in names)])

@@ -1,4 +1,5 @@
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -21,8 +22,7 @@ from signedgl import (
 from signedgl.cli import main as cli_main
 from signedgl.harness import (
     ExperimentResult,
-    MeanRecord,
-    RunRecord,
+    Record,
     method_component,
     operator_component,
 )
@@ -69,6 +69,12 @@ def test_spec_validation():
         ExperimentSpec(methods=["hf"], fractions=[1.5])
     with pytest.raises(ValueError, match="runs"):
         ExperimentSpec(methods=["hf"], fractions=[0.1], runs=0)
+    # an n_eigs entry that is not a positive integer is refused by name
+    for bad in (6.7, True, "6", 0, np.float64(6.0)):
+        with pytest.raises(ValueError, match=f"n_eigs .*got {re.escape(repr(bad))}$"):
+            ExperimentSpec(methods=["gl-sn"], fractions=[0.1], n_eigs=[8, bad])
+    spec = ExperimentSpec(methods=["gl-sn"], fractions=[0.1], n_eigs=[np.int64(6), 8])
+    assert spec.n_eigs == [6, 8] and all(type(ne) is int for ne in spec.n_eigs)
 
 
 def test_run_experiment_rows_and_means():
@@ -232,7 +238,7 @@ def test_monotone_trend_in_label_fraction():
 
 def test_emit_csv_empty(tmp_path):
     path = tmp_path / "empty.csv"
-    emit_csv(ExperimentResult(runs=[], means=[]), path)
+    emit_csv(ExperimentResult(runs=[]), path)
     lines = path.read_text().splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("record,method,")
@@ -240,32 +246,83 @@ def test_emit_csv_empty(tmp_path):
 
 def test_emit_csv_sorted_and_parseable(tmp_path):
     rows = [
-        RunRecord("hf", 0.1, None, None, None, 1, 0.5, None, 0.01),
-        RunRecord("gl-sn", 0.1, 10, 1000.0, 0.1, 0, 1.0, 42, 0.02),
-        RunRecord("hf", 0.1, None, None, None, 0, 0.75, None, 0.01),
+        Record("hf", 0.1, None, None, None, 1, 0.5, None, wall_time=0.01),
+        Record("gl-sn", 0.1, 10, 1000.0, 0.1, 0, 1.0, 42, wall_time=0.02),
+        Record("hf", 0.1, None, None, None, 0, 0.75, None, wall_time=0.01),
     ]
-    means = [MeanRecord("hf", 0.1, None, None, None, 0.625, None)]
     path = tmp_path / "two.csv"
-    emit_csv(ExperimentResult(runs=rows, means=means), path)
+    emit_csv(ExperimentResult(runs=rows), path)
     with open(path, newline="") as fh:
         records = list(csv.DictReader(fh))
-    assert [r["method"] for r in records] == ["gl-sn", "hf", "hf", "hf"]
-    assert [r["record"] for r in records] == ["run", "run", "run", "mean"]
-    assert records[1]["run"] == "0" and records[2]["run"] == "1"
+    assert [r["method"] for r in records] == ["gl-sn", "gl-sn", "hf", "hf", "hf"]
+    assert [r["record"] for r in records] == ["run", "mean", "run", "run", "mean"]
+    assert records[2]["run"] == "0" and records[3]["run"] == "1"
+    assert records[1]["run"] == records[4]["run"] == ""
     # parse-back: values survive the round trip
     assert float(records[0]["accuracy"]) == 1.0
     assert int(records[0]["iterations"]) == 42
-    assert records[3]["accuracy"] == repr(0.625)
+    assert records[1]["iterations"] == repr(42.0)
+    assert records[4]["accuracy"] == repr(0.625)
+    assert records[4]["iterations"] == ""
     assert "wall_time" not in records[0]
 
 
 def test_emit_csv_timings_flag(tmp_path):
-    rows = [RunRecord("hf", 0.1, None, None, None, 0, 1.0, None, 0.5)]
+    rows = [Record("hf", 0.1, None, None, None, 0, 1.0, None, wall_time=0.5)]
     path = tmp_path / "t.csv"
-    emit_csv(ExperimentResult(runs=rows, means=[]), path, include_timings=True)
+    emit_csv(ExperimentResult(runs=rows), path, include_timings=True)
     with open(path, newline="") as fh:
         records = list(csv.DictReader(fh))
     assert float(records[0]["wall_time"]) == 0.5
+    assert records[1]["record"] == "mean" and records[1]["wall_time"] == ""
+
+
+def test_emit_csv_timings_add_only_a_last_column(tmp_path):
+    g, labels = small_dataset()
+    spec = ExperimentSpec(methods=["gl-sn", "gl-am", "hf", "lgc"],
+                          fractions=[0.001, 0.1, 1.0], n_eigs=[6, 8], omega0=[500.0, 1000.0],
+                          runs=2)
+    res = run_experiment(g, labels, spec)
+    plain, timed = tmp_path / "plain.csv", tmp_path / "timed.csv"
+    emit_csv(res, plain)
+    emit_csv(res, timed, include_timings=True)
+    with open(plain, newline="") as fh:
+        plain_rows = list(csv.reader(fh))
+    with open(timed, newline="") as fh:
+        timed_rows = list(csv.reader(fh))
+    assert timed_rows[0][-1] == "wall_time"
+    assert [r[:-1] for r in timed_rows] == plain_rows
+    for row in timed_rows[1:]:  # a time on every run row, error rows too; none on mean rows
+        assert (row[-1] == "") == (row[0] == "mean")
+    # 0.001 labels no node, so nothing runs (time 0.0); 1.0 runs, then has no node to score
+    error = timed_rows[0].index("error")
+    failed_times = {r[-1] for r in timed_rows if r[0] == "run" and r[error]}
+    assert "0.0" in failed_times and len(failed_times) > 1
+
+
+def test_mean_row_of_a_cell_with_one_failed_run(monkeypatch, tmp_path):
+    calls = []
+    real = signedgl.harness.gl_binary
+
+    def fail_second(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise RuntimeError("injected failure")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(signedgl.harness, "gl_binary", fail_second)
+    g, labels = small_dataset()
+    spec = ExperimentSpec(methods=["gl-sn"], fractions=[0.1], n_eigs=[6], runs=2)
+    path = tmp_path / "one_failed.csv"
+    emit_csv(run_experiment(g, labels, spec), path)
+    with open(path, newline="") as fh:
+        records = list(csv.DictReader(fh))
+    assert [(r["record"], r["run"]) for r in records] == [("run", "0"), ("run", "1"),
+                                                          ("mean", "")]
+    assert records[0]["error"] == "" and records[0]["accuracy"] != ""
+    assert records[1]["error"] == "injected failure"
+    assert records[2]["accuracy"] == records[2]["iterations"] == ""
+    assert records[2]["error"] == "1/2 runs failed"
 
 
 # ------------------------------------------------------------------ CLI
@@ -453,7 +510,7 @@ def test_cli_spec_defaults_come_from_experiment_spec(monkeypatch, tmp_path):
 
     def capture(g, labels, spec, cache_dir=None):
         specs.append(spec)
-        return ExperimentResult(runs=[], means=[])
+        return ExperimentResult(runs=[])
 
     monkeypatch.setattr(signedgl.cli, "run_experiment", capture)
     base = ["run", "--dataset", str(edges), "--labels", str(labels),
