@@ -11,8 +11,12 @@ coordinates.  Two classes use the double well sum_i (u_i^2 - 1)^2 / 4 on
 a vector u; K classes use half the L1 simplex-vertex well on an n x K
 iterate whose rows are projected back onto the Gibbs simplex after
 every step (Garcia-Cardona et al., "Multiclass data segmentation using
-diffuse interface methods on graphs", 2014).  The label objects own the
-target, the fidelity weights and the readout (sign or row argmax).
+diffuse interface methods on graphs", 2014).  Up to
+_SORTING_NETWORK_MAX_K classes the projection sorts each row by a network
+of elementwise max/min instead of np.sort; the sorted values are the
+same, so the projected rows are bit for bit those of the np.sort
+projection.  The label objects own the target, the fidelity weights and
+the readout (sign or row argmax).
 
 S must be positive semi-definite (otherwise E is unbounded below), so
 balance-ratio operators are rejected.
@@ -47,6 +51,8 @@ __all__ = [
 ]
 
 _NORM_FLOOR = 1e-30
+# widest row that project_rows_onto_simplex sorts by a network, not np.sort
+_SORTING_NETWORK_MAX_K = 5
 
 
 class DivergenceError(RuntimeError):
@@ -363,26 +369,78 @@ def multiclass_potential_gradient(U: np.ndarray) -> np.ndarray:
     gap = np.subtract(1.0, U.T, order="C")
     q = gap * gap
     K = q.shape[0]
-    prefix = np.ones_like(q)
-    suffix = np.ones_like(q)
-    for l in range(1, K):
-        prefix[l] = prefix[l - 1] * q[l - 1]
-        suffix[K - 1 - l] = suffix[K - l] * q[K - l]
-    base = gap * (prefix * suffix)
-    return np.ascontiguousarray((base.sum(axis=0) - 2.0 * base).T)
+    # base[l] = gap[l] * (prefix[l] * suffix[l]) with prefix[l] = q[0] ... q[l-1]
+    # and suffix[l] = q[K-1] ... q[l+1], each multiplied in that order; the
+    # products start at their first factor, not at 1, which changes no bit
+    base = np.empty_like(q)
+    if K == 1:
+        base[0] = gap[0]
+    else:
+        base[1] = q[0]
+        for l in range(2, K):
+            np.multiply(base[l - 1], q[l - 1], out=base[l])
+        base[K - 1] *= gap[K - 1]
+        suffix = q[K - 1].copy()
+        for l in range(K - 2, 0, -1):
+            base[l] *= suffix
+            base[l] *= gap[l]
+            suffix *= q[l]
+        np.multiply(gap[0], suffix, out=base[0])
+    total = base.sum(axis=0)
+    base *= 2.0
+    # written through the transpose in C order, so the inner loop runs over
+    # the n rows rather than over the K classes of one row
+    grad = np.empty((U.shape[0], K))
+    np.subtract(total, base, out=grad.T, order="C")
+    return grad
 
 
 def project_rows_onto_simplex(V: np.ndarray) -> np.ndarray:
-    """Euclidean projection of every row onto the probability simplex."""
+    """Euclidean projection of every row onto the probability simplex.
+
+    Sorts each row in decreasing order, s_1 >= ... >= s_K, takes the
+    cumulative sums c_j and the gaps s_j - (c_j - 1)/j, and shifts the
+    row by theta = (c_rho - 1)/rho at the last positive gap rho (the last
+    column if no gap is positive), clipping at zero (Condat, "Fast
+    projection onto the simplex and the l1 ball", 2016).
+
+    Up to ``_SORTING_NETWORK_MAX_K`` columns (the widest at which it beat
+    ``np.sort`` on 2200 rows) an odd-even transposition network of
+    elementwise max/min sorts the class-major columns; ``np.sort`` sorts
+    wider rows.  Both give the same sorted values up to the signs of
+    zeros, which leave every c_j - 1 unchanged.  The sums, gaps and theta
+    are formed one column at a time in the order ``np.cumsum`` adds, so
+    the output is bit for bit the same either way.
+    """
     V = np.asarray(V, dtype=float)
     n, K = V.shape
-    s = np.sort(V, axis=1)[:, ::-1]
-    cs = np.cumsum(s, axis=1)
-    gaps = s - (cs - 1.0) / np.arange(1, K + 1)
-    # index of the last positive gap; the first is always positive
-    rho = K - 1 - np.argmax(gaps[:, ::-1] > 0, axis=1)
-    theta = (cs[np.arange(n), rho] - 1.0) / (rho + 1)
-    return np.maximum(V - theta[:, None], 0.0)
+    if K <= _SORTING_NETWORK_MAX_K:
+        s = list(np.array(V.T))
+        spare = np.empty(n)
+        for r in range(K):
+            for i in range(r % 2, K - 1, 2):
+                np.maximum(s[i], s[i + 1], out=spare)
+                np.minimum(s[i], s[i + 1], out=s[i + 1])
+                s[i], spare = spare, s[i]
+    else:
+        s = np.sort(V.T, axis=0)[::-1]
+    cs = s[0].copy()
+    theta = t = cs - 1.0
+    # the first gap is positive unless |s_1| swamps the 1
+    found = s[0] > theta
+    for j in range(1, K):
+        cs += s[j]
+        t = cs - 1.0
+        t /= j + 1
+        # s_j > t exactly when the gap s_j - t is positive
+        positive = s[j] > t
+        np.copyto(theta, t, where=positive)
+        found |= positive
+    np.copyto(theta, t, where=~found)
+    out = np.empty((n, K))
+    # through the transpose, as multiclass_potential_gradient writes its result
+    np.subtract(V.T, theta, out=out.T, order="C")
+    return np.maximum(out, 0.0, out=out)
 
 
 def simplex_project(v) -> np.ndarray:

@@ -81,9 +81,10 @@ def method_component(method: str) -> str:
 class ExperimentSpec:
     """One sweep: methods x fractions x (N_e, omega0, epsilon) x runs.
 
-    Refuses, before anything is solved, a list that repeats an entry, an
-    n_eigs entry that is not a positive integer (kept as plain ints), and
-    parameters that GLConfig or local_global reject.
+    Refuses, before anything is solved, a list that repeats an entry, a
+    fraction outside (0, 1), an n_eigs entry that is not a positive
+    integer (kept as plain ints), and parameters that GLConfig or
+    local_global reject.
     """
 
     methods: list
@@ -112,8 +113,9 @@ class ExperimentSpec:
         for m in self.methods:
             method_component(m)
         for f in self.fractions:
-            if not 0.0 < f <= 1.0:
-                raise ValueError(f"fractions must lie in (0, 1], got {f}")
+            # 1.0 draws every node with ground truth for training: none is left to score
+            if not 0.0 < f < 1.0:
+                raise ValueError(f"fractions must lie in (0, 1), got {f}")
         if self.runs < 1:
             raise ValueError("runs must be at least 1")
         # refuse parameters no cell can run before anything is solved

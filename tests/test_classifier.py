@@ -450,6 +450,94 @@ def test_shared_loop_reports_the_frozen_divergence_iteration():
     assert new.value.iteration == ref.value.iteration == 0
 
 
+# --------------------------- frozen np.sort projection and prefix/suffix gradient
+
+
+def reference_projection(V):
+    """project_rows_onto_simplex as it stood before the sorting network."""
+    V = np.asarray(V, dtype=float)
+    n, K = V.shape
+    s = np.sort(V, axis=1)[:, ::-1]
+    cs = np.cumsum(s, axis=1)
+    gaps = s - (cs - 1.0) / np.arange(1, K + 1)
+    rho = K - 1 - np.argmax(gaps[:, ::-1] > 0, axis=1)
+    theta = (cs[np.arange(n), rho] - 1.0) / (rho + 1)
+    return np.maximum(V - theta[:, None], 0.0)
+
+
+def reference_potential_gradient(U):
+    """multiclass_potential_gradient as it stood before the in-place products."""
+    U = np.asarray(U, dtype=float)
+    gap = np.subtract(1.0, U.T, order="C")
+    q = gap * gap
+    K = q.shape[0]
+    prefix = np.ones_like(q)
+    suffix = np.ones_like(q)
+    for l in range(1, K):
+        prefix[l] = prefix[l - 1] * q[l - 1]
+        suffix[K - 1 - l] = suffix[K - l] * q[K - l]
+    base = gap * (prefix * suffix)
+    return np.ascontiguousarray((base.sum(axis=0) - 2.0 * base).T)
+
+
+def kernel_inputs(K, scale=1e300):
+    """Named n x K inputs: random, tie-heavy, vertex, on-simplex, signed-zero and
+    huge rows (``scale``; from 2**53 up the 1 vanishes beside the largest entry)."""
+    rng = np.random.default_rng(K)
+    halves = np.round(rng.normal(0.3, 1.0, (3000, K)) * 2.0) / 2.0
+    halves[:1500, -1] = halves[:1500, 0]  # duplicated columns
+    return {
+        "random": rng.normal(0.3, 2.0, (3000, K)),
+        "tie-heavy": halves,
+        "vertex": np.tile(np.eye(K), (5, 1)),
+        "on-simplex": reference_projection(rng.random((3000, K))),
+        "signed zero": rng.choice([0.0, -0.0, 0.5, 1.0, -1.0], (3000, K)),
+        "huge": rng.normal(0.0, scale, (3000, K)),
+    }
+
+
+def assert_same_bits(new, ref, case):
+    assert new.shape == ref.shape and new.flags.c_contiguous, case
+    assert np.array_equal(new.view(np.int64), ref.view(np.int64)), case
+
+
+def test_projection_matches_frozen_sort_projection():
+    # the sorting network up to the crossover, np.sort for the two widths above it
+    for K in range(1, classifier._SORTING_NETWORK_MAX_K + 3):
+        for name, V in kernel_inputs(K).items():
+            assert_same_bits(project_rows_onto_simplex(V), reference_projection(V), (K, name))
+    s = -np.sort(-kernel_inputs(3)["huge"], axis=1)
+    gaps = s - (np.cumsum(s, axis=1) - 1.0) / np.arange(1, 4)
+    assert (gaps <= 0).all(axis=1).any()  # rows whose theta is the last column's
+
+
+def test_potential_gradient_matches_frozen_prefix_suffix_products():
+    for K in range(1, classifier._SORTING_NETWORK_MAX_K + 3):
+        # 1e20: the largest products stay finite at every K tested
+        for name, U in kernel_inputs(K, scale=1e20).items():
+            assert_same_bits(multiclass_potential_gradient(U), reference_potential_gradient(U),
+                             (K, name))
+
+
+def test_gl_multiclass_matches_frozen_kernels(monkeypatch):
+    cases = []
+    for k in (3, classifier._SORTING_NETWORK_MAX_K + 1):
+        g, blocks = generate_ssbm(SSBMParams(n=150, k=k, p_in=0.1, p_out=0.1, eta=0.15,
+                                             seed=k))
+        mask = np.random.default_rng(k).random(g.n) < 0.1
+        labels = MulticlassLabelData.from_classes(blocks, mask, k)
+        for basis in reference_bases(g):  # SN, AM and SPONGE
+            for cfg in (GLConfig(), GLConfig(epsilon=0.3, omega0=50.0, max_iter=40, tol=0.0)):
+                cases.append((basis, labels, cfg))
+    new = [gl_multiclass(*case, init_seed=1, track_energy=True) for case in cases]
+    monkeypatch.setattr(classifier, "project_rows_onto_simplex", reference_projection)
+    monkeypatch.setattr(classifier, "multiclass_potential_gradient",
+                        reference_potential_gradient)
+    for case, run in zip(cases, new):
+        x, pred, diag = gl_multiclass(*case, init_seed=1, track_energy=True)
+        assert_same_run(run, (x, pred, diag.iterations, diag.final_change, diag.energy_history))
+
+
 def test_label_objects_own_target_and_readout():
     b = BinaryLabelData.from_signs([1, -1, 1], [True, True, False])
     assert b.target is b.f and b.n == 3

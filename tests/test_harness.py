@@ -105,14 +105,10 @@ def test_run_experiment_deterministic():
     assert [r.iterations for r in a.runs] == [r.iterations for r in b.runs]
 
 
-def test_full_fraction_yields_error_row():
-    g, labels = small_dataset()
-    spec = ExperimentSpec(methods=["gl-sn"], fractions=[1.0], n_eigs=[6], runs=1)
-    res = run_experiment(g, labels, spec)
-    assert len(res.runs) == 1
-    assert res.runs[0].error != ""
-    assert res.runs[0].accuracy is None
-    assert res.means[0].error != ""
+def test_full_fraction_is_refused():
+    # a fraction of 1.0 trains on every node with ground truth, leaving none to score
+    with pytest.raises(ValueError, match=r"fractions must lie in \(0, 1\), got 1.0$"):
+        ExperimentSpec(methods=["gl-sn"], fractions=[0.1, 1.0], n_eigs=[6], runs=1)
 
 
 def test_eigenbasis_cache_reused(tmp_path):
@@ -277,10 +273,20 @@ def test_emit_csv_timings_flag(tmp_path):
     assert records[1]["record"] == "mean" and records[1]["wall_time"] == ""
 
 
-def test_emit_csv_timings_add_only_a_last_column(tmp_path):
+def test_emit_csv_timings_add_only_a_last_column(monkeypatch, tmp_path):
+    calls = []
+    real = signedgl.harness.accuracy
+
+    def fail_every_third(*args):
+        calls.append(None)
+        if len(calls) % 3 == 0:
+            raise ValueError("injected failure after the solve")
+        return real(*args)
+
+    monkeypatch.setattr(signedgl.harness, "accuracy", fail_every_third)
     g, labels = small_dataset()
     spec = ExperimentSpec(methods=["gl-sn", "gl-am", "hf", "lgc"],
-                          fractions=[0.001, 0.1, 1.0], n_eigs=[6, 8], omega0=[500.0, 1000.0],
+                          fractions=[0.001, 0.1], n_eigs=[6, 8], omega0=[500.0, 1000.0],
                           runs=2)
     res = run_experiment(g, labels, spec)
     plain, timed = tmp_path / "plain.csv", tmp_path / "timed.csv"
@@ -294,10 +300,13 @@ def test_emit_csv_timings_add_only_a_last_column(tmp_path):
     assert [r[:-1] for r in timed_rows] == plain_rows
     for row in timed_rows[1:]:  # a time on every run row, error rows too; none on mean rows
         assert (row[-1] == "") == (row[0] == "mean")
-    # 0.001 labels no node, so nothing runs (time 0.0); 1.0 runs, then has no node to score
+    # 0.001 labels no node, so nothing runs (time 0.0); an injected failure comes after
+    # the solve, whose time the row keeps
     error = timed_rows[0].index("error")
     failed_times = {r[-1] for r in timed_rows if r[0] == "run" and r[error]}
     assert "0.0" in failed_times and len(failed_times) > 1
+    injected = [float(r[-1]) for r in timed_rows if r[error] == "injected failure after the solve"]
+    assert injected and min(injected) > 0.0
 
 
 def test_mean_row_of_a_cell_with_one_failed_run(monkeypatch, tmp_path):
@@ -437,6 +446,7 @@ def test_cli_malformed_value_is_a_usage_error(flag, tmp_path, capsys):
     ("--methods=hf,gl-sn,hf", "methods"),
     ("--neigs=6,6", "n_eigs"),
     ("--fractions=0.1,0.2,0.1", "fractions"),
+    ("--fractions=0.1,1.0", "fractions"),
     ("--omega0=10,10", "omega0"),
     ("--epsilon=0.1,0.1", "epsilon"),
     ("--epsilon=-1", "epsilon"),
