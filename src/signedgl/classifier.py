@@ -239,6 +239,12 @@ def _double_well(u) -> float:
     return float(np.sum((u**2 - 1.0) ** 2)) / 4.0
 
 
+def _double_well_gradient(u) -> np.ndarray:
+    # u * u * u, not u**3: numpy sends an integer power through pow(),
+    # which costs more than the rest of the step together.
+    return u * u * u - u
+
+
 def _split_step(basis, labels, cfg, x, well_gradient, well_step, denom, state_energy,
                 project=None, track_energy=False):
     """The convexity-splitting loop of both wells, in coefficients a = Phi^T x:
@@ -301,7 +307,7 @@ def energy_gradient(source, u, labels: BinaryLabelData, cfg: GLConfig) -> np.nda
     """Analytic gradient of the binary energy: eps*S u + (u^3-u)/eps - omega*(f-u)."""
     u = np.asarray(u, dtype=float)
     omega = labels.weights(cfg.omega0)
-    return (cfg.epsilon * _apply_operator(source, u) + (u * u * u - u) / cfg.epsilon
+    return (cfg.epsilon * _apply_operator(source, u) + _double_well_gradient(u) / cfg.epsilon
             - omega * (labels.f - u))
 
 
@@ -325,11 +331,9 @@ def gl_binary(
     def state_energy(a, u):
         return _energy(float(a @ (lambdas * a)), _double_well(u), u, labels, cfg)
 
-    # u * u * u, not u**3: numpy sends an integer power through pow(),
-    # which costs more than the rest of the step together.
     return _split_step(
         basis, labels, cfg, labels.f,
-        well_gradient=lambda u: u * u * u - u,
+        well_gradient=_double_well_gradient,
         well_step=tau / eps,
         denom=1.0 + eps * tau * lambdas + c * tau,
         state_energy=state_energy,

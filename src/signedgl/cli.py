@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .data import (
@@ -148,11 +149,13 @@ def _cmd_ssbm(args) -> int:
 def _cmd_eigs(args) -> int:
     if not args.cache_dir:
         raise ValueError("--cache-dir is required")
+    # the sweep's n_eigs check (positive, no repeat) runs before the graph is read
+    n_eigs = replace(_DEFAULTS, n_eigs=args.neigs or _DEFAULTS.n_eigs).n_eigs
     g = _load_graph(args)
     kind = OperatorKind(args.operator)
     comp, _ = largest_connected_component(g, operator_component(kind))
     digest = graph_digest(comp)
-    ks = [min(k, comp.n) for k in args.neigs or _DEFAULTS.n_eigs]
+    ks = [min(k, comp.n) for k in n_eigs]
     # one solve at the largest count; smaller counts are its leading vectors
     full = smallest_eigs(build_operator(comp, kind), k=max(ks), seed=args.seed)
     Path(args.cache_dir).mkdir(parents=True, exist_ok=True)

@@ -5,9 +5,11 @@ label files one ``node_id class_label`` record.  Both go through one
 record reader: ``#``/``%`` lines are comments, and a line that holds a
 comma is split on commas, any other line on whitespace.  Edge lists may
 start with a header line.
-Records with the same node pair are summed per sign, so a pair voted
-both ways keeps a positive and a negative edge.  Zero-weight records
-(neutral votes) and self-loops are dropped with a counted warning.
+Records with the same node pair are summed per sign in record order, so a
+pair voted both ways keeps a positive and a negative edge.  Zero-weight
+records (neutral votes) and self-loops are dropped with a counted warning.
+``_signed_graph`` is the one assembly of a graph from (src, dst, signed
+weight) records, for the loader and the block-model generator alike.
 
 The canonical export declares every node in index order via ``# node:``
 comment lines; plain edge-list parsers skip them, our loader uses them,
@@ -84,11 +86,8 @@ def load_signed_edge_list(path, *, header: bool = False) -> SignedGraph:
     text = Path(path).read_text(encoding="utf-8")
     node_order: list[str] = []
     index: dict[str, int] = {}
-    pos: dict[tuple[int, int], float] = {}
-    neg: dict[tuple[int, int], float] = {}
-    n_self = 0
-    n_zero = 0
-    n_rows = 0
+    src, dst, weights = [], [], []
+    n_self = n_zero = n_rows = 0
 
     def node(ident: str) -> int:
         if ident not in index:
@@ -103,7 +102,6 @@ def load_signed_edge_list(path, *, header: bool = False) -> SignedGraph:
             raise EdgeListError(
                 f"{path}: line {lineno}: expected 'src dst weight', got {len(fields)} fields"
             )
-        src, dst = fields[0], fields[1]
         try:
             w = float(fields[2])
         except ValueError as exc:
@@ -113,57 +111,57 @@ def load_signed_edge_list(path, *, header: bool = False) -> SignedGraph:
         if not np.isfinite(w):
             raise EdgeListError(f"{path}: line {lineno}: non-finite weight")
         n_rows += 1
-        if src == dst:
+        if fields[0] == fields[1]:
             n_self += 1
             continue
         if w == 0.0:
             n_zero += 1
             continue
-        i, j = node(src), node(dst)
-        key = (i, j) if i < j else (j, i)
-        if w > 0:
-            pos[key] = pos.get(key, 0.0) + w
-        else:
-            neg[key] = neg.get(key, 0.0) - w
+        src.append(node(fields[0]))
+        dst.append(node(fields[1]))
+        weights.append(w)
     if n_rows == 0 and not node_order:
         raise EdgeListError(f"{path}: no edge records found")
     if n_self:
         warnings.warn(f"{path}: dropped {n_self} self-loop rows", stacklevel=2)
     if n_zero:
         warnings.warn(f"{path}: dropped {n_zero} zero-weight rows", stacklevel=2)
-
-    n = len(index)
-    ids = [None] * n
-    for ident, i in index.items():
-        ids[i] = ident
-    Wp = _pairs_to_matrix(pos, n)
-    Wn = _pairs_to_matrix(neg, n)
-    return SignedGraph(Wp, Wn, node_ids=ids)
+    return _signed_graph(len(index), src, dst, weights, node_ids=list(index))
 
 
-def _pairs_to_matrix(pairs: dict, n: int) -> sp.csr_array:
-    if not pairs:
-        return sp.csr_array((n, n))
-    rows = np.fromiter((k[0] for k in pairs), dtype=np.int64, count=len(pairs))
-    cols = np.fromiter((k[1] for k in pairs), dtype=np.int64, count=len(pairs))
-    data = np.fromiter(pairs.values(), dtype=float, count=len(pairs))
-    upper = sp.coo_array((data, (rows, cols)), shape=(n, n))
-    return sp.csr_array(upper + upper.T)
+def _signed_graph(n, src, dst, weights, node_ids=None) -> SignedGraph:
+    """The one assembly of a graph from (src, dst, signed weight) records.
+
+    A positive record goes to Wp, a negative one to Wn by magnitude, and the
+    upper triangle is mirrored.  The records of one node pair are summed per
+    sign in record order: bincount adds in input order, starting from 0.0.
+    """
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    weights = np.asarray(weights, dtype=float)
+    pair = np.minimum(src, dst) * n + np.maximum(src, dst)
+    halves = []
+    for signed in (weights, -weights):
+        keep = signed > 0
+        keys, slot = np.unique(pair[keep], return_inverse=True)
+        w = np.bincount(slot, weights=signed[keep], minlength=keys.size)
+        upper = sp.coo_array((w, np.divmod(keys, n)), shape=(n, n))
+        halves.append(upper + upper.T)
+    return SignedGraph(*halves, node_ids=node_ids)
 
 
 def _canonical_lines(g: SignedGraph):
+    """Header, node manifest, then one line per upper-triangle record, ordered
+    by (i, j, signed weight): a pair carrying both signs lists its negative first."""
     yield "# signed edge list"
     for ident in g.node_ids:
         yield f"# node: {ident}"
-    entries = []
-    for sign, W in ((1.0, g.Wp), (-1.0, g.Wn)):
-        coo = W.tocoo()
-        keep = coo.row < coo.col
-        for i, j, w in zip(coo.row[keep], coo.col[keep], coo.data[keep]):
-            entries.append((int(i), int(j), sign * float(w)))
-    entries.sort()
-    for i, j, w in entries:
-        yield f"{g.node_ids[i]} {g.node_ids[j]} {w!r}"
+    up, un = (sp.triu(W, k=1, format="coo") for W in (g.Wp, g.Wn))
+    i, j = np.concatenate([up.row, un.row]), np.concatenate([up.col, un.col])
+    w = np.concatenate([up.data, -un.data])
+    order = np.lexsort((w, j, i))
+    for a, b, x in zip(i[order].tolist(), j[order].tolist(), w[order].tolist()):
+        yield f"{g.node_ids[a]} {g.node_ids[b]} {x!r}"
 
 
 def write_signed_edge_list(g: SignedGraph, path) -> None:
@@ -296,7 +294,7 @@ def generate_ssbm(params: SSBMParams):
     sizes[: n % k] += 1
     blocks = np.repeat(np.arange(k), sizes)
     rng = np.random.default_rng(params.seed)
-    rows, cols, signs = [], [], []
+    rows, cols, signs = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0)]
     for i in range(n - 1):
         j = np.arange(i + 1, n)
         same = blocks[j] == blocks[i]
@@ -311,19 +309,9 @@ def generate_ssbm(params: SSBMParams):
         rows.append(np.full(jj.size, i, dtype=np.int64))
         cols.append(jj)
         signs.append(s)
-    if rows:
-        rows = np.concatenate(rows)
-        cols = np.concatenate(cols)
-        signs = np.concatenate(signs)
-    else:
-        rows = np.empty(0, dtype=np.int64)
-        cols = np.empty(0, dtype=np.int64)
-        signs = np.empty(0)
-    ones = np.ones_like(signs)
-    Wp_u = sp.coo_array((ones[signs > 0], (rows[signs > 0], cols[signs > 0])), shape=(n, n))
-    Wn_u = sp.coo_array((ones[signs < 0], (rows[signs < 0], cols[signs < 0])), shape=(n, n))
-    g = SignedGraph(Wp_u + Wp_u.T, Wn_u + Wn_u.T)
-    return g, blocks
+    # rebinding frees the per-node arrays before the assembly allocates its own
+    rows, cols, signs = np.concatenate(rows), np.concatenate(cols), np.concatenate(signs)
+    return _signed_graph(n, rows, cols, signs), blocks
 
 
 def ssbm_label_data(blocks: np.ndarray) -> LabelData:

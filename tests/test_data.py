@@ -1,7 +1,10 @@
 import hashlib
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from signedgl import (
     SSBMParams,
@@ -16,7 +19,7 @@ from signedgl import (
     ssbm_label_data,
     write_signed_edge_list,
 )
-from signedgl.data import EdgeListError
+from signedgl.data import EdgeListError, _canonical_lines, _iter_records
 
 from conftest import random_signed_graph
 
@@ -317,3 +320,176 @@ def test_split_signs_round_trip_via_files(tmp_path, rng):
     g_file = load_signed_edge_list(p)
     assert np.allclose(g_file.Wp.toarray()[:3, :3], g_mem.Wp.toarray()[:3, :3])
     assert np.allclose(g_file.Wn.toarray()[:3, :3], g_mem.Wn.toarray()[:3, :3])
+
+
+# ------------- frozen dict loader, COO SSBM assembly and tuple-sort serialization
+
+
+def reference_pairs_to_matrix(pairs, n):
+    """data._pairs_to_matrix as it stood before the one record assembly."""
+    if not pairs:
+        return sp.csr_array((n, n))
+    rows = np.fromiter((k[0] for k in pairs), dtype=np.int64, count=len(pairs))
+    cols = np.fromiter((k[1] for k in pairs), dtype=np.int64, count=len(pairs))
+    data = np.fromiter(pairs.values(), dtype=float, count=len(pairs))
+    upper = sp.coo_array((data, (rows, cols)), shape=(n, n))
+    return sp.csr_array(upper + upper.T)
+
+
+def reference_load(path, header=False):
+    """The loader's per-sign dict assembly, on the records data._iter_records yields."""
+    node_order, index, pos, neg = [], {}, {}, {}
+    records = list(_iter_records(Path(path).read_text(encoding="utf-8"), node_order, header))
+    for ident in node_order:
+        index.setdefault(ident, len(index))
+    for _, (src, dst, w) in records:
+        w = float(w)
+        if src == dst or w == 0.0:
+            continue
+        i, j = index.setdefault(src, len(index)), index.setdefault(dst, len(index))
+        key = (i, j) if i < j else (j, i)
+        if w > 0:
+            pos[key] = pos.get(key, 0.0) + w
+        else:
+            neg[key] = neg.get(key, 0.0) - w
+    n = len(index)
+    ids = [None] * n
+    for ident, i in index.items():
+        ids[i] = ident
+    return SignedGraph(reference_pairs_to_matrix(pos, n), reference_pairs_to_matrix(neg, n),
+                       node_ids=ids)
+
+
+def reference_generate_ssbm(params):
+    """generate_ssbm as it stood before the one record assembly: the same draws,
+    then one COO block per sign."""
+    n, k = params.n, params.k
+    sizes = np.full(k, n // k, dtype=np.int64)
+    sizes[: n % k] += 1
+    blocks = np.repeat(np.arange(k), sizes)
+    rng = np.random.default_rng(params.seed)
+    rows, cols, signs = [], [], []
+    for i in range(n - 1):
+        j = np.arange(i + 1, n)
+        same = blocks[j] == blocks[i]
+        r = rng.random(n - 1 - i)
+        hit = np.where(same, r < params.p_in, r < params.p_out)
+        jj = j[hit]
+        if jj.size == 0:
+            continue
+        s = np.where(blocks[jj] == blocks[i], 1.0, -1.0)
+        flip = rng.random(jj.size) < params.eta
+        s[flip] *= -1.0
+        rows.append(np.full(jj.size, i, dtype=np.int64))
+        cols.append(jj)
+        signs.append(s)
+    if rows:
+        rows = np.concatenate(rows)
+        cols = np.concatenate(cols)
+        signs = np.concatenate(signs)
+    else:
+        rows = np.empty(0, dtype=np.int64)
+        cols = np.empty(0, dtype=np.int64)
+        signs = np.empty(0)
+    ones = np.ones_like(signs)
+    Wp_u = sp.coo_array((ones[signs > 0], (rows[signs > 0], cols[signs > 0])), shape=(n, n))
+    Wn_u = sp.coo_array((ones[signs < 0], (rows[signs < 0], cols[signs < 0])), shape=(n, n))
+    return SignedGraph(Wp_u + Wp_u.T, Wn_u + Wn_u.T), blocks
+
+
+def reference_canonical_lines(g):
+    """data._canonical_lines as it stood before the vectorized record read."""
+    yield "# signed edge list"
+    for ident in g.node_ids:
+        yield f"# node: {ident}"
+    entries = []
+    for sign, W in ((1.0, g.Wp), (-1.0, g.Wn)):
+        coo = W.tocoo()
+        keep = coo.row < coo.col
+        for i, j, w in zip(coo.row[keep], coo.col[keep], coo.data[keep]):
+            entries.append((int(i), int(j), sign * float(w)))
+    entries.sort()
+    for i, j, w in entries:
+        yield f"{g.node_ids[i]} {g.node_ids[j]} {w!r}"
+
+
+def assert_same_graph(new, ref, case):
+    assert new.node_ids == ref.node_ids, case
+    for name in ("Wp", "Wn"):
+        A, B = getattr(new, name), getattr(ref, name)
+        assert A.shape == B.shape, (case, name)
+        for part in ("indptr", "indices"):
+            a, b = getattr(A, part), getattr(B, part)
+            assert a.dtype == b.dtype and np.array_equal(a, b), (case, name, part)
+        assert A.data.dtype == B.data.dtype == np.float64, (case, name)
+        assert np.array_equal(A.data.view(np.int64), B.data.view(np.int64)), (case, name)
+    assert list(_canonical_lines(new)) == list(reference_canonical_lines(ref)), case
+
+
+def duplicate_heavy_files():
+    """Named edge-list texts whose summed weights depend on the summation order."""
+    rng = np.random.default_rng(3)
+    weights = [0.1, 0.2, 0.3, -0.1, -0.2, -0.3, 0.0, 1 / 3, -2 / 3, 1e-17, -7.25]
+    random_records = [
+        f"v{a} v{b} {weights[c]!r}"
+        for a, b, c in zip(rng.integers(0, 40, 3000), rng.integers(0, 40, 3000),
+                           rng.integers(0, len(weights), 3000))
+    ]
+    ordered = ["a b 0.1", "b a 0.2", "a b 0.3", "a b -0.3", "b a -0.2", "a b -0.1",
+               "b c 0.3", "c b 0.2", "b c 0.1", "c a -1", "c c 5", "a d 0"]
+    return {
+        "ordered": "\n".join(ordered),
+        "comments and header": "# votes\nsrc dst w\n% more\n\n" + "\n".join(ordered),
+        "manifest with isolated nodes": "\n".join(
+            ["# node: z", "# node: b", "# node: lone", *ordered, "# node: late"]),
+        "comma": "\n".join(r.replace(" ", ", ") for r in ordered),
+        "random duplicates": "\n".join(["# node: v39", "# node: iso", *random_records]),
+        "only self-loops": "a a 1\nb b -2",
+        "only a manifest": "# node: x\n# node: y",
+    }
+
+
+def test_loader_matches_frozen_dict_assembly(tmp_path):
+    for case, text in duplicate_heavy_files().items():
+        p = write(tmp_path, text + "\n")
+        header = case == "comments and header"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the dropped self-loop and zero rows
+            g = load_signed_edge_list(p, header=header)
+        assert_same_graph(g, reference_load(p, header), case)
+        if g.n:  # a file of self-loops alone gives no node, and an empty file does not load
+            write_signed_edge_list(g, tmp_path / "out.txt")
+            assert_same_graph(load_signed_edge_list(tmp_path / "out.txt"), g, case)
+    # the sums above are order-sensitive: file order, not sorted or reversed order
+    g = load_signed_edge_list(write(tmp_path, "a b 0.1\na b 0.2\na b 0.3\nb a -0.3\n"
+                                              "a b -0.2\na b -0.1\n"))
+    assert g.Wp[0, 1] == (0.1 + 0.2) + 0.3 != (0.3 + 0.2) + 0.1
+    assert g.Wn[0, 1] == (0.3 + 0.2) + 0.1 != (0.1 + 0.2) + 0.3
+    assert list(_canonical_lines(g))[-2:] == [f"a b {-float(g.Wn[0, 1])!r}",
+                                             f"a b {float(g.Wp[0, 1])!r}"]
+
+
+SSBM_CASES = [
+    SSBMParams(n=1, k=1, p_in=0.5, p_out=0.5, seed=3),
+    SSBMParams(n=12, k=3, p_in=0.0, p_out=0.0, eta=0.2, seed=1),
+    SSBMParams(n=2, k=2, p_in=1.0, p_out=1.0, eta=1.0, seed=0),
+    SSBMParams(n=40, k=4, p_in=1.0, p_out=1.0, eta=0.5, seed=2),
+    SSBMParams(n=300, k=2, p_in=0.05, p_out=0.05, eta=0.1, seed=1),
+    SSBMParams(n=301, k=3, p_in=0.04, p_out=0.02, eta=0.15, seed=7919),
+    SSBMParams(n=500, k=5, p_in=0.02, p_out=0.01, eta=0.0, seed=11),
+]
+
+
+@pytest.mark.parametrize("params", SSBM_CASES, ids=lambda p: f"n{p.n}-k{p.k}-s{p.seed}")
+def test_ssbm_matches_frozen_coo_assembly(params):
+    g, blocks = generate_ssbm(params)
+    ref, ref_blocks = reference_generate_ssbm(params)
+    assert np.array_equal(blocks, ref_blocks)
+    assert_same_graph(g, ref, params)
+
+
+def test_graph_digest_of_a_fixed_ssbm_is_pinned():
+    # the digest names every cache file: a new serialization would orphan them all
+    g, _ = generate_ssbm(SSBMParams(n=40, k=3, p_in=0.3, p_out=0.1, eta=0.2, seed=12))
+    assert (g.num_positive_edges, g.num_negative_edges) == (81, 61)
+    assert graph_digest(g) == "08755422b2c0724f497bdb10404e9866a31daac7bb29fab741b5bc08e6d8668b"

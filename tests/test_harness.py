@@ -504,6 +504,19 @@ def test_cli_eigs_cache_then_run(tmp_path):
     assert cached[0].stat().st_mtime_ns == stamp  # reused the precomputed basis
 
 
+@pytest.mark.parametrize("neigs, entry", [("5,0", "got 0"), ("5,5", "[5, 5]")])
+def test_cli_eigs_refuses_neigs_the_sweep_refuses(neigs, entry, monkeypatch, tmp_path, capsys):
+    solves = []
+    monkeypatch.setattr(signedgl.cli, "smallest_eigs", lambda *a, **kw: solves.append(a))
+    cache = tmp_path / "cache"
+    # an absent dataset: the refusal comes before the graph is read
+    assert cli_main(["eigs", "--dataset", str(tmp_path / "absent.txt"), "--operator", "SN",
+                     f"--neigs={neigs}", "--cache-dir", str(cache)]) == 1
+    err = capsys.readouterr().err
+    assert "n_eigs" in err and entry in err
+    assert solves == [] and not cache.exists()
+
+
 def write_small_dataset(tmp_path):
     edges, labels = tmp_path / "g.txt", tmp_path / "l.txt"
     assert cli_main([
