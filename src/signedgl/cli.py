@@ -3,7 +3,7 @@
 Subcommands:
   run            sweep methods/parameters over an edge-list dataset
   ssbm           same sweep over a generated signed block model
-  eigs           precompute eigenbasis cache files
+  eigs           precompute the eigenbasis cache file a sweep reads
   balance-check  report the smallest signed-ratio eigenvalue
 
 Flags may also come from a file: ``signedgl run @sweep.args --runs 3``
@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 from .data import (
     SSBMParams,
@@ -29,9 +28,9 @@ from .data import (
     write_signed_edge_list,
 )
 from .graph import largest_connected_component
-from .harness import GL_METHODS, METHODS, ExperimentSpec, emit_csv, run_experiment
+from .harness import GL_METHODS, METHODS, ExperimentSpec, _bases, emit_csv, run_experiment
 from .laplacians import OperatorKind, build_operator, operator_component
-from .spectral import eigenbasis_cache_file, save_eigenbasis, smallest_eigs
+from .spectral import smallest_eigs
 
 
 def _list_of(cast):
@@ -154,15 +153,9 @@ def _cmd_eigs(args) -> int:
     g = _load_graph(args)
     kind = OperatorKind(args.operator)
     comp, _ = largest_connected_component(g, operator_component(kind))
-    digest = graph_digest(comp)
-    ks = [min(k, comp.n) for k in n_eigs]
-    # one solve at the largest count; smaller counts are its leading vectors
-    full = smallest_eigs(build_operator(comp, kind), k=max(ks), seed=args.seed)
-    Path(args.cache_dir).mkdir(parents=True, exist_ok=True)
-    for k in ks:
-        path = eigenbasis_cache_file(args.cache_dir, digest, kind, k)
-        save_eigenbasis(path, full.truncate(k))
-        print(f"wrote {path} (n={comp.n}, k={k})")
+    bases = _bases(comp, kind, n_eigs, args.seed, args.cache_dir, graph_digest(comp))
+    k = max(basis.k for _, basis in bases)
+    print(f"{kind.value} eigenbasis (n={comp.n}, k={k}) cached in {args.cache_dir}")
     return 0
 
 

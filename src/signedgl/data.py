@@ -81,13 +81,14 @@ def load_signed_edge_list(path, *, header: bool = False) -> SignedGraph:
     ``header`` skips the first data row.
 
     Raises:
-        EdgeListError: on malformed rows (with line number) or an empty file.
+        EdgeListError: on malformed rows (with line number) or a file that
+            names no node.
     """
     text = Path(path).read_text(encoding="utf-8")
     node_order: list[str] = []
     index: dict[str, int] = {}
     src, dst, weights = [], [], []
-    n_self = n_zero = n_rows = 0
+    n_self = n_zero = 0
 
     def node(ident: str) -> int:
         if ident not in index:
@@ -110,7 +111,6 @@ def load_signed_edge_list(path, *, header: bool = False) -> SignedGraph:
             ) from exc
         if not np.isfinite(w):
             raise EdgeListError(f"{path}: line {lineno}: non-finite weight")
-        n_rows += 1
         if fields[0] == fields[1]:
             n_self += 1
             continue
@@ -120,8 +120,10 @@ def load_signed_edge_list(path, *, header: bool = False) -> SignedGraph:
         src.append(node(fields[0]))
         dst.append(node(fields[1]))
         weights.append(w)
-    if n_rows == 0 and not node_order:
-        raise EdgeListError(f"{path}: no edge records found")
+    if not index:
+        raise EdgeListError(
+            f"{path}: no edge records found (self-loops and zero weights give no node)"
+        )
     if n_self:
         warnings.warn(f"{path}: dropped {n_self} self-loop rows", stacklevel=2)
     if n_zero:

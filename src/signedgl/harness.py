@@ -8,8 +8,10 @@ extracted once per sweep and shared by the methods that run on it.  Each
 operator is solved once, at the largest eigenvector count of the sweep
 (capped by the component size); smaller counts use leading truncations
 of that basis.  The solve can go through an on-disk cache, which then
-holds one file per operator at that largest count.  A failed solve or an
-unreadable cache file turns that method's rows into error rows.  Every
+holds one file per operator at that largest count.  ``_bases`` is the one
+writer of those files: ``signedgl eigs`` calls it too, so a file holds
+the same bits whether the sweep or ``eigs`` wrote it.  A failed solve or
+an unreadable cache file turns that method's rows into error rows.  Every
 CSV row is a ``Record``; a cell's mean row (``run=None``) is derived from
 its run rows, so the two cannot disagree.
 """
@@ -35,13 +37,7 @@ from .classifier import (
 from .data import LabelData, graph_digest, sample_labeled_nodes
 from .graph import SignedGraph, largest_connected_component
 from .laplacians import OperatorKind, build_operator, operator_component
-from .spectral import (
-    Eigenbasis,
-    eigenbasis_cache_file,
-    load_eigenbasis,
-    save_eigenbasis,
-    smallest_eigs,
-)
+from .spectral import eigenbasis_cache_file, load_eigenbasis, save_eigenbasis, smallest_eigs
 
 __all__ = [
     "GL_METHODS",
@@ -178,20 +174,24 @@ def _derived_seed(*parts) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-def _get_eigenbasis(g, kind, k, seed, cache_dir, digest) -> Eigenbasis:
-    path = None
-    if cache_dir is not None:
-        path = eigenbasis_cache_file(cache_dir, digest, kind, k)
-        if path.exists():
-            try:
-                return load_eigenbasis(path)
-            except Exception as exc:
-                raise ValueError(f"cannot read cached eigenbasis {path.name}: {exc}") from exc
-    basis = smallest_eigs(build_operator(g, kind), k=k, seed=seed)
-    if path is not None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        save_eigenbasis(path, basis)
-    return basis
+def _bases(comp, kind, n_eigs, seed, cache_dir, digest) -> list:
+    """[(N_e, basis)] for one operator on its component: one solve, or one
+    cache file, at the largest N_e (capped by the component size); smaller
+    N_e take its leading vectors.  The one writer of eigenbasis cache files:
+    the sweep and ``signedgl eigs`` both fill the cache through here."""
+    k = min(max(n_eigs), comp.n)
+    path = None if cache_dir is None else eigenbasis_cache_file(cache_dir, digest, kind, k)
+    if path is not None and path.exists():
+        try:
+            full = load_eigenbasis(path)
+        except Exception as exc:
+            raise ValueError(f"cannot read cached eigenbasis {path.name}: {exc}") from exc
+    else:
+        full = smallest_eigs(build_operator(comp, kind), k=k, seed=seed)
+        if path is not None:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            save_eigenbasis(path, full)
+    return [(ne, full.truncate(min(ne, comp.n))) for ne in n_eigs]
 
 
 def _classify(method, g, basis, data, spec, w0, eps, init_seed):
@@ -233,13 +233,9 @@ def _method_rows(method, comp, comp_labels, digest, spec, cache_dir) -> list:
     """
     failure = ""
     if method in GL_METHODS:
-        # one solve at the largest N_e; smaller N_e take its leading vectors
-        k_max = min(max(spec.n_eigs), comp.n)
         try:
-            full = _get_eigenbasis(
-                comp, GL_METHODS[method], k_max, spec.base_seed, cache_dir, digest
-            )
-            bases = [(ne, full.truncate(min(ne, comp.n))) for ne in spec.n_eigs]
+            bases = _bases(comp, GL_METHODS[method], spec.n_eigs, spec.base_seed,
+                           cache_dir, digest)
         except Exception as exc:  # keep sweeping, record the failure
             bases, failure = [(ne, None) for ne in spec.n_eigs], str(exc)
         cells = [

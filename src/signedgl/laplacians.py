@@ -90,10 +90,6 @@ class OperatorHandle:
         m = self.matrix if self.matrix is not None else self.pair[0]
         return m.shape[0]
 
-    @property
-    def psd_guaranteed(self) -> bool:
-        return self.spec.psd_guaranteed
-
     def dense(self) -> np.ndarray:
         if self.is_generalized:
             raise ValueError("use dense_pair() for generalized operators")

@@ -444,7 +444,6 @@ def duplicate_heavy_files():
             ["# node: z", "# node: b", "# node: lone", *ordered, "# node: late"]),
         "comma": "\n".join(r.replace(" ", ", ") for r in ordered),
         "random duplicates": "\n".join(["# node: v39", "# node: iso", *random_records]),
-        "only self-loops": "a a 1\nb b -2",
         "only a manifest": "# node: x\n# node: y",
     }
 
@@ -457,9 +456,14 @@ def test_loader_matches_frozen_dict_assembly(tmp_path):
             warnings.simplefilter("ignore")  # the dropped self-loop and zero rows
             g = load_signed_edge_list(p, header=header)
         assert_same_graph(g, reference_load(p, header), case)
-        if g.n:  # a file of self-loops alone gives no node, and an empty file does not load
-            write_signed_edge_list(g, tmp_path / "out.txt")
-            assert_same_graph(load_signed_edge_list(tmp_path / "out.txt"), g, case)
+        write_signed_edge_list(g, tmp_path / "out.txt")
+        assert_same_graph(load_signed_edge_list(tmp_path / "out.txt"), g, case)
+    # self-loop and zero-weight records give no node: a file of them alone is refused,
+    # rather than loaded as a 0-node graph whose export would not reload
+    for text in ("a a 1\nb b -2", "a b 0\nb c -0.0", "a a 1\na b 0"):
+        with pytest.raises(EdgeListError, match="no edge records"), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            load_signed_edge_list(write(tmp_path, text + "\n"))
     # the sums above are order-sensitive: file order, not sorted or reversed order
     g = load_signed_edge_list(write(tmp_path, "a b 0.1\na b 0.2\na b 0.3\nb a -0.3\n"
                                               "a b -0.2\na b -0.1\n"))

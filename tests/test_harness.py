@@ -11,11 +11,14 @@ from signedgl import (
     SignedGraph,
     SSBMParams,
     accuracy,
+    build_operator,
     emit_csv,
     generate_ssbm,
     largest_connected_component,
     load_eigenbasis,
+    load_signed_edge_list,
     run_experiment,
+    smallest_eigs,
     ssbm_label_data,
     write_signed_edge_list,
 )
@@ -27,6 +30,7 @@ from signedgl.harness import (
     operator_component,
 )
 from signedgl.laplacians import OperatorKind
+from signedgl.spectral import DENSE_CAP
 
 
 def small_dataset(seed=1, n=80, eta=0.05, p=0.15):
@@ -506,8 +510,7 @@ def test_cli_eigs_cache_then_run(tmp_path):
 
 @pytest.mark.parametrize("neigs, entry", [("5,0", "got 0"), ("5,5", "[5, 5]")])
 def test_cli_eigs_refuses_neigs_the_sweep_refuses(neigs, entry, monkeypatch, tmp_path, capsys):
-    solves = []
-    monkeypatch.setattr(signedgl.cli, "smallest_eigs", lambda *a, **kw: solves.append(a))
+    solves = count_calls(monkeypatch, "smallest_eigs", lambda *a, **kw: None)
     cache = tmp_path / "cache"
     # an absent dataset: the refusal comes before the graph is read
     assert cli_main(["eigs", "--dataset", str(tmp_path / "absent.txt"), "--operator", "SN",
@@ -545,27 +548,81 @@ def test_cli_spec_defaults_come_from_experiment_spec(monkeypatch, tmp_path):
                                       n_eigs=[5, 7], base_seed=3)
 
 
-def test_cli_eigs_saves_truncations_of_one_solve(monkeypatch, tmp_path):
-    edges, _ = write_small_dataset(tmp_path)
+def test_cli_eigs_writes_the_one_file_the_sweep_reads(monkeypatch, tmp_path):
+    edges, labels = write_small_dataset(tmp_path)
     cache = tmp_path / "cache"
-    solves = []
-    real = signedgl.cli.smallest_eigs
-
-    def counted(op, k, seed=0):
-        solves.append(k)
-        return real(op, k=k, seed=seed)
-
-    monkeypatch.setattr(signedgl.cli, "smallest_eigs", counted)
+    solves = count_calls(monkeypatch, "smallest_eigs", lambda op, k, seed=0: k)
     assert cli_main([
         "eigs", "--dataset", str(edges), "--operator", "AM",
         "--neigs", "4,6", "--cache-dir", str(cache),
     ]) == 0
     assert solves == [6]
-    (k4,) = cache.glob("eig_*_AM_k4.npz")
-    (k6,) = cache.glob("eig_*_AM_k6.npz")
-    small, large = load_eigenbasis(k4), load_eigenbasis(k6)
-    assert np.array_equal(small.phis, large.phis[:, :4])
-    assert np.array_equal(small.lambdas, large.lambdas[:4])
+    (cached,) = cache.glob("eig_*.npz")
+    assert cached.name.endswith("_AM_k6.npz")
+    assert cli_main([
+        "run", "--dataset", str(edges), "--labels", str(labels),
+        "--methods", "gl-am", "--fractions", "0.2", "--neigs", "4,6", "--runs", "1",
+        "--out", str(tmp_path / "o.csv"), "--cache-dir", str(cache),
+    ]) == 0
+    assert solves == [6]  # the sweep read the file eigs wrote
+    assert [f.name for f in cache.glob("eig_*.npz")] == [cached.name]
+    rows = read_rows(tmp_path / "o.csv")
+    assert {row["n_eigs"] for row in rows} == {"4", "6"}
+    assert all(row["error"] == "" for row in rows)
+
+
+def test_cli_eigs_files_hold_the_solve_at_their_own_k(tmp_path):
+    # above DENSE_CAP Lanczos runs, and the leading 8 vectors of a k=16 solve
+    # differ in their last bits from a k=8 solve: a _k8 file holding them
+    # would hand a warm sweep other bits than a cold one
+    edges = tmp_path / "g.txt"
+    assert cli_main(["ssbm", "--n", "2050", "--p-in", "0.01", "--p-out", "0.01",
+                     "--eta", "0.05", "--save-edges", str(edges)]) == 0
+    cache = tmp_path / "cache"
+    assert cli_main(["eigs", "--dataset", str(edges), "--operator", "SN",
+                     "--neigs", "8,16", "--cache-dir", str(cache)]) == 0
+    comp, _ = largest_connected_component(load_signed_edge_list(edges), "signed")
+    assert comp.n > DENSE_CAP
+    op = build_operator(comp, "SN")
+    files = sorted(cache.glob("eig_*.npz"))
+    assert files
+    for path in files:
+        cached = load_eigenbasis(path)
+        solved = smallest_eigs(op, k=int(path.stem.rsplit("_k", 1)[1]), seed=0)
+        assert np.array_equal(cached.phis.view(np.int64), solved.phis.view(np.int64))
+        assert np.array_equal(cached.lambdas.view(np.int64), solved.lambdas.view(np.int64))
+
+
+def test_cli_eigs_caps_neigs_at_the_component_size_in_one_file(monkeypatch, tmp_path):
+    edges = tmp_path / "g.txt"
+    assert cli_main(["ssbm", "--n", "30", "--p-in", "0.5", "--p-out", "0.5",
+                     "--save-edges", str(edges)]) == 0
+    cache = tmp_path / "cache"
+    solves = count_calls(monkeypatch, "smallest_eigs", lambda op, k, seed=0: (op.n, k))
+    saves = count_calls(monkeypatch, "save_eigenbasis", lambda path, eig: path.name)
+    assert cli_main(["eigs", "--dataset", str(edges), "--operator", "SN",
+                     "--neigs=40,50", "--cache-dir", str(cache)]) == 0
+    assert solves == [(30, 30)]
+    (cached,) = cache.glob("eig_*.npz")
+    assert cached.name.endswith("_SN_k30.npz")
+    assert saves == [cached.name]  # written once, not once per capped entry
+
+
+def test_cli_eigs_second_run_is_served_from_the_file(monkeypatch, tmp_path, capsys):
+    edges, _ = write_small_dataset(tmp_path)
+    cache = tmp_path / "cache"
+    argv = ["eigs", "--dataset", str(edges), "--operator", "SPONGE",
+            "--neigs", "4,6", "--cache-dir", str(cache)]
+    assert cli_main(argv) == 0
+    (cached,) = cache.glob("eig_*.npz")
+    stamp = cached.stat().st_mtime_ns
+    solves = count_calls(monkeypatch, "smallest_eigs", lambda *a, **kw: None)
+    capsys.readouterr()
+    assert cli_main(argv) == 0
+    assert solves == []
+    assert [f.name for f in cache.glob("eig_*.npz")] == [cached.name]
+    assert cached.stat().st_mtime_ns == stamp
+    assert capsys.readouterr().out == f"SPONGE eigenbasis (n=50, k=6) cached in {cache}\n"
 
 
 def write_split_component_dataset(tmp_path):

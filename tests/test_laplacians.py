@@ -92,14 +92,15 @@ def test_balance_ratio_single_negative_edge_indefinite():
     h = balance_ratio_laplacian(g)
     assert np.array_equal(h.dense(), [[0, 1], [1, 0]])
     assert np.allclose(eigs_of(h), [-1, 1])
-    assert not h.psd_guaranteed
+    assert not h.spec.psd_guaranteed
 
 
 def test_balance_ratio_four_cycle_spectrum():
     # frozen from the dense oracle on the canonical 2-balanced example
     lam = eigs_of(balance_ratio_laplacian(balanced_four_cycle()))
     assert np.allclose(lam, [-2.0, 2.0, 2.0, 2.0])
-    assert not balance_ratio_laplacian(balanced_four_cycle(), normalized=True).psd_guaranteed
+    h = balance_ratio_laplacian(balanced_four_cycle(), normalized=True)
+    assert not h.spec.psd_guaranteed
 
 
 def test_sponge_reduces_when_one_sign_absent(rng):
@@ -163,7 +164,7 @@ def test_psd_kinds_are_psd(rng):
         g = random_signed_graph(rng, int(rng.integers(5, 60)), weighted=True)
         for kind in PSD_KINDS:
             h = build_operator(g, kind)
-            assert h.psd_guaranteed
+            assert h.spec.psd_guaranteed
             assert eigs_of(h)[0] >= -1e-10
         A, B = sponge_operator(g).dense_pair()
         assert sla.eigh(A, B, eigvals_only=True)[0] >= -1e-10
