@@ -5,16 +5,22 @@ One scheme, two wells.  Both classifiers minimize
     E(x) = eps/2 <x, S x> + W(x)/eps + sum_i omega_i/2 ||target_i - x_i||^2
 
 over the span of an eigenbasis of S by convexity splitting: the
-quadratic part is treated implicitly, the well and fidelity forces
-explicitly, so every time step is a diagonal solve in eigenvector
-coordinates.  Two classes use the double well sum_i (u_i^2 - 1)^2 / 4 on
-a vector u; K classes use half the L1 simplex-vertex well on an n x K
-iterate whose rows are projected back onto the Gibbs simplex after
-every step (Garcia-Cardona et al., "Multiclass data segmentation using
-diffuse interface methods on graphs", 2014).  Up to
-_SORTING_NETWORK_MAX_K classes the projection sorts each row by a network
-of elementwise max/min instead of np.sort; the sorted values are the
-same, so the projected rows are bit for bit those of the np.sort
+quadratic part is treated implicitly and the well force explicitly.
+Two classes use the double well sum_i (u_i^2 - 1)^2 / 4 on a vector u
+and treat the fidelity force implicitly as well, so the splitting
+constant only has to cover the well, c = 3/eps >= 2/eps, and a time step
+is one product with the inverse of the symmetric positive definite k x k
+matrix (1 + c tau) I + eps tau Lambda + tau Phi^T Omega Phi, built once
+per label mask (Bertozzi & Flenner, "Diffuse interface models on graphs
+for classification of high dimensional data", 2012).  K classes use half
+the L1 simplex-vertex well on an n x K iterate whose rows are projected
+back onto the Gibbs simplex after every step (Garcia-Cardona et al.,
+"Multiclass data segmentation using diffuse interface methods on
+graphs", 2014); their fidelity force stays explicit, with c = 3/eps +
+omega0, so a time step is a diagonal solve in eigenvector coordinates.
+Up to _SORTING_NETWORK_MAX_K classes the projection sorts each row by a
+network of elementwise max/min instead of np.sort; the sorted values are
+the same, so the projected rows are bit for bit those of the np.sort
 projection.  The label objects own the target, the fidelity weights and
 the readout (sign or row argmax).
 
@@ -27,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
 from .laplacians import OperatorHandle, OperatorSpec
 from .spectral import Eigenbasis
@@ -89,10 +96,18 @@ class GLConfig:
             raise ValueError("tol must be nonnegative")
 
     @property
+    def c_well(self) -> float:
+        """3/epsilon, the splitting constant of the binary scheme, which treats
+        only the double well explicitly: above 2/epsilon, the well's largest
+        curvature on |u| <= 1 over epsilon."""
+        return 3.0 / self.epsilon
+
+    @property
     def c(self) -> float:
-        """The splitting constant 3/epsilon + omega0, above the convexity bound
-        omega0 + 1/epsilon that keeps the splitting stable."""
-        return 3.0 / self.epsilon + self.omega0
+        """c_well + omega0, the splitting constant of the multiclass scheme,
+        which treats the fidelity force explicitly too and so must also cover
+        omega0."""
+        return self.c_well + self.omega0
 
 
 class TrainingLabels:
@@ -245,23 +260,26 @@ def _double_well_gradient(u) -> np.ndarray:
     return u * u * u - u
 
 
-def _split_step(basis, labels, cfg, x, well_gradient, well_step, denom, state_energy,
-                project=None, track_energy=False):
-    """The convexity-splitting loop of both wells, in coefficients a = Phi^T x:
-
-        a_new = ((1 + c tau) a - well_step Phi^T well_gradient(x)
-                 + tau Phi^T omega (target - x)) / denom,   x_new = Phi a_new
-
-    with denom = 1 + c tau + eps tau lambdas (each well keeps its own
-    summation order, which differs in the last bit).  Without ``project``,
-    x starts as its span part and a carries over; with it, x_new =
-    project(Phi a_new) and a is recomputed.  Returns (x, readout, diag)."""
+def _check_basis(basis, labels) -> None:
     _require_psd(basis.source)
     if labels.n != basis.n:
         raise ValueError(f"labels cover {labels.n} nodes, the eigenbasis {basis.n}")
-    phis, tau = basis.phis, cfg.tau
-    keep = 1.0 + cfg.c * tau
-    omega, target = labels.weights(cfg.omega0), labels.target
+
+
+def _split_step(basis, labels, cfg, x, keep, solve, fidelity, well_gradient, well_step,
+                state_energy, project=None, track_energy=False):
+    """The convexity-splitting loop of both wells, in coefficients a = Phi^T x:
+
+        a_new = solve(keep a - well_step Phi^T well_gradient(x) + fidelity(x)),
+        x_new = Phi a_new
+
+    Each well brings its own splitting constant in ``keep`` = 1 + c tau,
+    its own ``solve`` (a divide by the diagonal 1 + c tau + eps tau lambdas,
+    or a product with a precomputed k x k inverse) and its own ``fidelity``
+    term (the explicit tau Phi^T omega (target - x), or a constant).  Without
+    ``project``, x starts as its span part and a carries over; with it,
+    x_new = project(Phi a_new) and a is recomputed.  Returns (x, readout, diag)."""
+    phis = basis.phis
     a = phis.T @ x
     if project is None:
         x = phis @ a
@@ -271,8 +289,7 @@ def _split_step(basis, labels, cfg, x, well_gradient, well_step, denom, state_en
 
     for it in range(cfg.max_iter):
         b = phis.T @ well_gradient(x)
-        d = phis.T @ (omega * (target - x))
-        a_new = (keep * a - well_step * b + tau * d) / denom
+        a_new = solve(keep * a - well_step * b + fidelity(x))
         x_new = phis @ a_new
         if not np.all(np.isfinite(x_new)):
             raise DivergenceError(it)
@@ -291,6 +308,31 @@ def _split_step(basis, labels, cfg, x, well_gradient, well_step, denom, state_en
 
     diag.final_energy = state_energy(a, x)
     return x, labels.readout(x), diag
+
+
+def _implicit_fidelity(basis, labels: BinaryLabelData, cfg: GLConfig):
+    """(M^-1, tau omega0 Phi_L^T f_L) of the binary step, with
+
+        M = (1 + c tau) I + eps tau Lambda + tau omega0 Phi_L^T Phi_L,
+
+    c = cfg.c_well and Phi_L the labeled rows of Phi; M^-1 comes from a
+    Cholesky factor of M.  M is symmetric positive definite whenever
+    1 + c tau + eps tau lambda > 0 for every lambda, so for any PSD operator.
+    A non-finite M (c overflows for a tiny epsilon) raises DivergenceError
+    at iteration 0, since no step can be taken; an indefinite one raises
+    ValueError."""
+    tau = cfg.tau
+    phis_l = basis.phis[labels.mask]
+    M = (tau * cfg.omega0) * (phis_l.T @ phis_l)
+    M[np.diag_indices_from(M)] += 1.0 + cfg.c_well * tau + cfg.epsilon * tau * basis.lambdas
+    if not np.all(np.isfinite(M)):
+        raise DivergenceError(0)
+    try:
+        factor = cho_factor(M, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError(f"the implicit GL step matrix is not positive definite: {exc}") from exc
+    minv = cho_solve(factor, np.eye(basis.k), check_finite=False)
+    return minv, (tau * cfg.omega0) * (phis_l.T @ labels.f[labels.mask])
 
 
 def energy(source, u, labels: BinaryLabelData, cfg: GLConfig) -> float:
@@ -320,22 +362,31 @@ def gl_binary(
     """Binary Ginzburg-Landau classification over an eigenbasis.
 
     Starts from the span part of u = f and runs the convexity-splitting
-    step with the double well until the relative change of the iterate
-    drops below ``cfg.tol`` or ``cfg.max_iter`` is reached.
+    step with the double well explicit and the fidelity force implicit,
+
+        a_new = M^-1 ((1 + c tau) a - (tau/eps) Phi^T W'(Phi a) + tau omega0 Phi_L^T f_L),
+
+    with c = cfg.c_well and M from ``_implicit_fidelity``, until the
+    relative change of the iterate drops below ``cfg.tol`` or
+    ``cfg.max_iter`` is reached.
 
     Returns:
         (u, labels_out, diagnostics) with labels_out = sign(u), sign(0) = +1.
     """
-    eps, c, tau, lambdas = cfg.epsilon, cfg.c, cfg.tau, basis.lambdas
+    _check_basis(basis, labels)
+    tau, lambdas = cfg.tau, basis.lambdas
+    minv, drive = _implicit_fidelity(basis, labels, cfg)
 
     def state_energy(a, u):
         return _energy(float(a @ (lambdas * a)), _double_well(u), u, labels, cfg)
 
     return _split_step(
         basis, labels, cfg, labels.f,
+        keep=1.0 + cfg.c_well * tau,
+        solve=lambda r: minv @ r,
+        fidelity=lambda u: drive,
         well_gradient=_double_well_gradient,
-        well_step=tau / eps,
-        denom=1.0 + eps * tau * lambdas + c * tau,
+        well_step=tau / cfg.epsilon,
         state_energy=state_energy,
         track_energy=track_energy,
     )
@@ -478,15 +529,20 @@ def gl_multiclass(
         (U, labels_out, diagnostics) with labels_out the row argmax
         (ties to the lowest class index).
     """
-    eps, c, tau = cfg.epsilon, cfg.c, cfg.tau
+    _check_basis(basis, labels)
+    eps, c, tau, phis = cfg.epsilon, cfg.c, cfg.tau, basis.phis
+    omega, target = labels.weights(cfg.omega0), labels.target
+    denom = (1.0 + c * tau + eps * tau * basis.lambdas)[:, None]
     U0 = np.random.default_rng(init_seed).random((labels.n, labels.num_classes))
     U = project_rows_onto_simplex(U0)
     U[labels.mask] = labels.U_hat[labels.mask]
     return _split_step(
         basis, labels, cfg, U,
+        keep=1.0 + c * tau,
+        solve=lambda r: r / denom,
+        fidelity=lambda U: tau * (phis.T @ (omega * (target - U))),
         well_gradient=multiclass_potential_gradient,
         well_step=tau / (2.0 * eps),
-        denom=(1.0 + c * tau + eps * tau * basis.lambdas)[:, None],
         state_energy=lambda C, U: multiclass_energy(basis, U, labels, cfg),
         project=project_rows_onto_simplex,
         track_energy=track_energy,

@@ -3,6 +3,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import signedgl.classifier as classifier
 from signedgl import (
@@ -45,6 +46,7 @@ from conftest import balanced_four_cycle, clique_graph, random_signed_graph
 def test_config_defaults_and_convexity():
     cfg = GLConfig()
     assert cfg.c == 3.0 / 0.1 + 1000.0
+    assert cfg.c_well == 3.0 / 0.1
     with pytest.raises(ValueError):
         GLConfig(epsilon=0.0)
     with pytest.raises(ValueError):
@@ -212,12 +214,24 @@ def test_binary_divergence_reports_iteration():
     g = clique_graph([3])[0]
     basis = full_dense_eigs(unsigned_laplacian(g.Wp, normalized=True))
     labels = BinaryLabelData.from_signs([1.0, 0.0, 0.0], [True, False, False])
-    # epsilon small enough that c overflows to inf and the iterate goes NaN
+    # epsilon small enough that c overflows to inf: the step matrix is not finite
     cfg = GLConfig(epsilon=1e-308, omega0=0.0, max_iter=10)
     with np.errstate(invalid="ignore", over="ignore"):
         with pytest.raises(DivergenceError) as err:
             gl_binary(basis, labels, cfg)
     assert err.value.iteration == 0
+
+
+def test_binary_refuses_an_indefinite_step_matrix():
+    g = clique_graph([3])[0]
+    sn = full_dense_eigs(unsigned_laplacian(g.Wp, normalized=True))
+    cfg = GLConfig()
+    # eigenvalues that put -1 on the diagonal of (1 + c tau) I + eps tau Lambda
+    lambdas = np.full(3, (-1.0 - 1.0 - cfg.c_well * cfg.tau) / (cfg.epsilon * cfg.tau))
+    basis = Eigenbasis(lambdas, sn.phis, OperatorSpec(OperatorKind.SN))
+    labels = BinaryLabelData.from_signs([1.0, 0.0, 0.0], [True, False, False])
+    with pytest.raises(ValueError, match="step matrix is not positive definite"):
+        gl_binary(basis, labels, cfg)
 
 
 def test_binary_truncation_consistency_with_node_space_scheme(rng):
@@ -228,17 +242,17 @@ def test_binary_truncation_consistency_with_node_space_scheme(rng):
     signs = np.where(rng.random(12) < 0.5, 1.0, -1.0)
     labels = BinaryLabelData.from_signs(signs, rng.random(12) < 0.3)
     cfg_proto = GLConfig()
-    eps, c, tau = cfg_proto.epsilon, cfg_proto.c, cfg_proto.tau
+    eps, c, tau = cfg_proto.epsilon, cfg_proto.c_well, cfg_proto.tau
     omega = labels.weights(cfg_proto.omega0)
 
-    # node-space oracle: solve (I + eps*tau*S + c*tau*I) u+ = rhs directly
-    M = np.eye(12) + eps * tau * S + c * tau * np.eye(12)
+    # node-space oracle: solve ((1 + c*tau) I + eps*tau*S + tau*Omega) u+ = rhs directly
+    M = (1 + c * tau) * np.eye(12) + eps * tau * S + tau * np.diag(omega)
     u_ref = labels.f.copy()
     for steps in range(1, 8):
         rhs = (
             (1 + c * tau) * u_ref
             - (tau / eps) * (u_ref**3 - u_ref)
-            + tau * omega * (labels.f - u_ref)
+            + tau * omega * labels.f
         )
         u_ref = np.linalg.solve(M, rhs)
         cfg = GLConfig(max_iter=steps, tol=0.0)
@@ -258,19 +272,20 @@ def test_binary_energy_monotone_quick(rng):
 
 
 def gl_binary_pow_oracle(basis, labels, cfg):
-    """The binary GL loop with the cube written as u**3."""
-    eps, c, tau = cfg.epsilon, cfg.c, cfg.tau
+    """The binary GL loop with the cube written as u**3 and a linear solve per step."""
+    eps, c, tau = cfg.epsilon, cfg.c_well, cfg.tau
     phis, lambdas = basis.phis, basis.lambdas
     omega = labels.weights(cfg.omega0)
     f = labels.f
-    denom = 1.0 + eps * tau * lambdas + c * tau
+    M = (1.0 + c * tau) * np.eye(basis.k) + np.diag(eps * tau * lambdas) + tau * (
+        phis.T @ (omega[:, None] * phis))
+    drive = tau * (phis.T @ (omega * f))
     a = phis.T @ f
     u = phis @ a
     iterations = 0
     for it in range(cfg.max_iter):
         b = phis.T @ (u**3 - u)
-        d = phis.T @ (omega * (f - u))
-        a = ((1.0 + c * tau) * a - (tau / eps) * b + tau * d) / denom
+        a = np.linalg.solve(M, (1.0 + c * tau) * a - (tau / eps) * b + drive)
         u_new = phis @ a
         change = np.linalg.norm(u_new - u) / max(np.linalg.norm(u_new), 1e-30)
         u = u_new
@@ -296,6 +311,27 @@ def test_binary_matches_pow_cube_loop():
         assert np.allclose(u, oracle_u, rtol=0, atol=1e-12)
 
 
+def test_binary_converged_iterate_is_stationary_over_the_span():
+    # at a fixed point of any splitting of the energy, its gradient over the span vanishes:
+    # eps lambdas a + Phi^T W'(u) / eps - Phi^T Omega (f - u) = 0 with a = Phi^T u
+    g, blocks = generate_ssbm(SSBMParams(n=300, k=2, p_in=0.06, p_out=0.06, eta=0.2, seed=5))
+    signs = np.where(blocks == 0, 1.0, -1.0)
+    cfg = GLConfig(max_iter=20000, tol=1e-10)
+    for op in (signed_ratio_laplacian(g, normalized=True), arithmetic_mean_laplacian(g)):
+        basis = full_dense_eigs(op).truncate(20)
+        phis = basis.phis
+        for seed in range(3):
+            labels = BinaryLabelData.from_signs(
+                signs, np.random.default_rng(seed).random(g.n) < 0.1)
+            u, _, diag = gl_binary(basis, labels, cfg)
+            assert diag.converged
+            terms = (cfg.epsilon * basis.lambdas * (phis.T @ u),
+                     phis.T @ (u**3 - u) / cfg.epsilon,
+                     -(phis.T @ (labels.weights(cfg.omega0) * (labels.f - u))))
+            largest = max(np.linalg.norm(t) for t in terms)
+            assert np.linalg.norm(sum(terms)) <= 1e-7 * largest
+
+
 def test_binary_label_fidelity(rng):
     g = random_signed_graph(rng, 40, weighted=True)
     basis = full_dense_eigs(signed_ratio_laplacian(g, normalized=True))
@@ -312,12 +348,18 @@ def test_binary_label_fidelity(rng):
 
 
 def reference_gl_binary(basis, labels, cfg):
-    """The binary GL loop as it stood before both wells shared one loop."""
-    eps, c, tau = cfg.epsilon, cfg.c, cfg.tau
+    """The binary GL loop with the implicit fidelity term, written out on its own."""
+    eps, c, tau = cfg.epsilon, cfg.c_well, cfg.tau
     phis, lambdas = basis.phis, basis.lambdas
     omega = np.where(labels.mask, cfg.omega0, 0.0)
     f = labels.f
-    denom = 1.0 + eps * tau * lambdas + c * tau
+    phis_l = phis[labels.mask]
+    M = (tau * cfg.omega0) * (phis_l.T @ phis_l)
+    M[np.diag_indices_from(M)] += 1.0 + c * tau + eps * tau * lambdas
+    if not np.all(np.isfinite(M)):
+        raise DivergenceError(0)
+    minv = scipy.linalg.cho_solve(scipy.linalg.cho_factor(M), np.eye(len(lambdas)))
+    drive = (tau * cfg.omega0) * (phis_l.T @ f[labels.mask])
 
     def state_energy(a, u):
         potential = float(np.sum((u**2 - 1.0) ** 2))
@@ -331,8 +373,7 @@ def reference_gl_binary(basis, labels, cfg):
     iterations, final_change = 0, np.inf
     for it in range(cfg.max_iter):
         b = phis.T @ (u * u * u - u)
-        d = phis.T @ (omega * (f - u))
-        a_new = ((1.0 + c * tau) * a - (tau / eps) * b + tau * d) / denom
+        a_new = minv @ ((1.0 + c * tau) * a - (tau / eps) * b + drive)
         u_new = phis @ a_new
         if not np.all(np.isfinite(u_new)):
             raise DivergenceError(it)
@@ -427,8 +468,9 @@ def test_shared_loop_reports_the_frozen_divergence_iteration():
     g, blocks = generate_ssbm(SSBMParams(n=60, k=3, p_in=0.2, p_out=0.2, eta=0.1, seed=1))
     sn = full_dense_eigs(signed_ratio_laplacian(g, normalized=True)).truncate(6)
     cfg = GLConfig()
-    # eigenvalues that leave a denominator of 1e-2: the iterate blows up over a few steps
-    lambdas = np.full(6, (1e-2 - 1.0 - cfg.c * cfg.tau) / (cfg.epsilon * cfg.tau))
+    # eigenvalues that leave the binary scheme's diagonal 1 + c tau + eps tau lambda at
+    # 1e-2: the iterate blows up over a few steps
+    lambdas = np.full(6, (1e-2 - 1.0 - cfg.c_well * cfg.tau) / (cfg.epsilon * cfg.tau))
     unstable = Eigenbasis(lambdas, sn.phis, OperatorSpec(OperatorKind.SN))
     mask = np.zeros(g.n, bool)
     mask[:6] = True

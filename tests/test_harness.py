@@ -220,6 +220,31 @@ def test_sponge_and_negative_methods_run():
     assert by_method["lgc"].error == ""
 
 
+def test_binary_gl_cells_of_the_ci_ssbm_converge_before_max_iter():
+    # the n=300 SSBM of the CLI sweeps in CI, with its default graph seed
+    g, blocks = generate_ssbm(SSBMParams(n=300, k=2, p_in=0.05, p_out=0.05, eta=0.1, seed=0))
+    spec = ExperimentSpec(methods=["gl-sn", "gl-am", "gl-sponge"], fractions=[0.05, 0.1],
+                          n_eigs=[5, 10, 20], runs=2)
+    res = run_experiment(g, ssbm_label_data(blocks), spec)
+    assert len(res.runs) == 36
+    assert all(r.error == "" and r.iterations < spec.max_iter for r in res.runs)
+
+
+def test_gl_step_that_cannot_be_formed_is_an_error_row():
+    g, labels = small_dataset()
+    spec = ExperimentSpec(methods=["gl-sn"], fractions=[0.1], n_eigs=[6],
+                          epsilon=[0.1, 1e-308], runs=2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = run_experiment(g, labels, spec)
+    for row in res.runs:
+        if row.epsilon == 1e-308:
+            assert row.error == "iterate became non-finite at iteration 0"
+            assert row.accuracy is row.iterations is None
+        else:
+            assert row.error == "" and row.accuracy is not None
+    assert [m.error for m in res.means] == ["", "2/2 runs failed"]
+
+
 def test_monotone_trend_in_label_fraction():
     g, blocks = generate_ssbm(
         SSBMParams(n=150, k=2, p_in=0.06, p_out=0.06, eta=0.15, seed=4)
