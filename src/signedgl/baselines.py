@@ -4,7 +4,8 @@ Harmonic-function label propagation solves the Dirichlet problem on the
 unlabeled block of the combinatorial Laplacian; local-global
 consistency solves (I - alpha * D^{-1/2} W D^{-1/2}) u = f.  Every system,
 whatever its size, goes to the conjugate-gradient solver of ``spectral`` at
-a relative tolerance of 1e-10; a singular or badly conditioned one raises
+the package's one CG tolerance, ``spectral._CG_RTOL`` (1e-10, shared with
+the shift-invert inner solves); a singular or badly conditioned one raises
 np.linalg.LinAlgError.
 """
 
@@ -17,18 +18,17 @@ from scipy.sparse.csgraph import connected_components
 from .classifier import TrainingLabels
 from .graph import _as_csr
 from .laplacians import _norm_adjacency, unsigned_laplacian
-from .spectral import _cg_solve
+from .spectral import _CG_RTOL, _cg_solve
 
 __all__ = ["harmonic_functions", "local_global"]
 
-_SOLVE_TOL = 1e-10
 LGC_ALPHA = 0.99  # default mixing parameter of local_global
 
 
 def _solve_columns(A, B):
     """Solve A X = B column by column; B may be a vector or a matrix."""
     rhs = B if B.ndim == 2 else B[:, None]
-    X = np.column_stack([_cg_solve(A, b, _SOLVE_TOL) for b in np.ascontiguousarray(rhs.T)])
+    X = np.column_stack([_cg_solve(A, b, _CG_RTOL) for b in np.ascontiguousarray(rhs.T)])
     resid = np.linalg.norm(A @ X - rhs)
     scale = max(np.linalg.norm(rhs), 1.0)
     if not np.isfinite(resid) or resid > 1e-8 * scale:

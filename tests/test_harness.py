@@ -6,6 +6,7 @@ import pytest
 
 import signedgl.cli
 import signedgl.harness
+import signedgl.spectral
 from signedgl import (
     ExperimentSpec,
     SignedGraph,
@@ -228,6 +229,29 @@ def test_binary_gl_cells_of_the_ci_ssbm_converge_before_max_iter():
     res = run_experiment(g, ssbm_label_data(blocks), spec)
     assert len(res.runs) == 36
     assert all(r.error == "" and r.iterations < spec.max_iter for r in res.runs)
+
+
+@pytest.mark.parametrize("blocks", [2, 3])
+def test_lanczos_tolerances_move_no_prediction(blocks, monkeypatch):
+    # a sweep above DENSE_CAP whose bases stop at spectral's tolerances gives
+    # the run rows of the same sweep solved to machine precision
+    g, truth = generate_ssbm(SSBMParams(n=2050, k=blocks, p_in=0.01, p_out=0.01, eta=0.1,
+                                        seed=blocks))
+    assert largest_connected_component(g, "signed")[0].n > DENSE_CAP
+    spec = ExperimentSpec(methods=["gl-sn", "gl-am", "gl-sponge"], fractions=[0.02, 0.05],
+                          n_eigs=[10], runs=2, base_seed=blocks)
+
+    def rows():
+        res = run_experiment(g, ssbm_label_data(truth), spec)
+        return [(r.method, r.fraction, r.n_eigs, r.run, r.accuracy, r.iterations, r.error)
+                for r in res.runs]
+
+    loose = rows()
+    monkeypatch.setattr(signedgl.spectral, "_ARPACK_TOL", 0.0)
+    monkeypatch.setattr(signedgl.spectral, "_CG_RTOL", 1e-12)
+    tight = rows()
+    assert len(loose) == 12 and all(row[-1] == "" for row in loose)
+    assert loose == tight
 
 
 def test_gl_step_that_cannot_be_formed_is_an_error_row():

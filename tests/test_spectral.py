@@ -19,7 +19,13 @@ from signedgl import (
     sponge_operator,
     unsigned_laplacian,
 )
-from signedgl.spectral import EigenSolveError, _cg_solve, eigenbasis_cache_file
+from signedgl.spectral import (
+    _RESIDUAL_TOL,
+    EigenSolveError,
+    _cg_solve,
+    _csr_operator,
+    eigenbasis_cache_file,
+)
 
 from conftest import random_signed_graph
 
@@ -124,22 +130,42 @@ def test_lanczos_path_matches_dense_oracle():
     assert np.array_equal(basis.phis, again.phis)
 
 
-def test_lanczos_generalized_path():
-    # the ssbm2 benchmark pair: lambda_2..lambda_20 sit within 0.015 of each
-    # other at the bottom of a spectrum that reaches 3
+@pytest.mark.parametrize("kind", ["SN", "AM", "SPONGE"])
+def test_lanczos_generalized_path(kind):
+    # the ssbm2 benchmark graph; for SPONGE, lambda_2..lambda_20 sit within
+    # 0.015 of each other at the bottom of a spectrum that reaches 3
     params = SSBMParams(n=2200, k=2, p_in=0.007, p_out=0.007, eta=0.2, seed=1)
     g, _ = generate_ssbm(params)
-    op = sponge_operator(g)
+    op = build_operator(g, kind)
     basis = smallest_eigs(op, k=20, seed=1)
-    A, B = op.pair
-    oracle = sla.eigh(*op.dense_pair(), eigvals_only=True, subset_by_index=[0, 19])
-    assert np.allclose(basis.lambdas, oracle, rtol=0.0, atol=1e-8)
     Phi = basis.phis
-    assert np.allclose(Phi.T @ (B @ Phi), np.eye(20), rtol=0.0, atol=1e-10)
-    assert np.linalg.norm(A @ Phi - (B @ Phi) * basis.lambdas, axis=0).max() <= 1e-6
+    if op.is_generalized:
+        A, B = op.pair
+        oracle = sla.eigh(*op.dense_pair(), eigvals_only=True, subset_by_index=[0, 19])
+        gram = Phi.T @ (B @ Phi)
+        applied = [A, B]
+    else:
+        A, B = op.matrix, None
+        oracle = sla.eigh(op.dense(), eigvals_only=True, subset_by_index=[0, 19])
+        gram = Phi.T @ Phi
+        applied = [A]
+    assert np.allclose(basis.lambdas, oracle, rtol=0.0, atol=1e-8)
+    assert np.allclose(gram, np.eye(20), rtol=0.0, atol=1e-10)
+    # ARPACK stops short of machine precision, but well inside the check
+    BPhi = Phi if B is None else B @ Phi
+    residuals = np.linalg.norm(A @ Phi - BPhi * basis.lambdas, axis=0)
+    assert residuals.max() <= _RESIDUAL_TOL / 10
     again = smallest_eigs(op, k=20, seed=1)
     assert np.array_equal(basis.lambdas, again.lambdas)
     assert np.array_equal(basis.phis, again.phis)
+    # the operators go to scipy's private CSR kernel: its product must stay A @ x
+    x = np.random.default_rng(0).standard_normal(g.n)
+    for M in applied:
+        assert np.array_equal(_csr_operator(M).matvec(x), M @ x)
+        # a CSC matrix is converted, not read as the CSR of its transpose,
+        # which only a non-symmetric matrix tells apart
+        upper = sp.triu(M, format="csc")
+        assert np.array_equal(_csr_operator(upper).matvec(x), upper @ x)
 
 
 def test_lanczos_generalized_path_refuses_indefinite_A():
@@ -158,7 +184,8 @@ def test_lanczos_generalized_path_refuses_indefinite_A():
 
 def test_cg_solve_matches_scipy_cg(rng):
     g = random_signed_graph(rng, 300, weighted=True)
-    # the eigensolver's inner tolerance and the baselines' tolerance
+    # a tight tolerance and spectral._CG_RTOL (1e-10), the one tolerance of
+    # the eigensolver's inner solves and the baselines
     for rtol in (1e-12, 1e-10):
         for M in sponge_operator(g).pair:
             for _ in range(3):
