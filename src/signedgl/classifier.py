@@ -1,23 +1,21 @@
 """Diffuse-interface node classification via the Ginzburg-Landau functional.
 
-One scheme, two wells.  Both classifiers minimize
+Both classifiers minimize
 
     E(x) = eps/2 <x, S x> + W(x)/eps + sum_i omega_i/2 ||target_i - x_i||^2
 
 over the span of an eigenbasis of S by convexity splitting: the
 quadratic part is treated implicitly and the well force explicitly.
-Two classes use the double well sum_i (u_i^2 - 1)^2 / 4 on a vector u
-and treat the fidelity force implicitly as well, so the splitting
-constant only has to cover the well, c = 3/eps >= 2/eps, and a time step
-is one product with the inverse of the symmetric positive definite k x k
-matrix (1 + c tau) I + eps tau Lambda + tau Phi^T Omega Phi, built once
-per label mask (Bertozzi & Flenner, "Diffuse interface models on graphs
-for classification of high dimensional data", 2012).  K classes use half
-the L1 simplex-vertex well on an n x K iterate whose rows are projected
-back onto the Gibbs simplex after every step (Garcia-Cardona et al.,
-"Multiclass data segmentation using diffuse interface methods on
-graphs", 2014); their fidelity force stays explicit, with c = 3/eps +
-omega0, so a time step is a diagonal solve in eigenvector coordinates.
+Each scheme runs its own loop, whose docstring gives its step.
+``gl_binary`` (Bertozzi & Flenner, "Diffuse interface models on graphs
+for classification of high dimensional data", 2012) uses the double well
+sum_i (u_i^2 - 1)^2 / 4 on a vector u and treats the fidelity force
+implicitly too, so its constant c = 3/eps only covers the well.
+``gl_multiclass`` (Garcia-Cardona et al., "Multiclass data segmentation
+using diffuse interface methods on graphs", 2014) uses half the L1
+simplex-vertex well on an n x K iterate whose rows are projected back
+onto the Gibbs simplex after every step; its fidelity force stays
+explicit, so its constant c = 3/eps + omega0 covers omega0 as well.
 Up to _SORTING_NETWORK_MAX_K classes the projection sorts each row by a
 network of elementwise max/min instead of np.sort; the sorted values are
 the same, so the projected rows are bit for bit those of the np.sort
@@ -266,50 +264,6 @@ def _check_basis(basis, labels) -> None:
         raise ValueError(f"labels cover {labels.n} nodes, the eigenbasis {basis.n}")
 
 
-def _split_step(basis, labels, cfg, x, keep, solve, fidelity, well_gradient, well_step,
-                state_energy, project=None, track_energy=False):
-    """The convexity-splitting loop of both wells, in coefficients a = Phi^T x:
-
-        a_new = solve(keep a - well_step Phi^T well_gradient(x) + fidelity(x)),
-        x_new = Phi a_new
-
-    Each well brings its own splitting constant in ``keep`` = 1 + c tau,
-    its own ``solve`` (a divide by the diagonal 1 + c tau + eps tau lambdas,
-    or a product with a precomputed k x k inverse) and its own ``fidelity``
-    term (the explicit tau Phi^T omega (target - x), or a constant).  Without
-    ``project``, x starts as its span part and a carries over; with it,
-    x_new = project(Phi a_new) and a is recomputed.  Returns (x, readout, diag)."""
-    phis = basis.phis
-    a = phis.T @ x
-    if project is None:
-        x = phis @ a
-    diag = GLDiagnostics(0, np.inf, np.nan, False)
-    if track_energy:
-        diag.energy_history.append(state_energy(a, x))
-
-    for it in range(cfg.max_iter):
-        b = phis.T @ well_gradient(x)
-        a_new = solve(keep * a - well_step * b + fidelity(x))
-        x_new = phis @ a_new
-        if not np.all(np.isfinite(x_new)):
-            raise DivergenceError(it)
-        if project is not None:
-            x_new = project(x_new)
-            a_new = phis.T @ x_new
-        change = np.linalg.norm(x_new - x) / max(np.linalg.norm(x_new), _NORM_FLOOR)
-        a, x = a_new, x_new
-        diag.iterations = it + 1
-        diag.final_change = float(change)
-        if track_energy:
-            diag.energy_history.append(state_energy(a, x))
-        if change < cfg.tol:
-            diag.converged = True
-            break
-
-    diag.final_energy = state_energy(a, x)
-    return x, labels.readout(x), diag
-
-
 def _implicit_fidelity(basis, labels: BinaryLabelData, cfg: GLConfig):
     """(M^-1, tau omega0 Phi_L^T f_L) of the binary step, with
 
@@ -361,35 +315,49 @@ def gl_binary(
 ):
     """Binary Ginzburg-Landau classification over an eigenbasis.
 
-    Starts from the span part of u = f and runs the convexity-splitting
-    step with the double well explicit and the fidelity force implicit,
+    Starts from u = Phi Phi^T f, the span part of f, and runs the
+    convexity-splitting step with the double well explicit and the fidelity
+    force implicit, in coefficients a = Phi^T u:
 
-        a_new = M^-1 ((1 + c tau) a - (tau/eps) Phi^T W'(Phi a) + tau omega0 Phi_L^T f_L),
+        a_new = M^-1 ((1 + c tau) a - (tau/eps) Phi^T W'(u) + tau omega0 Phi_L^T f_L),
+        u_new = Phi a_new,
 
-    with c = cfg.c_well and M from ``_implicit_fidelity``, until the
-    relative change of the iterate drops below ``cfg.tol`` or
-    ``cfg.max_iter`` is reached.
+    with c = cfg.c_well = 3/eps and M from ``_implicit_fidelity``, until the
+    relative change of u drops below ``cfg.tol`` or ``cfg.max_iter`` is
+    reached.
 
     Returns:
         (u, labels_out, diagnostics) with labels_out = sign(u), sign(0) = +1.
     """
     _check_basis(basis, labels)
-    tau, lambdas = cfg.tau, basis.lambdas
+    eps, c, tau = cfg.epsilon, cfg.c_well, cfg.tau
+    phis, lambdas = basis.phis, basis.lambdas
     minv, drive = _implicit_fidelity(basis, labels, cfg)
 
     def state_energy(a, u):
         return _energy(float(a @ (lambdas * a)), _double_well(u), u, labels, cfg)
 
-    return _split_step(
-        basis, labels, cfg, labels.f,
-        keep=1.0 + cfg.c_well * tau,
-        solve=lambda r: minv @ r,
-        fidelity=lambda u: drive,
-        well_gradient=_double_well_gradient,
-        well_step=tau / cfg.epsilon,
-        state_energy=state_energy,
-        track_energy=track_energy,
-    )
+    a = phis.T @ labels.f
+    u = phis @ a
+    diag = GLDiagnostics(0, np.inf, np.nan, False)
+    if track_energy:
+        diag.energy_history.append(state_energy(a, u))
+    for it in range(cfg.max_iter):
+        well = phis.T @ _double_well_gradient(u)
+        a_new = minv @ ((1.0 + c * tau) * a - (tau / eps) * well + drive)
+        u_new = phis @ a_new
+        if not np.all(np.isfinite(u_new)):
+            raise DivergenceError(it)
+        change = np.linalg.norm(u_new - u) / max(np.linalg.norm(u_new), _NORM_FLOOR)
+        a, u = a_new, u_new
+        diag.iterations, diag.final_change = it + 1, float(change)
+        if track_energy:
+            diag.energy_history.append(state_energy(a, u))
+        if change < cfg.tol:
+            diag.converged = True
+            break
+    diag.final_energy = state_energy(a, u)
+    return u, labels.readout(u), diag
 
 
 # ---------------------------------------------------------------------------
@@ -522,8 +490,17 @@ def gl_multiclass(
 
     The iterate starts from uniform (0,1) noise projected onto the Gibbs
     simplex with labeled rows overwritten by their one-hot targets.  Every
-    step is the convexity-splitting step with the simplex-vertex well,
-    followed by a projection of each row back onto the simplex.
+    step is the convexity-splitting step with the simplex-vertex well and
+    the fidelity force explicit, a divide by the diagonal of the implicit
+    part in eigenvector coordinates, and a projection of each row back
+    onto the simplex:
+
+        U_new = P_simplex(Phi [((1 + c tau) Phi^T U - (tau/(2 eps)) Phi^T T(U)
+                                + tau Phi^T Omega (U_hat - U)) / (1 + c tau + eps tau Lambda)]),
+
+    with c = cfg.c = 3/eps + omega0 and T the well gradient, until the
+    relative change of U drops below ``cfg.tol`` or ``cfg.max_iter`` is
+    reached.
 
     Returns:
         (U, labels_out, diagnostics) with labels_out the row argmax
@@ -536,14 +513,24 @@ def gl_multiclass(
     U0 = np.random.default_rng(init_seed).random((labels.n, labels.num_classes))
     U = project_rows_onto_simplex(U0)
     U[labels.mask] = labels.U_hat[labels.mask]
-    return _split_step(
-        basis, labels, cfg, U,
-        keep=1.0 + c * tau,
-        solve=lambda r: r / denom,
-        fidelity=lambda U: tau * (phis.T @ (omega * (target - U))),
-        well_gradient=multiclass_potential_gradient,
-        well_step=tau / (2.0 * eps),
-        state_energy=lambda C, U: multiclass_energy(basis, U, labels, cfg),
-        project=project_rows_onto_simplex,
-        track_energy=track_energy,
-    )
+    diag = GLDiagnostics(0, np.inf, np.nan, False)
+    if track_energy:
+        diag.energy_history.append(multiclass_energy(basis, U, labels, cfg))
+    for it in range(cfg.max_iter):
+        well = phis.T @ multiclass_potential_gradient(U)
+        fidelity = phis.T @ (omega * (target - U))
+        C = ((1.0 + c * tau) * (phis.T @ U) - (tau / (2.0 * eps)) * well + tau * fidelity) / denom
+        U_new = phis @ C
+        if not np.all(np.isfinite(U_new)):
+            raise DivergenceError(it)
+        U_new = project_rows_onto_simplex(U_new)
+        change = np.linalg.norm(U_new - U) / max(np.linalg.norm(U_new), _NORM_FLOOR)
+        U = U_new
+        diag.iterations, diag.final_change = it + 1, float(change)
+        if track_energy:
+            diag.energy_history.append(multiclass_energy(basis, U, labels, cfg))
+        if change < cfg.tol:
+            diag.converged = True
+            break
+    diag.final_energy = multiclass_energy(basis, U, labels, cfg)
+    return U, labels.readout(U), diag

@@ -344,7 +344,7 @@ def test_binary_label_fidelity(rng):
     assert agree >= 0.99
 
 
-# ------------------------------------------- frozen two-loop reference scheme
+# ------------------------------------------- frozen reference loop of each scheme
 
 
 def reference_gl_binary(basis, labels, cfg):
@@ -370,7 +370,7 @@ def reference_gl_binary(basis, labels, cfg):
     a = phis.T @ f
     u = phis @ a
     history = [state_energy(a, u)]
-    iterations, final_change = 0, np.inf
+    iterations, final_change, converged = 0, np.inf, False
     for it in range(cfg.max_iter):
         b = phis.T @ (u * u * u - u)
         a_new = minv @ ((1.0 + c * tau) * a - (tau / eps) * b + drive)
@@ -382,12 +382,14 @@ def reference_gl_binary(basis, labels, cfg):
         iterations, final_change = it + 1, float(change)
         history.append(state_energy(a, u))
         if change < cfg.tol:
+            converged = True
             break
-    return u, np.where(u >= 0, 1, -1).astype(np.int64), iterations, final_change, history
+    return (u, np.where(u >= 0, 1, -1).astype(np.int64), iterations, final_change, converged,
+            history)
 
 
 def reference_gl_multiclass(basis, labels, cfg, init_seed):
-    """The multiclass GL loop as it stood before both wells shared one loop."""
+    """The multiclass GL loop with the explicit fidelity term, written out on its own."""
     n, K = labels.n, labels.num_classes
     eps, c, tau = cfg.epsilon, cfg.c, cfg.tau
     phis, lambdas = basis.phis, basis.lambdas
@@ -404,7 +406,7 @@ def reference_gl_multiclass(basis, labels, cfg, init_seed):
     U = project_rows_onto_simplex(np.random.default_rng(init_seed).random((n, K)))
     U[labels.mask] = U_hat[labels.mask]
     history = [state_energy(U)]
-    iterations, final_change = 0, np.inf
+    iterations, final_change, converged = 0, np.inf, False
     for it in range(cfg.max_iter):
         C = phis.T @ U
         TU = multiclass_potential_gradient(U)
@@ -419,8 +421,10 @@ def reference_gl_multiclass(basis, labels, cfg, init_seed):
         iterations, final_change = it + 1, float(change)
         history.append(state_energy(U))
         if change < cfg.tol:
+            converged = True
             break
-    return U, np.argmax(U, axis=1).astype(np.int64), iterations, final_change, history
+    return (U, np.argmax(U, axis=1).astype(np.int64), iterations, final_change, converged,
+            history)
 
 
 def reference_bases(g):
@@ -430,18 +434,21 @@ def reference_bases(g):
     return [full_dense_eigs(op).truncate(12) for op in ops]
 
 
-def assert_same_run(new, ref):
+def assert_same_run(new, ref, tracked=True):
+    """new = (x, prediction, diagnostics) is ref's run; an untracked run keeps no
+    energy history but ends on ref's last energy."""
     x, pred, diag = new
-    ref_x, ref_pred, iterations, final_change, history = ref
+    ref_x, ref_pred, iterations, final_change, converged, history = ref
     assert np.array_equal(x, ref_x)
     assert np.array_equal(pred, ref_pred)
     assert diag.iterations == iterations
     assert diag.final_change == final_change
-    assert diag.energy_history == history
+    assert diag.converged == converged
+    assert diag.energy_history == (history if tracked else [])
     assert diag.final_energy == history[-1]
 
 
-def test_shared_loop_matches_frozen_binary_loop():
+def test_gl_binary_matches_frozen_loop():
     g, blocks = generate_ssbm(SSBMParams(n=160, k=2, p_in=0.08, p_out=0.08, eta=0.15, seed=8))
     signs = np.where(blocks == 0, 1.0, -1.0)
     for basis in reference_bases(g):
@@ -449,22 +456,27 @@ def test_shared_loop_matches_frozen_binary_loop():
             mask = np.random.default_rng(seed).random(g.n) < 0.1
             labels = BinaryLabelData.from_signs(signs, mask)
             for cfg in (GLConfig(), GLConfig(epsilon=0.3, omega0=50.0, max_iter=40, tol=0.0)):
-                assert_same_run(gl_binary(basis, labels, cfg, track_energy=True),
-                                reference_gl_binary(basis, labels, cfg))
+                ref = reference_gl_binary(basis, labels, cfg)
+                assert_same_run(gl_binary(basis, labels, cfg, track_energy=True), ref)
+                # the sweep's path: no energy after each step
+                assert_same_run(gl_binary(basis, labels, cfg), ref, tracked=False)
 
 
-def test_shared_loop_matches_frozen_multiclass_loop():
+def test_gl_multiclass_matches_frozen_loop():
     g, blocks = generate_ssbm(SSBMParams(n=150, k=3, p_in=0.1, p_out=0.1, eta=0.15, seed=2))
     for basis in reference_bases(g):
         for seed in range(2):
             mask = np.random.default_rng(seed).random(g.n) < 0.1
             labels = MulticlassLabelData.from_classes(blocks, mask, 3)
             for cfg in (GLConfig(), GLConfig(epsilon=0.3, omega0=50.0, max_iter=40, tol=0.0)):
+                ref = reference_gl_multiclass(basis, labels, cfg, seed)
                 new = gl_multiclass(basis, labels, cfg, init_seed=seed, track_energy=True)
-                assert_same_run(new, reference_gl_multiclass(basis, labels, cfg, seed))
+                assert_same_run(new, ref)
+                new = gl_multiclass(basis, labels, cfg, init_seed=seed)
+                assert_same_run(new, ref, tracked=False)
 
 
-def test_shared_loop_reports_the_frozen_divergence_iteration():
+def test_gl_reports_the_frozen_divergence_iteration():
     g, blocks = generate_ssbm(SSBMParams(n=60, k=3, p_in=0.2, p_out=0.2, eta=0.1, seed=1))
     sn = full_dense_eigs(signed_ratio_laplacian(g, normalized=True)).truncate(6)
     cfg = GLConfig()
@@ -577,7 +589,8 @@ def test_gl_multiclass_matches_frozen_kernels(monkeypatch):
                         reference_potential_gradient)
     for case, run in zip(cases, new):
         x, pred, diag = gl_multiclass(*case, init_seed=1, track_energy=True)
-        assert_same_run(run, (x, pred, diag.iterations, diag.final_change, diag.energy_history))
+        assert_same_run(run, (x, pred, diag.iterations, diag.final_change, diag.converged,
+                              diag.energy_history))
 
 
 def test_label_objects_own_target_and_readout():

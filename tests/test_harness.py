@@ -221,9 +221,12 @@ def test_sponge_and_negative_methods_run():
     assert by_method["lgc"].error == ""
 
 
-def test_binary_gl_cells_of_the_ci_ssbm_converge_before_max_iter():
-    # the n=300 SSBM of the CLI sweeps in CI, with its default graph seed
-    g, blocks = generate_ssbm(SSBMParams(n=300, k=2, p_in=0.05, p_out=0.05, eta=0.1, seed=0))
+@pytest.mark.parametrize("k", [2, 3])
+def test_gl_cells_of_the_ci_ssbm_converge_before_max_iter(k):
+    # the n=300 SSBMs of the CLI sweeps in CI, with their default graph seed; at k=3,
+    # gl-sponge converges in about 15 iterations only because its basis is
+    # B-orthonormal rather than orthonormal (ROADMAP item 2)
+    g, blocks = generate_ssbm(SSBMParams(n=300, k=k, p_in=0.05, p_out=0.05, eta=0.1, seed=0))
     spec = ExperimentSpec(methods=["gl-sn", "gl-am", "gl-sponge"], fractions=[0.05, 0.1],
                           n_eigs=[5, 10, 20], runs=2)
     res = run_experiment(g, ssbm_label_data(blocks), spec)
