@@ -22,8 +22,10 @@ the same, so the projected rows are bit for bit those of the np.sort
 projection.  The label objects own the target, the fidelity weights and
 the readout (sign or row argmax).
 
-S must be positive semi-definite (otherwise E is unbounded below), so
-balance-ratio operators are rejected.
+Every entry point takes an Eigenbasis, which ``_check_basis`` checks by
+its numbers: S must be positive semi-definite (otherwise E is unbounded
+below), so a basis with a negative eigenvalue beyond solver accuracy is
+refused.  A full basis (``full_dense_eigs``) gives the exact energy.
 """
 
 from __future__ import annotations
@@ -33,8 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .laplacians import OperatorHandle, OperatorSpec
-from .spectral import Eigenbasis
+from .spectral import _RESIDUAL_TOL, Eigenbasis
 
 __all__ = [
     "GLConfig",
@@ -218,28 +219,10 @@ class GLDiagnostics:
     energy_history: list = field(default_factory=list)
 
 
-def _require_psd(spec: OperatorSpec) -> None:
-    if not spec.psd_guaranteed:
-        raise ValueError(
-            f"operator kind {spec.kind.value} is not positive semi-definite; "
-            "the Ginzburg-Landau energy would be unbounded below"
-        )
-
-
-def _apply_operator(source, x: np.ndarray) -> np.ndarray:
-    """S x, with S an explicit OperatorHandle or Phi diag(lambdas) Phi^T of an Eigenbasis.
-
-    ``x`` is a vector or an n x K matrix.  Rejects operators that are not
-    PSD, and generalized pairs, whose eigenbasis must be passed instead.
-    """
-    if not isinstance(source, OperatorHandle):
-        _require_psd(source.source)
-        # lambdas scale the rows of the coefficients, for vectors and matrices alike
-        return source.phis @ (source.lambdas * (source.phis.T @ x).T).T
-    _require_psd(source.spec)
-    if source.is_generalized:
-        raise ValueError("energy of a generalized pair needs an Eigenbasis, not the raw pair")
-    return source.matrix @ x
+def _apply_operator(basis: Eigenbasis, x: np.ndarray) -> np.ndarray:
+    """S x with S = Phi diag(lambdas) Phi^T; ``x`` is a vector or an n x K matrix."""
+    # lambdas scale the rows of the coefficients, for vectors and matrices alike
+    return basis.phis @ (basis.lambdas * (basis.phis.T @ x).T).T
 
 
 def _energy(quad: float, well: float, x, labels: TrainingLabels, cfg: GLConfig) -> float:
@@ -258,8 +241,15 @@ def _double_well_gradient(u) -> np.ndarray:
     return u * u * u - u
 
 
-def _check_basis(basis, labels) -> None:
-    _require_psd(basis.source)
+def _check_basis(basis: Eigenbasis, labels: TrainingLabels) -> None:
+    """Refuse a basis with an eigenvalue below -_RESIDUAL_TOL max(1, |lambda|),
+    the accuracy every solve is checked to, or one on another node count."""
+    lam = basis.lambdas
+    if lam.min() < -_RESIDUAL_TOL * max(1.0, np.abs(lam).max()):
+        raise ValueError(
+            f"eigenbasis has eigenvalue {lam.min():.3e}: its operator is not positive "
+            "semi-definite, so the Ginzburg-Landau energy would be unbounded below"
+        )
     if labels.n != basis.n:
         raise ValueError(f"labels cover {labels.n} nodes, the eigenbasis {basis.n}")
 
@@ -289,21 +279,21 @@ def _implicit_fidelity(basis, labels: BinaryLabelData, cfg: GLConfig):
     return minv, (tau * cfg.omega0) * (phis_l.T @ labels.f[labels.mask])
 
 
-def energy(source, u, labels: BinaryLabelData, cfg: GLConfig) -> float:
-    """Evaluate the binary Ginzburg-Landau energy at u.
-
-    ``source`` is an OperatorHandle (exact quadratic form) or an
-    Eigenbasis (quadratic form of the span-projected part).
-    """
+def energy(basis: Eigenbasis, u, labels: BinaryLabelData, cfg: GLConfig) -> float:
+    """Evaluate the binary Ginzburg-Landau energy at u, with the quadratic form
+    of the span-projected part of u (exact for a full basis)."""
+    _check_basis(basis, labels)
     u = np.asarray(u, dtype=float)
-    return _energy(float(u @ _apply_operator(source, u)), _double_well(u), u, labels, cfg)
+    return _energy(float(u @ _apply_operator(basis, u)), _double_well(u), u, labels, cfg)
 
 
-def energy_gradient(source, u, labels: BinaryLabelData, cfg: GLConfig) -> np.ndarray:
-    """Analytic gradient of the binary energy: eps*S u + (u^3-u)/eps - omega*(f-u)."""
+def energy_gradient(basis: Eigenbasis, u, labels: BinaryLabelData, cfg: GLConfig) -> np.ndarray:
+    """Analytic gradient of the binary energy: eps*S u + (u^3-u)/eps - omega*(f-u),
+    with S the basis's Phi diag(lambdas) Phi^T."""
+    _check_basis(basis, labels)
     u = np.asarray(u, dtype=float)
     omega = labels.weights(cfg.omega0)
-    return (cfg.epsilon * _apply_operator(source, u) + _double_well_gradient(u) / cfg.epsilon
+    return (cfg.epsilon * _apply_operator(basis, u) + _double_well_gradient(u) / cfg.epsilon
             - omega * (labels.f - u))
 
 
@@ -472,10 +462,12 @@ def simplex_project(v) -> np.ndarray:
     return project_rows_onto_simplex(v[None, :])[0]
 
 
-def multiclass_energy(source, U, labels: MulticlassLabelData, cfg: GLConfig) -> float:
-    """Vector-valued Ginzburg-Landau energy (trace form + well + fidelity)."""
+def multiclass_energy(basis: Eigenbasis, U, labels: MulticlassLabelData, cfg: GLConfig) -> float:
+    """Vector-valued Ginzburg-Landau energy (trace form + well + fidelity), with
+    the trace form of the span-projected part of U (exact for a full basis)."""
+    _check_basis(basis, labels)
     U = np.asarray(U, dtype=float)
-    quad = float(np.tensordot(U, _apply_operator(source, U)))
+    quad = float(np.tensordot(U, _apply_operator(basis, U)))
     return _energy(quad, multiclass_potential(U) / 2.0, U, labels, cfg)
 
 

@@ -53,20 +53,11 @@ class OperatorKind(str, Enum):
     AM = "AM"
 
 
-# Balance-ratio operators may have negative eigenvalues; everything else
-# here is positive semi-definite by construction.
-_NOT_PSD = frozenset({OperatorKind.BR, OperatorKind.BN})
-
-
 @dataclass(frozen=True)
 class OperatorSpec:
     """Which operator a handle holds."""
 
     kind: OperatorKind
-
-    @property
-    def psd_guaranteed(self) -> bool:
-        return self.kind not in _NOT_PSD
 
 
 @dataclass(frozen=True)
@@ -173,8 +164,8 @@ def signed_ratio_laplacian(g: SignedGraph, normalized: bool = False) -> Operator
 
 
 def balance_ratio_laplacian(g: SignedGraph, normalized: bool = False) -> OperatorHandle:
-    """Dp - Wp + Wn.  Not positive semi-definite in general; the returned
-    handle is flagged accordingly and rejected by the classifier."""
+    """Dp - Wp + Wn.  Not positive semi-definite in general: the classifier
+    refuses a basis of it whose smallest eigenvalue is negative."""
     deg = degrees(g)
     S = sp.csr_array(sp.diags_array(deg.dp, format="csr") - g.Wp + g.Wn)
     if normalized:

@@ -241,8 +241,7 @@ def _best_residual(op, lam, V) -> float:
 
 def _check_residuals(op: OperatorHandle, lam: np.ndarray, V: np.ndarray) -> None:
     rnorm = _residual_norms(op, lam, V)
-    bound = _RESIDUAL_TOL if op.is_generalized else _RESIDUAL_TOL * np.linalg.norm(V, axis=0)
-    if np.any(rnorm > bound):
+    if np.any(rnorm > _RESIDUAL_TOL):
         raise EigenSolveError(
             f"eigenpair residual {rnorm.max():.3e} exceeds tolerance {_RESIDUAL_TOL:.1e}"
         )

@@ -96,24 +96,24 @@ def energy_oracle(S, u, f, omega, eps):
 
 def test_energy_zero_on_balanced_ground_state():
     g = balanced_four_cycle()
-    op = signed_ratio_laplacian(g)
+    basis = full_dense_eigs(signed_ratio_laplacian(g))
     u = np.array([1.0, 1.0, -1.0, -1.0])
     labels = BinaryLabelData.from_signs(u, np.array([True, False, False, True]))
-    assert energy(op, u, labels, GLConfig()) <= 1e-12
+    assert energy(basis, u, labels, GLConfig()) <= 1e-12
 
 
 def test_energy_unlabeled_zero_vector():
     g = balanced_four_cycle()
-    op = signed_ratio_laplacian(g)
+    basis = full_dense_eigs(signed_ratio_laplacian(g))
     labels = BinaryLabelData.from_signs(np.zeros(4), np.zeros(4, bool))
     cfg = GLConfig(epsilon=0.1)
-    assert np.isclose(energy(op, np.zeros(4), labels, cfg), 4 / (4 * 0.1))
+    assert np.isclose(energy(basis, np.zeros(4), labels, cfg), 4 / (4 * 0.1))
 
 
 def test_energy_matches_summation_oracle(rng):
     g = random_signed_graph(rng, 10, weighted=True)
     op = signed_ratio_laplacian(g, normalized=True)
-    S = op.dense()
+    S, basis = op.dense(), full_dense_eigs(op)
     signs = np.where(rng.random(10) < 0.5, 1.0, -1.0)
     mask = rng.random(10) < 0.4
     labels = BinaryLabelData.from_signs(signs, mask)
@@ -121,32 +121,32 @@ def test_energy_matches_summation_oracle(rng):
     for _ in range(10):
         u = rng.uniform(-2, 2, 10)
         expected = energy_oracle(S, u, labels.f, labels.weights(25.0), 0.3)
-        assert abs(energy(op, u, labels, cfg) - expected) <= 1e-12 * max(1.0, expected)
+        assert abs(energy(basis, u, labels, cfg) - expected) <= 1e-12 * max(1.0, expected)
 
 
 def test_energy_rejects_non_psd_operator():
     g = balanced_four_cycle()
     labels = BinaryLabelData.from_signs(np.zeros(4), np.zeros(4, bool))
     with pytest.raises(ValueError, match="not positive semi-definite"):
-        energy(balance_ratio_laplacian(g), np.zeros(4), labels, GLConfig())
+        energy(full_dense_eigs(balance_ratio_laplacian(g)), np.zeros(4), labels, GLConfig())
 
 
 def test_energy_gradient_finite_differences(rng):
     g = random_signed_graph(rng, 15, weighted=True)
-    op = signed_ratio_laplacian(g, normalized=True)
+    basis = full_dense_eigs(signed_ratio_laplacian(g, normalized=True))
     signs = np.where(rng.random(15) < 0.5, 1.0, -1.0)
     labels = BinaryLabelData.from_signs(signs, rng.random(15) < 0.3)
     cfg = GLConfig()
     h = 1e-6
     for _ in range(5):
         u = rng.uniform(-1.5, 1.5, 15)
-        grad = energy_gradient(op, u, labels, cfg)
+        grad = energy_gradient(basis, u, labels, cfg)
         fd = np.empty(15)
         for i in range(15):
             up, um = u.copy(), u.copy()
             up[i] += h
             um[i] -= h
-            fd[i] = (energy(op, up, labels, cfg) - energy(op, um, labels, cfg)) / (2 * h)
+            fd[i] = (energy(basis, up, labels, cfg) - energy(basis, um, labels, cfg)) / (2 * h)
         assert np.linalg.norm(fd - grad) <= 1e-6 * np.linalg.norm(grad)
 
 
@@ -225,10 +225,10 @@ def test_binary_divergence_reports_iteration():
 def test_binary_refuses_an_indefinite_step_matrix():
     g = clique_graph([3])[0]
     sn = full_dense_eigs(unsigned_laplacian(g.Wp, normalized=True))
-    cfg = GLConfig()
-    # eigenvalues that put -1 on the diagonal of (1 + c tau) I + eps tau Lambda
-    lambdas = np.full(3, (-1.0 - 1.0 - cfg.c_well * cfg.tau) / (cfg.epsilon * cfg.tau))
-    basis = Eigenbasis(lambdas, sn.phis, OperatorSpec(OperatorKind.SN))
+    cfg = GLConfig(omega0=0.0)
+    # lambda_1 = -500 puts 1 + c tau + eps tau lambda_1 = -1 on the diagonal of M, and lies
+    # within the PSD check's tolerance of lambda_k = 1e9, so only the step matrix refuses it
+    basis = Eigenbasis(np.array([-500.0, 1e9, 1e9]), sn.phis, OperatorSpec(OperatorKind.SN))
     labels = BinaryLabelData.from_signs([1.0, 0.0, 0.0], [True, False, False])
     with pytest.raises(ValueError, match="step matrix is not positive definite"):
         gl_binary(basis, labels, cfg)
@@ -481,8 +481,10 @@ def test_gl_reports_the_frozen_divergence_iteration():
     sn = full_dense_eigs(signed_ratio_laplacian(g, normalized=True)).truncate(6)
     cfg = GLConfig()
     # eigenvalues that leave the binary scheme's diagonal 1 + c tau + eps tau lambda at
-    # 1e-2: the iterate blows up over a few steps
+    # 1e-2 in five columns: the iterate blows up over a few steps; lambda_6 is large
+    # enough that the PSD check's tolerance admits the negative ones
     lambdas = np.full(6, (1e-2 - 1.0 - cfg.c_well * cfg.tau) / (cfg.epsilon * cfg.tau))
+    lambdas[-1] = 1e9
     unstable = Eigenbasis(lambdas, sn.phis, OperatorSpec(OperatorKind.SN))
     mask = np.zeros(g.n, bool)
     mask[:6] = True
@@ -684,7 +686,7 @@ def test_multiclass_seed_reproducible():
     assert np.array_equal(U1, U2)
 
 
-def test_multiclass_energy_matches_handle_and_basis(rng):
+def test_multiclass_energy_of_a_full_basis_is_the_dense_form(rng):
     g = random_signed_graph(rng, 10, weighted=True)
     op = signed_ratio_laplacian(g, normalized=True)
     basis = full_dense_eigs(op)
@@ -693,31 +695,41 @@ def test_multiclass_energy_matches_handle_and_basis(rng):
         rng.integers(0, 3, 10), np.ones(10, bool), 3
     )
     cfg = GLConfig()
-    # with a full basis the span-projected quadratic form is exact
-    assert np.isclose(
-        multiclass_energy(op, U, labels, cfg), multiclass_energy(basis, U, labels, cfg)
-    )
+    # with a full basis the span-projected trace form is exact: <U, S U>
+    fidelity = float(np.sum(labels.weights(cfg.omega0) * (labels.U_hat - U) ** 2))
+    dense = (0.5 * cfg.epsilon * float(np.tensordot(U, op.dense() @ U))
+             + multiclass_potential(U) / (2.0 * cfg.epsilon) + 0.5 * fidelity)
+    assert np.isclose(multiclass_energy(basis, U, labels, cfg), dense)
 
 
-def test_energies_reject_generalized_pair(rng):
-    # a raw (A, B) pair has no single matrix S; its eigenbasis is what to pass
-    g = random_signed_graph(rng, 10, weighted=True)
-    op = sponge_operator(g)
-    cfg = GLConfig()
-    u = rng.standard_normal(10)
-    binary = BinaryLabelData.from_signs(np.ones(10), np.zeros(10, bool))
-    U = project_rows_onto_simplex(rng.random((10, 3)))
-    multi = MulticlassLabelData.from_classes(np.zeros(10, int), np.zeros(10, bool), 3)
-    with pytest.raises(ValueError, match="generalized pair"):
-        energy(op, u, binary, cfg)
-    with pytest.raises(ValueError, match="generalized pair"):
-        energy_gradient(op, u, binary, cfg)
-    with pytest.raises(ValueError, match="generalized pair"):
-        multiclass_energy(op, U, multi, cfg)
-    # the eigenbasis of the same pair is accepted
-    basis = full_dense_eigs(op)
-    assert np.isfinite(multiclass_energy(basis, U, multi, cfg))
-    assert np.isfinite(energy(basis, u, binary, cfg))
+@pytest.mark.parametrize(
+    "entry", ["gl_binary", "gl_multiclass", "energy", "energy_gradient", "multiclass_energy"])
+def test_every_entry_point_checks_its_basis(entry):
+    g = balanced_four_cycle()
+    mask = np.array([True, False, False, True])
+    binary = BinaryLabelData.from_signs([1.0, 1.0, -1.0, -1.0], mask)
+    multi = MulticlassLabelData.from_classes([0, 0, 1, 1], mask, 2)
+    cfg = GLConfig(max_iter=5)
+    u = np.array([1.0, 0.5, -0.5, -1.0])
+    U = project_rows_onto_simplex(np.random.default_rng(0).random((4, 2)))
+    call = {
+        "gl_binary": lambda basis: gl_binary(basis, binary, cfg),
+        "gl_multiclass": lambda basis: gl_multiclass(basis, multi, cfg, init_seed=0),
+        "energy": lambda basis: energy(basis, u, binary, cfg),
+        "energy_gradient": lambda basis: energy_gradient(basis, u, binary, cfg),
+        "multiclass_energy": lambda basis: multiclass_energy(basis, U, multi, cfg),
+    }[entry]
+    # the full BR basis and a truncated BN basis keep their negative lambda_1
+    for indefinite in (full_dense_eigs(balance_ratio_laplacian(g)),
+                       full_dense_eigs(balance_ratio_laplacian(g, normalized=True)).truncate(2)):
+        assert indefinite.lambdas[0] < -0.1
+        with pytest.raises(ValueError, match="not positive semi-definite"):
+            call(indefinite)
+    five_nodes = full_dense_eigs(unsigned_laplacian(clique_graph([5])[0].Wp, normalized=True))
+    with pytest.raises(ValueError, match="labels cover 4 nodes, the eigenbasis 5"):
+        call(five_nodes)
+    # the eigenbasis of the SPONGE generalized pair is accepted
+    call(full_dense_eigs(sponge_operator(g)))
 
 
 # ----------------------------------------------------- potential derivative

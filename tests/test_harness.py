@@ -19,6 +19,7 @@ from signedgl import (
     load_eigenbasis,
     load_signed_edge_list,
     run_experiment,
+    save_eigenbasis,
     smallest_eigs,
     ssbm_label_data,
     write_signed_edge_list,
@@ -185,14 +186,17 @@ def read_rows(path):
         return list(csv.DictReader(fh))
 
 
-def test_corrupt_cache_file_fails_only_its_method(tmp_path):
+def assert_warm_sn_rows_fail(tmp_path, spoil, message):
+    """A small sweep cold, then warm after ``spoil`` rewrote its SN k=8 cache file:
+    every gl-sn run row of the warm pass is an error row starting with ``message``
+    (formatted with the file's name), and every other row equals the cold pass."""
     cache = tmp_path / "cache"
     argv = ["ssbm", "--n", "80", "--p-in", "0.15", "--p-out", "0.15", "--eta", "0.05",
             "--methods", "gl-sn,gl-am,hf", "--fractions", "0.1", "--neigs", "4,8",
             "--runs", "2", "--cache-dir", str(cache)]
     assert cli_main(argv + ["--out", str(tmp_path / "cold.csv")]) == 0
     (sn_file,) = cache.glob("eig_*_SN_k8.npz")
-    sn_file.write_text("not an npz file\n")
+    spoil(sn_file)
     assert cli_main(argv + ["--out", str(tmp_path / "warm.csv")]) == 0
     cold, warm = read_rows(tmp_path / "cold.csv"), read_rows(tmp_path / "warm.csv")
     # run rows: 2 N_e x 2 runs for each GL method, 2 for hf; one mean row per cell
@@ -201,10 +205,27 @@ def test_corrupt_cache_file_fails_only_its_method(tmp_path):
         if after["method"] != "gl-sn":
             assert after == before
         elif after["record"] == "run":
-            assert after["error"].startswith(f"cannot read cached eigenbasis {sn_file.name}")
+            assert after["error"].startswith(message.format(sn_file.name))
             assert after["accuracy"] == after["iterations"] == ""
         else:
             assert after["error"] == "2/2 runs failed"
+
+
+def test_corrupt_cache_file_fails_only_its_method(tmp_path):
+    assert_warm_sn_rows_fail(tmp_path, lambda path: path.write_text("not an npz file\n"),
+                             "cannot read cached eigenbasis {}")
+
+
+def test_cached_basis_with_a_negative_eigenvalue_fails_only_its_method(tmp_path):
+    # the file reads back fine; only the classifier's check of its numbers refuses it
+    def negate_lambda_1(path):
+        basis = load_eigenbasis(path)
+        basis.lambdas[0] = -1.0
+        save_eigenbasis(path, basis)
+
+    assert_warm_sn_rows_fail(tmp_path, negate_lambda_1,
+                             "eigenbasis has eigenvalue -1.000e+00: its operator is not positive "
+                             "semi-definite")
 
 
 def test_sponge_and_negative_methods_run():

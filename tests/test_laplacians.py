@@ -3,10 +3,14 @@ import pytest
 import scipy.linalg as sla
 
 from signedgl import (
+    BinaryLabelData,
+    GLConfig,
     OperatorKind,
     arithmetic_mean_laplacian,
     balance_ratio_laplacian,
     build_operator,
+    full_dense_eigs,
+    gl_binary,
     signed_ratio_laplacian,
     signless_laplacian,
     split_signs,
@@ -22,6 +26,12 @@ PSD_KINDS = ["L_plus_sym", "Q_minus_sym", "SR", "SN", "AM"]
 def eigs_of(handle):
     # dense eigendecomposition oracle
     return np.linalg.eigvalsh(handle.dense())
+
+
+def gl_binary_on_full_basis(handle):
+    """One binary GL step on the operator's full eigenbasis, node 0 labeled."""
+    labels = BinaryLabelData.from_signs(np.ones(handle.n), np.arange(handle.n) == 0)
+    return gl_binary(full_dense_eigs(handle), labels, GLConfig(max_iter=1))
 
 
 def test_path_laplacian():
@@ -92,7 +102,8 @@ def test_balance_ratio_single_negative_edge_indefinite():
     h = balance_ratio_laplacian(g)
     assert np.array_equal(h.dense(), [[0, 1], [1, 0]])
     assert np.allclose(eigs_of(h), [-1, 1])
-    assert not h.spec.psd_guaranteed
+    with pytest.raises(ValueError, match="not positive semi-definite"):
+        gl_binary_on_full_basis(h)
 
 
 def test_balance_ratio_four_cycle_spectrum():
@@ -100,7 +111,8 @@ def test_balance_ratio_four_cycle_spectrum():
     lam = eigs_of(balance_ratio_laplacian(balanced_four_cycle()))
     assert np.allclose(lam, [-2.0, 2.0, 2.0, 2.0])
     h = balance_ratio_laplacian(balanced_four_cycle(), normalized=True)
-    assert not h.spec.psd_guaranteed
+    with pytest.raises(ValueError, match="not positive semi-definite"):
+        gl_binary_on_full_basis(h)
 
 
 def test_sponge_reduces_when_one_sign_absent(rng):
@@ -164,7 +176,7 @@ def test_psd_kinds_are_psd(rng):
         g = random_signed_graph(rng, int(rng.integers(5, 60)), weighted=True)
         for kind in PSD_KINDS:
             h = build_operator(g, kind)
-            assert h.spec.psd_guaranteed
+            gl_binary_on_full_basis(h)  # accepted
             assert eigs_of(h)[0] >= -1e-10
         A, B = sponge_operator(g).dense_pair()
         assert sla.eigh(A, B, eigvals_only=True)[0] >= -1e-10
