@@ -74,7 +74,7 @@ def harmonic_functions(Wp, labels):
         if orphans.size:
             raise np.linalg.LinAlgError(f"linear system is singular: {orphans.size} unlabeled "
                                         f"nodes (first {orphans[0]}) have no labeled node in reach")
-        L_uu = unsigned_laplacian(W).matrix[unl, :][:, unl]
+        L_uu = unsigned_laplacian(W).A[unl, :][:, unl]
         scores[unl] = _solve_columns(L_uu, W[unl, :][:, lab] @ values[lab])
     return labels.readout(scores), scores
 

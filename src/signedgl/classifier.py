@@ -242,9 +242,14 @@ def _double_well_gradient(u) -> np.ndarray:
 
 
 def _check_basis(basis: Eigenbasis, labels: TrainingLabels) -> None:
-    """Refuse a basis with an eigenvalue below -_RESIDUAL_TOL max(1, |lambda|),
-    the accuracy every solve is checked to, or one on another node count."""
+    """Refuse a basis without one eigenvalue per eigenvector, with an eigenvalue
+    below -_RESIDUAL_TOL max(1, |lambda|), the accuracy every solve is checked
+    to, or on another node count."""
     lam = basis.lambdas
+    if lam.shape != (basis.k,):
+        raise ValueError(
+            f"eigenbasis has eigenvalues of shape {lam.shape} for {basis.k} eigenvectors"
+        )
     if lam.min() < -_RESIDUAL_TOL * max(1.0, np.abs(lam).max()):
         raise ValueError(
             f"eigenbasis has eigenvalue {lam.min():.3e}: its operator is not positive "

@@ -10,10 +10,11 @@ operator is solved once, at the largest eigenvector count of the sweep
 of that basis.  The solve can go through an on-disk cache, which then
 holds one file per operator at that largest count.  ``_bases`` is the one
 writer of those files: ``signedgl eigs`` calls it too, so a file holds
-the same bits whether the sweep or ``eigs`` wrote it.  A failed solve or
-an unreadable cache file turns that method's rows into error rows.  Every
-CSV row is a ``Record``; a cell's mean row (``run=None``) is derived from
-its run rows, so the two cannot disagree.
+the same bits whether the sweep or ``eigs`` wrote it.  A failed solve, or
+a cache file that cannot be read or holds another operator's basis, turns
+that method's rows into error rows.  Every CSV row is a ``Record``; a
+cell's mean row (``run=None``) is derived from its run rows, so the two
+cannot disagree.
 """
 
 from __future__ import annotations
@@ -186,6 +187,9 @@ def _bases(comp, kind, n_eigs, seed, cache_dir, digest) -> list:
             full = load_eigenbasis(path)
         except Exception as exc:
             raise ValueError(f"cannot read cached eigenbasis {path.name}: {exc}") from exc
+        if full.source.kind != kind:
+            raise ValueError(f"cached eigenbasis {path.name} holds the "
+                             f"{full.source.kind.value} basis, not the {kind.value} one")
     else:
         full = smallest_eigs(build_operator(comp, kind), k=k, seed=seed)
         if path is not None:

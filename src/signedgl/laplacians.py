@@ -1,8 +1,8 @@
 """Laplacian operators for unsigned and signed graphs.
 
-Every constructor returns an :class:`OperatorHandle` holding either an
-explicit symmetric matrix or a symmetric-definite generalized pair
-(A, B), ready for the eigensolvers in :mod:`signedgl.spectral`.
+Every constructor returns an :class:`OperatorHandle`: a symmetric matrix
+A, plus B for SPONGE's symmetric-definite generalized pair (A, B), ready
+for the eigensolvers in :mod:`signedgl.spectral`.
 
 Conventions:
   * zero-degree nodes: D^{-1/2} entries are set to 0, so such nodes
@@ -62,34 +62,30 @@ class OperatorSpec:
 
 @dataclass(frozen=True)
 class OperatorHandle:
-    """A symmetric matrix, or a generalized pair (A, B) with A and B positive definite."""
+    """A symmetric operator A, or the generalized pair (A, B) with A and B
+    positive definite; B is None for a plain operator."""
 
     spec: OperatorSpec
-    matrix: object = None
-    pair: tuple | None = None
-
-    def __post_init__(self):
-        if (self.matrix is None) == (self.pair is None):
-            raise ValueError("exactly one of matrix/pair must be set")
+    A: object
+    B: object = None
 
     @property
     def is_generalized(self) -> bool:
-        return self.pair is not None
+        return self.B is not None
 
     @property
     def n(self) -> int:
-        m = self.matrix if self.matrix is not None else self.pair[0]
-        return m.shape[0]
+        return self.A.shape[0]
 
     def dense(self) -> np.ndarray:
         if self.is_generalized:
             raise ValueError("use dense_pair() for generalized operators")
-        return _to_dense(self.matrix)
+        return _to_dense(self.A)
 
     def dense_pair(self):
         if not self.is_generalized:
             raise ValueError("not a generalized operator")
-        return _to_dense(self.pair[0]), _to_dense(self.pair[1])
+        return _to_dense(self.A), _to_dense(self.B)
 
 
 def _to_dense(M) -> np.ndarray:
@@ -135,7 +131,7 @@ def _degree_matrix(W: sp.csr_array) -> sp.csr_array:
 
 
 def _handle(kind: OperatorKind, S) -> OperatorHandle:
-    return OperatorHandle(OperatorSpec(kind), matrix=_symmetrized(S))
+    return OperatorHandle(OperatorSpec(kind), _symmetrized(S))
 
 
 def unsigned_laplacian(W, normalized: bool = False) -> OperatorHandle:
@@ -185,9 +181,7 @@ def sponge_operator(g: SignedGraph) -> OperatorHandle:
     eye = _eye(g.n)
     A = eye if g.Wp.nnz == 0 else sp.csr_array(_norm_laplacian(g.Wp) + eye)
     B = eye if g.Wn.nnz == 0 else sp.csr_array(_norm_laplacian(g.Wn) + eye)
-    return OperatorHandle(
-        OperatorSpec(OperatorKind.SPONGE), pair=(_symmetrized(A), _symmetrized(B))
-    )
+    return OperatorHandle(OperatorSpec(OperatorKind.SPONGE), _symmetrized(A), _symmetrized(B))
 
 
 def arithmetic_mean_laplacian(g: SignedGraph) -> OperatorHandle:

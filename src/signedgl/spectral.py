@@ -1,9 +1,9 @@
 """Smallest eigenpairs of symmetric operators and symmetric-definite pairs.
 
 Small problems (n <= DENSE_CAP, the package's one size rule) go through
-LAPACK on dense matrices, with generalized pairs reduced by a Cholesky
-factorization of B; larger ones through ARPACK's Lanczos iteration with a
-seeded start vector so repeated solves are reproducible.  Generalized
+LAPACK on dense matrices, a generalized pair through its symmetric-definite
+driver (``sygvd``); larger ones through ARPACK's Lanczos iteration with a seeded
+start vector so repeated solves are reproducible.  Generalized
 pairs run shift-invert Lanczos at sigma = 0: A is positive definite, so
 the largest 1/lambda are the smallest lambda, and the tight cluster at
 the bottom of the spectrum is stretched apart.  A^{-1} is applied by
@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
-from scipy.linalg import solve_triangular
 from scipy.sparse._sparsetools import csr_matvec
 from scipy.sparse.linalg import (
     ArpackError,
@@ -102,18 +102,6 @@ def _canonical_signs(phis: np.ndarray) -> np.ndarray:
     signs = np.sign(phis[idx, np.arange(phis.shape[1])])
     signs[signs == 0] = 1.0
     return phis * signs
-
-
-def _dense_generalized(A: np.ndarray, B: np.ndarray):
-    """Reduce (A, B) to standard form via B = L L^T; eigenvectors come back
-    B-orthonormal."""
-    L = np.linalg.cholesky(B)
-    Y = solve_triangular(L, A, lower=True)
-    C = solve_triangular(L, Y.T, lower=True).T
-    C = (C + C.T) * 0.5
-    lam, V = np.linalg.eigh(C)
-    X = solve_triangular(L.T, V, lower=False)
-    return lam, X
 
 
 def _start_vector(n: int, seed: int) -> np.ndarray:
@@ -203,12 +191,11 @@ def _arpack_smallest(op: OperatorHandle, k: int, seed: int):
     v0 = _start_vector(op.n, seed)
     try:
         if op.is_generalized:
-            A, B = op.pair
             # lambda -> 1/lambda: the k largest of 1/lambda are the k smallest lambda
-            lam, V = eigsh(A, k=k, M=_csr_operator(B), sigma=0.0, which="LM",
-                           OPinv=_cg_inverse(A), v0=v0, tol=_ARPACK_TOL)
+            lam, V = eigsh(op.A, k=k, M=_csr_operator(op.B), sigma=0.0, which="LM",
+                           OPinv=_cg_inverse(op.A), v0=v0, tol=_ARPACK_TOL)
         else:
-            lam, V = eigsh(_csr_operator(op.matrix), k=k, which="SA", v0=v0, tol=_ARPACK_TOL)
+            lam, V = eigsh(_csr_operator(op.A), k=k, which="SA", v0=v0, tol=_ARPACK_TOL)
     except ArpackNoConvergence as exc:
         best = _best_residual(op, exc.eigenvalues, exc.eigenvectors)
         raise EigenSolveError(
@@ -224,13 +211,9 @@ def _arpack_smallest(op: OperatorHandle, k: int, seed: int):
 
 
 def _residual_norms(op: OperatorHandle, lam, V) -> np.ndarray:
-    """||A v - lam B v|| per eigenpair, with B = I for a plain operator."""
-    if op.is_generalized:
-        A, B = op.pair
-        R = A @ V - (B @ V) * lam
-    else:
-        R = op.matrix @ V - V * lam
-    return np.linalg.norm(R, axis=0)
+    """||A v - lam B v|| per eigenpair, with B v = v for a plain operator."""
+    BV = V if op.B is None else op.B @ V
+    return np.linalg.norm(op.A @ V - BV * lam, axis=0)
 
 
 def _best_residual(op, lam, V) -> float:
@@ -260,7 +243,7 @@ def smallest_eigs(op: OperatorHandle, k: int, seed: int = 0) -> Eigenbasis:
     # ARPACK needs k < n-1; fall back to the dense path near full spectra.
     if n <= DENSE_CAP or k > n - 2:
         if op.is_generalized:
-            lam, V = _dense_generalized(*op.dense_pair())
+            lam, V = sla.eigh(*op.dense_pair())
         else:
             lam, V = np.linalg.eigh(op.dense())
         lam, V = lam[:k], V[:, :k]

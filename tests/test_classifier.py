@@ -728,8 +728,12 @@ def test_every_entry_point_checks_its_basis(entry):
     five_nodes = full_dense_eigs(unsigned_laplacian(clique_graph([5])[0].Wp, normalized=True))
     with pytest.raises(ValueError, match="labels cover 4 nodes, the eigenbasis 5"):
         call(five_nodes)
-    # the eigenbasis of the SPONGE generalized pair is accepted
-    call(full_dense_eigs(sponge_operator(g)))
+    # the eigenbasis of the SPONGE generalized pair is accepted, but not with one
+    # eigenvalue for its four eigenvectors
+    sponge = full_dense_eigs(sponge_operator(g))
+    with pytest.raises(ValueError, match=r"eigenvalues of shape \(1,\) for 4 eigenvectors"):
+        call(Eigenbasis(sponge.lambdas[:1], sponge.phis, sponge.source))
+    call(sponge)
 
 
 # ----------------------------------------------------- potential derivative

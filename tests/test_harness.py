@@ -1,5 +1,6 @@
 import csv
 import re
+import shutil
 
 import numpy as np
 import pytest
@@ -226,6 +227,26 @@ def test_cached_basis_with_a_negative_eigenvalue_fails_only_its_method(tmp_path)
     assert_warm_sn_rows_fail(tmp_path, negate_lambda_1,
                              "eigenbasis has eigenvalue -1.000e+00: its operator is not positive "
                              "semi-definite")
+
+
+def test_cached_basis_with_one_eigenvalue_for_eight_vectors_fails_only_its_method(tmp_path):
+    # read back, the single eigenvalue would broadcast into the GL step
+    def keep_lambda_1(path):
+        basis = load_eigenbasis(path)
+        basis.lambdas = basis.lambdas[:1]
+        save_eigenbasis(path, basis)
+
+    assert_warm_sn_rows_fail(tmp_path, keep_lambda_1,
+                             "eigenbasis has eigenvalues of shape (1,) for ")
+
+
+def test_cached_basis_of_another_operator_fails_only_its_method(tmp_path):
+    # SN and AM are both built on the signed component, so their files share a digest
+    def copy_am_file(path):
+        shutil.copyfile(path.with_name(path.name.replace("_SN_", "_AM_")), path)
+
+    assert_warm_sn_rows_fail(tmp_path, copy_am_file,
+                             "cached eigenbasis {} holds the AM basis, not the SN one")
 
 
 def test_sponge_and_negative_methods_run():

@@ -66,7 +66,7 @@ def test_signless_triangle_not_bipartite():
 
 def test_signless_empty_graph():
     Q = signless_laplacian(np.zeros((3, 3)))
-    assert Q.matrix.nnz == 0
+    assert Q.A.nnz == 0
 
 
 def test_signed_ratio_two_balanced_has_zero_eigenvalue():

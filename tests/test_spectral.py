@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
-from scipy.sparse.linalg import cg
+from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, cg
 
 from signedgl import (
     OperatorHandle,
@@ -20,6 +20,7 @@ from signedgl import (
     unsigned_laplacian,
 )
 from signedgl.spectral import (
+    _CG_RTOL,
     _RESIDUAL_TOL,
     EigenSolveError,
     _cg_solve,
@@ -31,7 +32,7 @@ from conftest import random_signed_graph
 
 
 def symmetric_handle(S):
-    return OperatorHandle(OperatorSpec(OperatorKind.BR), matrix=sp.csr_array(S))
+    return OperatorHandle(OperatorSpec(OperatorKind.BR), sp.csr_array(S))
 
 
 def test_identity_operator():
@@ -51,7 +52,7 @@ def test_generalized_with_identity_B_matches_standard(rng):
     g = random_signed_graph(rng, 20, neg_share=0.0)  # Wn = 0 -> B = I
     sponge = sponge_operator(g)
     gen = smallest_eigs(sponge, k=5)
-    A = OperatorHandle(OperatorSpec(OperatorKind.SPONGE), matrix=sponge.pair[0])
+    A = OperatorHandle(OperatorSpec(OperatorKind.SPONGE), sponge.A)
     std = smallest_eigs(A, k=5)
     assert np.allclose(gen.lambdas, std.lambdas, atol=1e-8)
 
@@ -72,10 +73,14 @@ def test_generalized_matches_dense_oracle(rng):
         op = sponge_operator(g)
         basis = smallest_eigs(op, k=4)
         A, B = op.dense_pair()
-        oracle = sla.eigh(A, B, eigvals_only=True)  # independent generalized solver
+        # the standard problem B^{-1/2} A B^{-1/2}, from B's own eigendecomposition:
+        # no generalized driver, so not the one smallest_eigs calls
+        mu, U = np.linalg.eigh(B)
+        B_inv_half = (U / np.sqrt(mu)) @ U.T
+        oracle = np.linalg.eigvalsh(B_inv_half @ A @ B_inv_half)
         assert np.allclose(basis.lambdas, oracle[:4], atol=1e-6)
         assert np.allclose(basis.phis.T @ B @ basis.phis, np.eye(4), atol=1e-8)
-        ax, bx = (M @ basis.phis[:, 0] for M in op.pair)
+        ax, bx = (M @ basis.phis[:, 0] for M in (op.A, op.B))
         assert np.allclose(ax, basis.lambdas[0] * bx, atol=1e-8)
 
 
@@ -84,7 +89,7 @@ def test_eigenvectors_orthonormal_and_residuals_small(rng):
     op = signed_ratio_laplacian(g, normalized=True)
     basis = smallest_eigs(op, k=10)
     assert np.allclose(basis.phis.T @ basis.phis, np.eye(10), atol=1e-8)
-    R = op.matrix @ basis.phis - basis.phis * basis.lambdas
+    R = op.A @ basis.phis - basis.phis * basis.lambdas
     assert np.linalg.norm(R, axis=0).max() <= 1e-6
 
 
@@ -139,13 +144,12 @@ def test_lanczos_generalized_path(kind):
     op = build_operator(g, kind)
     basis = smallest_eigs(op, k=20, seed=1)
     Phi = basis.phis
+    A, B = op.A, op.B
     if op.is_generalized:
-        A, B = op.pair
         oracle = sla.eigh(*op.dense_pair(), eigvals_only=True, subset_by_index=[0, 19])
         gram = Phi.T @ (B @ Phi)
         applied = [A, B]
     else:
-        A, B = op.matrix, None
         oracle = sla.eigh(op.dense(), eigvals_only=True, subset_by_index=[0, 19])
         gram = Phi.T @ Phi
         applied = [A]
@@ -173,29 +177,68 @@ def test_lanczos_generalized_path_refuses_indefinite_A():
     # diagonal entry of A = I + Lsym(W+) gives it one negative eigenvalue
     params = SSBMParams(n=2050, k=2, p_in=0.01, p_out=0.01, eta=0.1, seed=0)
     g, _ = generate_ssbm(params)
-    A, B = sponge_operator(g).pair
-    A = sp.csr_array(A - 2.0 * sp.csr_array(([1.0], ([0], [0])), shape=A.shape))
+    sponge = sponge_operator(g)
+    A = sp.csr_array(sponge.A - 2.0 * sp.csr_array(([1.0], ([0], [0])), shape=(g.n, g.n)))
     lowest = np.linalg.eigvalsh(A.toarray())[:2]
     assert lowest[0] < 0 < lowest[1]
-    op = OperatorHandle(OperatorSpec(OperatorKind.SPONGE), pair=(A, B))
+    op = OperatorHandle(OperatorSpec(OperatorKind.SPONGE), A, sponge.B)
     with pytest.raises(EigenSolveError, match="not positive definite"):
         smallest_eigs(op, k=5, seed=1)
 
 
 def test_cg_solve_matches_scipy_cg(rng):
-    g = random_signed_graph(rng, 300, weighted=True)
+    op = sponge_operator(random_signed_graph(rng, 300, weighted=True))
     # a tight tolerance and spectral._CG_RTOL (1e-10), the one tolerance of
     # the eigensolver's inner solves and the baselines
     for rtol in (1e-12, 1e-10):
-        for M in sponge_operator(g).pair:
+        for M in (op.A, op.B):
             for _ in range(3):
-                b = rng.standard_normal(g.n)
+                b = rng.standard_normal(op.n)
                 expected, info = cg(M, b, rtol=rtol, atol=0.0)
                 assert info == 0
                 assert np.array_equal(_cg_solve(M, b, rtol), expected)
     assert not _cg_solve(sp.eye_array(3, format="csr"), np.zeros(3), 1e-12).any()
     with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
         _cg_solve(sp.csr_array(np.diag([1.0, -1.0])), np.array([1.0, 2.0]), 1e-12)
+
+
+def test_cg_solve_stops_at_its_step_limit():
+    # I plus a skew part keeps p^T A p = |p|^2 > 0, but CG needs symmetry to converge
+    A = sp.csr_array(np.array([[1.0, 2.0], [-2.0, 1.0]]))
+    with pytest.raises(np.linalg.LinAlgError, match="did not converge in 20 steps"):
+        _cg_solve(A, np.array([1.0, 0.0]), _CG_RTOL)
+
+
+def test_residual_check_refuses_pairs_above_its_tolerance(rng, monkeypatch):
+    op = signed_ratio_laplacian(random_signed_graph(rng, 30), normalized=True)
+    smallest_eigs(op, k=3)
+    monkeypatch.setattr("signedgl.spectral._RESIDUAL_TOL", 0.0)
+    with pytest.raises(EigenSolveError, match=r"exceeds tolerance 0\.0e\+00"):
+        smallest_eigs(op, k=3)
+
+
+@pytest.mark.parametrize("b", [None, 2.0])
+def test_lanczos_failures_are_eigensolve_errors(b, monkeypatch):
+    # diag(1, ..., 2101), with B = b I: above DENSE_CAP, so solved by eigsh
+    n = 2101
+    op = OperatorHandle(OperatorSpec(OperatorKind.BR),
+                        sp.diags_array(np.arange(1.0, n + 1), format="csr"),
+                        None if b is None else b * sp.eye_array(n, format="csr"))
+    # A e_1 = e_1 and A e_2 = 2 e_2 (B e = b e), so these pairs have residuals 0.25 and 0.5
+    partial = ArpackNoConvergence("", np.array([1.25, 2.5]) / (b or 1.0), np.eye(n, 2))
+    failures = [
+        (partial, r"did not converge for k=3 \(2 pairs found, best residual 2\.500e-01\)"),
+        (ArpackNoConvergence("", np.empty(0), np.empty((n, 0))),
+         r"\(0 pairs found, best residual inf\)"),
+        (ArpackError(3), "eigensolver failed: ARPACK error 3"),
+    ]
+    for exc, message in failures:
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr("signedgl.spectral.eigsh", fail)
+        with pytest.raises(EigenSolveError, match=message):
+            smallest_eigs(op, k=3)
 
 
 def test_k_out_of_range(rng):
@@ -266,3 +309,12 @@ def test_cache_round_trip(tmp_path, rng):
     assert np.array_equal(loaded.phis, basis.phis)
     assert loaded.source == basis.source
     assert path.name == f"eig_{'a' * 16}_SN_k5.npz"
+
+
+def test_cache_refuses_another_version(tmp_path, rng, monkeypatch):
+    basis = smallest_eigs(signed_ratio_laplacian(random_signed_graph(rng, 10)), k=2)
+    monkeypatch.setattr("signedgl.spectral._CACHE_VERSION", 2)
+    save_eigenbasis(tmp_path / "v2.npz", basis)
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match="unsupported eigenbasis cache version 2"):
+        load_eigenbasis(tmp_path / "v2.npz")
