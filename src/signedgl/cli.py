@@ -51,7 +51,7 @@ _SPEC_FLAGS = {
     "omega0": ("omega0", _float_list, "fidelity weights"),
     "epsilon": ("epsilon", _float_list, "interface parameters"),
     "runs": ("runs", int, "label resamplings per cell"),
-    "seed": ("base_seed", int, "base seed"),
+    "seed": ("base_seed", int, "seed of the label masks and multiclass starts"),
     "alpha": ("alpha", float, "LGC mixing parameter"),
     "tau": ("tau", float, "time step"),
     "max_iter": ("max_iter", int, "iteration cap"),
@@ -153,7 +153,7 @@ def _cmd_eigs(args) -> int:
     g = _load_graph(args)
     kind = OperatorKind(args.operator)
     comp, _ = largest_connected_component(g, operator_component(kind))
-    bases = _bases(comp, kind, n_eigs, args.seed, args.cache_dir, graph_digest(comp))
+    bases = _bases(comp, kind, n_eigs, args.cache_dir, graph_digest(comp))
     k = max(basis.k for _, basis in bases)
     print(f"{kind.value} eigenbasis (n={comp.n}, k={k}) cached in {args.cache_dir}")
     return 0
@@ -162,7 +162,7 @@ def _cmd_eigs(args) -> int:
 def _cmd_balance_check(args) -> int:
     g = _load_graph(args)
     op = build_operator(g, OperatorKind.SR)
-    lam = smallest_eigs(op, k=1, seed=0).lambdas[0]
+    lam = smallest_eigs(op, k=1).lambdas[0]
     balanced = "yes" if lam <= _BALANCE_TOL else "no"
     print(f"nodes={g.n} positive_edges={g.num_positive_edges} "
           f"negative_edges={g.num_negative_edges}")
@@ -210,8 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_eigs.add_argument("--neigs", type=_int_list,
                         help=f"{_SPEC_FLAGS['neigs'][2]} {_default_help('neigs')}")
-    p_eigs.add_argument("--seed", type=int, default=_DEFAULTS.base_seed,
-                        help=f"eigensolver seed {_default_help('seed')}")
     p_eigs.add_argument("--cache-dir", dest="cache_dir")
     p_eigs.set_defaults(func=_cmd_eigs)
 

@@ -8,13 +8,14 @@ extracted once per sweep and shared by the methods that run on it.  Each
 operator is solved once, at the largest eigenvector count of the sweep
 (capped by the component size); smaller counts use leading truncations
 of that basis.  The solve can go through an on-disk cache, which then
-holds one file per operator at that largest count.  ``_bases`` is the one
-writer of those files: ``signedgl eigs`` calls it too, so a file holds
-the same bits whether the sweep or ``eigs`` wrote it.  A failed solve, or
-a cache file that cannot be read or holds another operator's basis, turns
-that method's rows into error rows.  Every CSV row is a ``Record``; a
-cell's mean row (``run=None``) is derived from its run rows, so the two
-cannot disagree.
+holds one file per operator at that largest count; a basis does not
+depend on ``base_seed``, so a file serves a sweep of any seed.
+``_bases`` is the one writer of those files: ``signedgl eigs`` calls it
+too, so a file holds the same bits whether the sweep or ``eigs`` wrote
+it.  A failed solve, or a cache file that cannot be read or holds
+another operator's basis, turns that method's rows into error rows.
+Every CSV row is a ``Record``; a cell's mean row (``run=None``) is
+derived from its run rows, so the two cannot disagree.
 """
 
 from __future__ import annotations
@@ -175,7 +176,7 @@ def _derived_seed(*parts) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-def _bases(comp, kind, n_eigs, seed, cache_dir, digest) -> list:
+def _bases(comp, kind, n_eigs, cache_dir, digest) -> list:
     """[(N_e, basis)] for one operator on its component: one solve, or one
     cache file, at the largest N_e (capped by the component size); smaller
     N_e take its leading vectors.  The one writer of eigenbasis cache files:
@@ -191,7 +192,7 @@ def _bases(comp, kind, n_eigs, seed, cache_dir, digest) -> list:
             raise ValueError(f"cached eigenbasis {path.name} holds the "
                              f"{full.source.kind.value} basis, not the {kind.value} one")
     else:
-        full = smallest_eigs(build_operator(comp, kind), k=k, seed=seed)
+        full = smallest_eigs(build_operator(comp, kind), k=k)
         if path is not None:
             path.parent.mkdir(parents=True, exist_ok=True)
             save_eigenbasis(path, full)
@@ -238,8 +239,7 @@ def _method_rows(method, comp, comp_labels, digest, spec, cache_dir) -> list:
     failure = ""
     if method in GL_METHODS:
         try:
-            bases = _bases(comp, GL_METHODS[method], spec.n_eigs, spec.base_seed,
-                           cache_dir, digest)
+            bases = _bases(comp, GL_METHODS[method], spec.n_eigs, cache_dir, digest)
         except Exception as exc:  # keep sweeping, record the failure
             bases, failure = [(ne, None) for ne in spec.n_eigs], str(exc)
         cells = [

@@ -1,16 +1,19 @@
 """Smallest eigenpairs of symmetric operators and symmetric-definite pairs.
 
 Small problems (n <= DENSE_CAP, the package's one size rule) go through
-LAPACK on dense matrices, a generalized pair through its symmetric-definite
-driver (``sygvd``); larger ones through ARPACK's Lanczos iteration with a seeded
-start vector so repeated solves are reproducible.  Generalized
-pairs run shift-invert Lanczos at sigma = 0: A is positive definite, so
-the largest 1/lambda are the smallest lambda, and the tight cluster at
-the bottom of the spectrum is stretched apart.  A^{-1} is applied by
-conjugate gradients rather than by factorizing, since sparse LU fill-in
-is prohibitive on graph operators.  ``_cg_solve`` is the package's one CG
-solver, at one relative tolerance ``_CG_RTOL``; the baselines solve every
-system with it, at every size.
+LAPACK on dense matrices, a generalized pair through its
+symmetric-definite driver (``sygvd``); larger ones through ARPACK's
+Lanczos iteration.  Every Lanczos run starts from one fixed vector, so a
+basis depends on its operator and k alone: a solve repeats bit for bit,
+and an eigenbasis cache file keyed by (graph digest, operator, k) holds
+what any sweep would solve, whatever seed draws its label masks.
+Generalized pairs run shift-invert Lanczos at sigma = 0: A is positive
+definite, so the largest 1/lambda are the smallest lambda, and the tight
+cluster at the bottom of the spectrum is stretched apart.  A^{-1} is
+applied by conjugate gradients rather than by factorizing, since sparse LU
+fill-in is prohibitive on graph operators.  ``_cg_solve`` is the package's
+one CG solver, at one relative tolerance ``_CG_RTOL``; the baselines solve
+every system with it, at every size.
 
 Lanczos stops at the accuracy the residual check asks for, not at machine
 precision: ARPACK runs to ``_ARPACK_TOL`` = ``_RESIDUAL_TOL`` / 100, and
@@ -104,10 +107,6 @@ def _canonical_signs(phis: np.ndarray) -> np.ndarray:
     return phis * signs
 
 
-def _start_vector(n: int, seed: int) -> np.ndarray:
-    return np.random.default_rng(seed).standard_normal(n)
-
-
 def _float_csr(A) -> sp.csr_array:
     """A as float64 CSR: A itself when it already is, else one conversion,
     so that no CSC index array ever reaches the CSR kernel."""
@@ -138,7 +137,7 @@ def _csr_operator(A) -> LinearOperator:
 
 
 def _cg_solve(A, b: np.ndarray, rtol: float) -> np.ndarray:
-    """Solve A x = b by conjugate gradients from x = 0, stopping when
+    """Solve A x = b by conjugate gradients from x = 0, stopping at r = 0 or
     ||r|| < rtol ||b||; the arithmetic of scipy's unpreconditioned ``cg``.
 
     Raises np.linalg.LinAlgError when p^T A p <= 0 (A is not positive
@@ -146,8 +145,6 @@ def _cg_solve(A, b: np.ndarray, rtol: float) -> np.ndarray:
     """
     bnorm = np.linalg.norm(b)
     x = np.zeros_like(b)
-    if bnorm == 0:
-        return x
     A = _float_csr(A)
     r = b.copy()
     p = r.copy()
@@ -156,8 +153,8 @@ def _cg_solve(A, b: np.ndarray, rtol: float) -> np.ndarray:
     rho_prev = None
     for step in range(10 * len(b)):
         rho = np.dot(r, r)
-        # np.linalg.norm(r) is sqrt(r . r), to the bit
-        if np.sqrt(rho) < rtol * bnorm:
+        # np.linalg.norm(r) is sqrt(r . r), to the bit; r = 0 stops even at rtol = 0
+        if rho == 0 or np.sqrt(rho) < rtol * bnorm:
             return x
         if step > 0:
             p *= rho / rho_prev
@@ -187,8 +184,8 @@ def _cg_inverse(A) -> LinearOperator:
     return LinearOperator(A.shape, matvec=lambda x: _cg_solve(A, x, _CG_RTOL), dtype=float)
 
 
-def _arpack_smallest(op: OperatorHandle, k: int, seed: int):
-    v0 = _start_vector(op.n, seed)
+def _arpack_smallest(op: OperatorHandle, k: int):
+    v0 = np.random.default_rng(0).standard_normal(op.n)
     try:
         if op.is_generalized:
             # lambda -> 1/lambda: the k largest of 1/lambda are the k smallest lambda
@@ -230,12 +227,14 @@ def _check_residuals(op: OperatorHandle, lam: np.ndarray, V: np.ndarray) -> None
         )
 
 
-def smallest_eigs(op: OperatorHandle, k: int, seed: int = 0) -> Eigenbasis:
+def smallest_eigs(op: OperatorHandle, k: int) -> Eigenbasis:
     """Compute the k smallest eigenpairs of an operator handle.
 
-    Deterministic for a fixed seed.  Raises EigenSolveError if the
-    iterative solver fails to converge (with the best residual reached),
-    ValueError for k out of range.
+    A function of (op, k) alone: every Lanczos run starts from the same
+    vector, so a repeated solve gives the same bits and a cache file needs
+    no seed in its key.  Raises EigenSolveError if the iterative solver
+    fails to converge (with the best residual reached), ValueError for k
+    out of range.
     """
     n = op.n
     if not 1 <= k <= n:
@@ -248,7 +247,7 @@ def smallest_eigs(op: OperatorHandle, k: int, seed: int = 0) -> Eigenbasis:
             lam, V = np.linalg.eigh(op.dense())
         lam, V = lam[:k], V[:, :k]
     else:
-        lam, V = _arpack_smallest(op, k, seed)
+        lam, V = _arpack_smallest(op, k)
     V = _canonical_signs(np.ascontiguousarray(V))
     _check_residuals(op, lam, V)
     return Eigenbasis(lambdas=lam, phis=V, source=op.spec)

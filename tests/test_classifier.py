@@ -53,6 +53,8 @@ def test_config_defaults_and_convexity():
         GLConfig(tau=-1.0)
     with pytest.raises(ValueError):
         GLConfig(max_iter=0)
+    with pytest.raises(ValueError, match="tol must be nonnegative"):
+        GLConfig(tol=-1.0)
     GLConfig(tol=0.0)  # zero tolerance runs to max_iter, allowed
 
 
@@ -61,6 +63,8 @@ def test_binary_label_data_validation():
         BinaryLabelData(f=np.array([0.5]), mask=np.array([True]))
     with pytest.raises(ValueError, match="nonzero exactly"):
         BinaryLabelData(f=np.array([1.0, 0.0]), mask=np.array([True, True]))
+    with pytest.raises(ValueError, match="same shape"):
+        BinaryLabelData(f=np.array([1.0, 0.0]), mask=np.array([True]))
     d = BinaryLabelData.from_signs([1, -1, 1], [True, False, False])
     assert np.array_equal(d.f, [1, 0, 0])
     assert np.array_equal(d.weights(10.0), [10, 0, 0])
@@ -80,6 +84,8 @@ def test_multiclass_label_data_validation():
         MulticlassLabelData(U_hat=bad, mask=np.array([True, False, False]))
     with pytest.raises(ValueError, match="K >= 2"):
         MulticlassLabelData(U_hat=np.ones((3, 1)), mask=np.ones(3, bool))
+    with pytest.raises(ValueError, match="disagree on node count"):
+        MulticlassLabelData(U_hat=U, mask=np.array([True, False]))
 
 
 # ----------------------------------------------------------------- energy

@@ -66,6 +66,12 @@ def test_load_malformed_row_reports_line(tmp_path):
         load_signed_edge_list(write(tmp_path, "1 2 1\n1 2\n"))
     with pytest.raises(EdgeListError, match="line 1.*not a number"):
         load_signed_edge_list(write(tmp_path, "1 2 abc\n"))
+    for weight in ("inf", "-inf", "nan"):
+        with pytest.raises(EdgeListError, match="line 2: non-finite weight"):
+            load_signed_edge_list(write(tmp_path, f"1 2 1\n2 3 {weight}\n"))
+    g = load_signed_edge_list(write(tmp_path, "a b 1\n"))
+    with pytest.raises(EdgeListError, match="line 2: expected 'node_id class_label'"):
+        load_labels(write(tmp_path, "a x\nb\n", "labels.txt"), g)
 
 
 def test_load_empty_file_errors(tmp_path):
@@ -168,6 +174,9 @@ def test_load_labels_two_class(tmp_path):
     assert np.array_equal(labels.y, [0, 1, 0])
     # first-appearance class maps to +1
     assert np.array_equal(labels.binary_signs(), [1, -1, 1])
+    three = load_labels(write(tmp_path, "a yes\nb no\nc maybe\n", "labels3.txt"), g)
+    with pytest.raises(ValueError, match="exactly 2 classes, got 3"):
+        three.binary_signs()
 
 
 def test_load_labels_absent_node(tmp_path):

@@ -139,6 +139,8 @@ def test_signed_graph_validation():
         SignedGraph(np.eye(2), np.zeros((2, 2)))
     with pytest.raises(ValueError, match="shape"):
         SignedGraph(ok, np.zeros((3, 3)))
+    with pytest.raises(ValueError, match="must be square"):
+        SignedGraph(np.zeros((2, 3)), np.zeros((2, 3)))
     with pytest.raises(ValueError, match="node ids"):
         SignedGraph(ok, np.zeros((2, 2)), node_ids=["a"])
 

@@ -150,7 +150,7 @@ MULTI_NE_SPEC = dict(methods=["gl-sn", "gl-am", "hf", "lgc"], fractions=[0.1], n
 def test_sweep_solves_once_per_operator_and_component_once_per_mode(monkeypatch):
     g, labels = small_dataset()
     solves = count_calls(monkeypatch, "smallest_eigs",
-                         lambda op, k, seed=0: (op.spec.kind.value, k))
+                         lambda op, k: (op.spec.kind.value, k))
     modes = count_calls(monkeypatch, "largest_connected_component", lambda g, mode: mode)
     res = run_experiment(g, labels, ExperimentSpec(**MULTI_NE_SPEC))
     assert sorted(solves) == [("AM", 8), ("SN", 8)]
@@ -297,6 +297,32 @@ def test_lanczos_tolerances_move_no_prediction(blocks, monkeypatch):
     tight = rows()
     assert len(loose) == 12 and all(row[-1] == "" for row in loose)
     assert loose == tight
+
+
+def test_cache_file_holds_one_basis_whatever_the_sweep_seed(tmp_path):
+    # above DENSE_CAP Lanczos runs; the file name leaves out the seed, so the
+    # basis in it must not depend on the seed, or a warm sweep at one seed
+    # would read bits that its own cold sweep does not solve
+    argv = ["ssbm", "--n", "2050", "--p-in", "0.01", "--p-out", "0.01", "--eta", "0.1",
+            "--methods", "gl-sn,gl-sponge", "--fractions", "0.05", "--neigs", "5",
+            "--runs", "1"]
+
+    def sweep(seed, cache, out):
+        assert cli_main(argv + ["--seed", str(seed), "--cache-dir", str(tmp_path / cache),
+                                "--out", str(tmp_path / out)]) == 0
+        return sorted((tmp_path / cache).glob("eig_*.npz"))
+
+    files0, files5 = sweep(0, "c0", "cold0.csv"), sweep(5, "c5", "cold5.csv")
+    assert [f.name.split("_")[-2:] for f in files0] == [["SN", "k5.npz"], ["SPONGE", "k5.npz"]]
+    assert [f.name for f in files0] == [f.name for f in files5]
+    for path0, path5 in zip(files0, files5):
+        basis0, basis5 = load_eigenbasis(path0), load_eigenbasis(path5)
+        assert basis0.n > DENSE_CAP
+        assert np.array_equal(basis0.lambdas.view(np.int64), basis5.lambdas.view(np.int64))
+        assert np.array_equal(basis0.phis.view(np.int64), basis5.phis.view(np.int64))
+    sweep(5, "c0", "warm5.csv")
+    assert (tmp_path / "warm5.csv").read_bytes() == (tmp_path / "cold5.csv").read_bytes()
+    assert all(row["error"] == "" for row in read_rows(tmp_path / "cold5.csv"))
 
 
 def test_gl_step_that_cannot_be_formed_is_an_error_row():
@@ -645,7 +671,7 @@ def test_cli_spec_defaults_come_from_experiment_spec(monkeypatch, tmp_path):
 def test_cli_eigs_writes_the_one_file_the_sweep_reads(monkeypatch, tmp_path):
     edges, labels = write_small_dataset(tmp_path)
     cache = tmp_path / "cache"
-    solves = count_calls(monkeypatch, "smallest_eigs", lambda op, k, seed=0: k)
+    solves = count_calls(monkeypatch, "smallest_eigs", lambda op, k: k)
     assert cli_main([
         "eigs", "--dataset", str(edges), "--operator", "AM",
         "--neigs", "4,6", "--cache-dir", str(cache),
@@ -682,7 +708,7 @@ def test_cli_eigs_files_hold_the_solve_at_their_own_k(tmp_path):
     assert files
     for path in files:
         cached = load_eigenbasis(path)
-        solved = smallest_eigs(op, k=int(path.stem.rsplit("_k", 1)[1]), seed=0)
+        solved = smallest_eigs(op, k=int(path.stem.rsplit("_k", 1)[1]))
         assert np.array_equal(cached.phis.view(np.int64), solved.phis.view(np.int64))
         assert np.array_equal(cached.lambdas.view(np.int64), solved.lambdas.view(np.int64))
 
@@ -692,7 +718,7 @@ def test_cli_eigs_caps_neigs_at_the_component_size_in_one_file(monkeypatch, tmp_
     assert cli_main(["ssbm", "--n", "30", "--p-in", "0.5", "--p-out", "0.5",
                      "--save-edges", str(edges)]) == 0
     cache = tmp_path / "cache"
-    solves = count_calls(monkeypatch, "smallest_eigs", lambda op, k, seed=0: (op.n, k))
+    solves = count_calls(monkeypatch, "smallest_eigs", lambda op, k: (op.n, k))
     saves = count_calls(monkeypatch, "save_eigenbasis", lambda path, eig: path.name)
     assert cli_main(["eigs", "--dataset", str(edges), "--operator", "SN",
                      "--neigs=40,50", "--cache-dir", str(cache)]) == 0
@@ -791,3 +817,19 @@ def test_cli_errors_exit_nonzero(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
     rc = cli_main(["balance-check", "--dataset", str(tmp_path / "missing.txt")])
     assert rc == 1
+    # a command that lacks what it needs is refused before it writes anything
+    edges, labels = write_small_dataset(tmp_path)
+    out = tmp_path / "o.csv"
+    ssbm = ["ssbm", "--n", "30", "--p-in", "0.5", "--p-out", "0.5"]
+    for argv, message in [
+        (["run", "--dataset", edges, "--labels", labels, "--out", out], "--methods is required"),
+        (["run", "--labels", labels, "--methods", "hf", "--out", out], "--dataset is required"),
+        (["run", "--dataset", edges, "--labels", labels, "--methods", "hf"], "--out is required"),
+        (ssbm, "nothing to do: pass --methods and/or --save-edges"),
+        (ssbm + ["--methods", "hf"], "--out is required when running a sweep"),
+        (["eigs", "--dataset", edges, "--operator", "SN"], "--cache-dir is required"),
+    ]:
+        capsys.readouterr()
+        assert cli_main([str(a) for a in argv]) == 1, argv
+        assert capsys.readouterr().err.startswith(f"error: {message}"), argv
+        assert not out.exists()

@@ -6,6 +6,7 @@ from signedgl import (
     BinaryLabelData,
     GLConfig,
     OperatorKind,
+    SignedGraph,
     arithmetic_mean_laplacian,
     balance_ratio_laplacian,
     build_operator,
@@ -147,6 +148,9 @@ def test_arithmetic_mean_conventions(rng):
     g2 = random_signed_graph(rng, 10, neg_share=1.0)
     am2 = arithmetic_mean_laplacian(g2).dense()
     assert np.array_equal(am2, signless_laplacian(g2.Wn, normalized=True).dense())
+    # with both signs absent, both parts are the zero operator
+    empty = arithmetic_mean_laplacian(SignedGraph(np.zeros((3, 3)), np.zeros((3, 3))))
+    assert empty.A.shape == (3, 3) and empty.A.nnz == 0
 
 
 def test_arithmetic_mean_spectrum_range(rng):
