@@ -29,6 +29,7 @@ from .data import (
     load_signed_edge_list,
     sample_labeled_nodes,
     ssbm_label_data,
+    write_labels,
     write_signed_edge_list,
 )
 from .graph import (

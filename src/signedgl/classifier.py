@@ -19,8 +19,10 @@ explicit, so its constant c = 3/eps + omega0 covers omega0 as well.
 Up to _SORTING_NETWORK_MAX_K classes the projection sorts each row by a
 network of elementwise max/min instead of np.sort; the sorted values are
 the same, so the projected rows are bit for bit those of the np.sort
-projection.  The label objects own the target, the fidelity weights and
-the readout (sign or row argmax).
+projection.  A label object holds only its target (f or U_hat), whose
+nonzero entries (rows) are the labeled nodes; from it the object derives
+the mask and the fidelity weights, and it owns the readout (sign or row
+argmax).
 
 Every entry point takes an Eigenbasis, which ``_check_basis`` checks by
 its numbers: S must be positive semi-definite (otherwise E is unbounded
@@ -110,13 +112,19 @@ class GLConfig:
 
 
 class TrainingLabels:
-    """Base of the label objects: a boolean ``mask`` of labeled nodes, the
-    ``target`` the fidelity term pulls them toward, and a ``readout`` from
-    scores shaped like the target to predicted labels."""
+    """Base of the label objects: the ``target`` the fidelity term pulls the
+    labeled nodes toward, which names them by its nonzero entries (rows), and
+    a ``readout`` from scores shaped like the target to predicted labels."""
+
+    @property
+    def mask(self) -> np.ndarray:
+        """The labeled nodes: the nonzero entries of f, the nonzero rows of U_hat."""
+        target = self.target
+        return target != 0 if target.ndim == 1 else target.any(axis=1)
 
     @property
     def n(self) -> int:
-        return self.mask.shape[0]
+        return self.target.shape[0]
 
     def weights(self, omega0: float) -> np.ndarray:
         """omega0 on labeled nodes, 0 elsewhere; a column for an n x K target."""
@@ -129,25 +137,20 @@ class BinaryLabelData(TrainingLabels):
     """Per-node labels f in {-1, 0, +1}; f is 0 exactly on unlabeled nodes."""
 
     f: np.ndarray
-    mask: np.ndarray
 
     def __post_init__(self):
         f = np.asarray(self.f, dtype=float)
-        mask = np.asarray(self.mask, dtype=bool)
-        if f.shape != mask.shape:
-            raise ValueError("f and mask must have the same shape")
         if not np.isin(f, (-1.0, 0.0, 1.0)).all():
             raise ValueError("binary labels must be -1, 0 or +1")
-        if not np.array_equal(f != 0, mask):
-            raise ValueError("f must be nonzero exactly on masked (labeled) nodes")
         object.__setattr__(self, "f", f)
-        object.__setattr__(self, "mask", mask)
 
     @classmethod
     def from_signs(cls, signs, train_mask) -> "BinaryLabelData":
         signs = np.asarray(signs, dtype=float)
         train_mask = np.asarray(train_mask, dtype=bool)
-        return cls(f=np.where(train_mask, signs, 0.0), mask=train_mask)
+        if not np.isin(signs[train_mask], (-1.0, 1.0)).all():
+            raise ValueError("every training node needs the sign -1 or +1")
+        return cls(f=np.where(train_mask, signs, 0.0))
 
     target = property(lambda self: self.f)
 
@@ -162,31 +165,24 @@ class MulticlassLabelData(TrainingLabels):
     """One-hot rows for labeled nodes, zero rows elsewhere."""
 
     U_hat: np.ndarray
-    mask: np.ndarray
 
     def __post_init__(self):
         U = np.asarray(self.U_hat, dtype=float)
-        mask = np.asarray(self.mask, dtype=bool)
         if U.ndim != 2 or U.shape[1] < 2:
             raise ValueError("U_hat must be n x K with K >= 2")
-        if U.shape[0] != mask.shape[0]:
-            raise ValueError("U_hat and mask disagree on node count")
-        onehot = (np.isin(U, (0.0, 1.0)).all(axis=1)) & (U.sum(axis=1) == 1.0)
-        if not onehot[mask].all():
-            raise ValueError("labeled rows of U_hat must be standard basis vectors")
-        if U[~mask].any():
-            raise ValueError("unlabeled rows of U_hat must be zero")
+        if not (np.isin(U, (0.0, 1.0)).all() and (U.sum(axis=1) <= 1.0).all()):
+            raise ValueError("every row of U_hat must be zero or a standard basis vector")
         object.__setattr__(self, "U_hat", U)
-        object.__setattr__(self, "mask", mask)
 
     @classmethod
     def from_classes(cls, classes, train_mask, num_classes: int) -> "MulticlassLabelData":
         classes = np.asarray(classes, dtype=int)
-        train_mask = np.asarray(train_mask, dtype=bool)
+        idx = np.flatnonzero(np.asarray(train_mask, dtype=bool))
+        if not ((classes[idx] >= 0) & (classes[idx] < num_classes)).all():
+            raise ValueError(f"every training node needs a class in [0, {num_classes})")
         U = np.zeros((classes.shape[0], num_classes))
-        idx = np.flatnonzero(train_mask)
         U[idx, classes[idx]] = 1.0
-        return cls(U_hat=U, mask=train_mask)
+        return cls(U_hat=U)
 
     @property
     def num_classes(self) -> int:

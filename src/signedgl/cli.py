@@ -25,6 +25,7 @@ from .data import (
     load_labels,
     load_signed_edge_list,
     ssbm_label_data,
+    write_labels,
     write_signed_edge_list,
 )
 from .graph import largest_connected_component
@@ -132,9 +133,7 @@ def _cmd_ssbm(args) -> int:
         write_signed_edge_list(g, args.save_edges)
         print(f"wrote {args.save_edges}")
     if args.save_labels:
-        with open(args.save_labels, "w", encoding="utf-8") as fh:
-            for ident, block in zip(g.node_ids, blocks):
-                fh.write(f"{ident} block{block}\n")
+        write_labels(g, labels, args.save_labels)
         print(f"wrote {args.save_labels}")
     if not args.methods:
         if not (args.save_edges or args.save_labels):

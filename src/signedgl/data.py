@@ -4,7 +4,8 @@ Edge lists are plain text with one ``src dst weight`` record per line,
 label files one ``node_id class_label`` record.  Both go through one
 record reader: ``#``/``%`` lines are comments, and a line that holds a
 comma is split on commas, any other line on whitespace.  Edge lists may
-start with a header line.
+start with a header line.  A LabelData holds one class index per node,
+-1 for an unknown node; ``write_labels`` writes a line for each known one.
 Records with the same node pair are summed per sign in record order, so a
 pair voted both ways keeps a positive and a negative edge.  Zero-weight
 records (neutral votes) and self-loops are dropped with a counted warning.
@@ -36,6 +37,7 @@ __all__ = [
     "load_signed_edge_list",
     "write_signed_edge_list",
     "graph_digest",
+    "write_labels",
     "load_labels",
     "generate_ssbm",
     "ssbm_label_data",
@@ -166,14 +168,19 @@ def _canonical_lines(g: SignedGraph):
         yield f"{g.node_ids[a]} {g.node_ids[b]} {x!r}"
 
 
+def _check_field(what: str, value: str, file_kind: str) -> None:
+    """Refuse a field that would not reload as itself: empty, holding
+    whitespace or a comma, or starting with ``#``/``%``."""
+    if value.split() != [value] or "," in value or value.startswith(_COMMENT_PREFIXES):
+        raise ValueError(f"{what} {value!r} cannot be written to {file_kind}")
+
+
 def write_signed_edge_list(g: SignedGraph, path) -> None:
     """Write the canonical whitespace-delimited edge list (sorted, exact weights).
 
-    A node id that would not reload as itself (empty, holding whitespace or
-    a comma, or starting with ``#``/``%``) raises ValueError first."""
+    A node id that would not reload as itself raises ValueError first."""
     for ident in g.node_ids:
-        if ident.split() != [ident] or "," in ident or ident.startswith(_COMMENT_PREFIXES):
-            raise ValueError(f"node id {ident!r} cannot be written to an edge list")
+        _check_field("node id", ident, "an edge list")
     with open(path, "w", encoding="utf-8") as fh:
         for line in _canonical_lines(g):
             fh.write(line + "\n")
@@ -189,11 +196,16 @@ def graph_digest(g: SignedGraph) -> str:
 
 @dataclass(frozen=True)
 class LabelData:
-    """Ground-truth classes aligned to graph indices; -1 marks unknown."""
+    """Ground-truth classes aligned to graph indices: y[i] indexes
+    ``class_names``, and y[i] = -1 marks an unknown node, so ``known`` is
+    y >= 0."""
 
     y: np.ndarray
-    known: np.ndarray
     class_names: tuple
+
+    @property
+    def known(self) -> np.ndarray:
+        return self.y >= 0
 
     @property
     def num_classes(self) -> int:
@@ -212,12 +224,26 @@ class LabelData:
     def restrict(self, old_to_new: np.ndarray, n_new: int) -> "LabelData":
         """Re-index onto a subgraph produced by largest_connected_component."""
         y = np.full(n_new, -1, dtype=np.int64)
-        known = np.zeros(n_new, dtype=bool)
         kept = np.flatnonzero(old_to_new >= 0)
         y[old_to_new[kept]] = self.y[kept]
-        known[old_to_new[kept]] = self.known[kept]
-        y[~known] = -1
-        return LabelData(y=y, known=known, class_names=self.class_names)
+        return LabelData(y=y, class_names=self.class_names)
+
+
+def write_labels(g: SignedGraph, labels: LabelData, path) -> None:
+    """Write one ``node_id class_name`` line per known node, in index order.
+
+    A node id or class name that would not reload as itself raises
+    ValueError first."""
+    if labels.n != g.n:
+        raise ValueError(f"labels cover {labels.n} nodes, the graph {g.n}")
+    known = np.flatnonzero(labels.known).tolist()
+    for i in known:
+        _check_field("node id", g.node_ids[i], "a label file")
+    for name in labels.class_names:
+        _check_field("class name", name, "a label file")
+    with open(path, "w", encoding="utf-8") as fh:
+        for i in known:
+            fh.write(f"{g.node_ids[i]} {labels.class_names[labels.y[i]]}\n")
 
 
 def load_labels(path, g: SignedGraph, strict: bool = True) -> LabelData:
@@ -232,7 +258,6 @@ def load_labels(path, g: SignedGraph, strict: bool = True) -> LabelData:
     index = {ident: i for i, ident in enumerate(g.node_ids)}
     classes: dict[str, int] = {}
     y = np.full(g.n, -1, dtype=np.int64)
-    known = np.zeros(g.n, dtype=bool)
     n_skipped = 0
     for lineno, fields in _iter_records(text, []):
         if len(fields) < 2:
@@ -248,17 +273,16 @@ def load_labels(path, g: SignedGraph, strict: bool = True) -> LabelData:
             n_skipped += 1
             continue
         i = index[ident]
-        if known[i]:
+        if y[i] >= 0:
             raise EdgeListError(
                 f"{path}: line {lineno}: duplicate label for node {ident!r}"
             )
         if cls not in classes:
             classes[cls] = len(classes)
         y[i] = classes[cls]
-        known[i] = True
     if n_skipped:
         warnings.warn(f"{path}: skipped {n_skipped} labels for absent nodes", stacklevel=2)
-    return LabelData(y=y, known=known, class_names=tuple(classes))
+    return LabelData(y=y, class_names=tuple(classes))
 
 
 @dataclass(frozen=True)
@@ -320,11 +344,7 @@ def ssbm_label_data(blocks: np.ndarray) -> LabelData:
     """Ground-truth LabelData for a generated block model."""
     blocks = np.asarray(blocks, dtype=np.int64)
     k = int(blocks.max()) + 1 if blocks.size else 0
-    return LabelData(
-        y=blocks.copy(),
-        known=np.ones(blocks.shape[0], dtype=bool),
-        class_names=tuple(f"block{i}" for i in range(k)),
-    )
+    return LabelData(y=blocks.copy(), class_names=tuple(f"block{i}" for i in range(k)))
 
 
 def sample_labeled_nodes(

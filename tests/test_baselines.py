@@ -182,12 +182,16 @@ def test_cg_path_matches_dense_oracle():
     assert np.allclose(scores, expected, atol=1e-6)
 
 
-def test_cg_path_reports_linalg_error():
+def test_cg_path_reports_linalg_error(monkeypatch):
     # the shared CG solver refuses an indefinite system
     n = 10
     M = sp.diags_array(np.r_[-1.0, np.ones(n - 1)], format="csr")
     with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
         _solve_columns(M, np.eye(n)[:, 0])
+    # and _solve_columns refuses a CG answer whose residual is too large
+    monkeypatch.setattr("signedgl.baselines._cg_solve", lambda A, b, rtol: np.zeros_like(b))
+    with pytest.raises(np.linalg.LinAlgError, match="residual 1.000e\\+00 too large"):
+        _solve_columns(sp.eye_array(n, format="csr"), np.eye(n)[:, 0])
 
 
 def test_three_class_scores_match_dense_oracle():

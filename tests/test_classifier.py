@@ -60,32 +60,52 @@ def test_config_defaults_and_convexity():
 
 def test_binary_label_data_validation():
     with pytest.raises(ValueError, match="-1, 0 or"):
-        BinaryLabelData(f=np.array([0.5]), mask=np.array([True]))
-    with pytest.raises(ValueError, match="nonzero exactly"):
-        BinaryLabelData(f=np.array([1.0, 0.0]), mask=np.array([True, True]))
-    with pytest.raises(ValueError, match="same shape"):
-        BinaryLabelData(f=np.array([1.0, 0.0]), mask=np.array([True]))
+        BinaryLabelData(f=np.array([0.5]))
     d = BinaryLabelData.from_signs([1, -1, 1], [True, False, False])
     assert np.array_equal(d.f, [1, 0, 0])
+    assert np.array_equal(d.mask, [True, False, False])
+    assert d.n == 3
     assert np.array_equal(d.weights(10.0), [10, 0, 0])
+    # a node is labeled exactly where f is nonzero
+    assert np.array_equal(BinaryLabelData(f=np.array([1.0, 0.0, -1.0])).mask, [True, False, True])
+
+
+@pytest.mark.parametrize("sign", [0.0, 0.5, 2.0, np.nan])
+def test_from_signs_refuses_a_training_node_without_a_sign(sign):
+    # a training node with sign 0 would vanish from the derived mask
+    with pytest.raises(ValueError, match="sign -1 or \\+1"):
+        BinaryLabelData.from_signs([1.0, sign], [True, True])
+    # off the training mask the sign is not read
+    assert np.array_equal(BinaryLabelData.from_signs([1.0, sign], [True, False]).f, [1, 0])
 
 
 def test_multiclass_label_data_validation():
     U = np.zeros((3, 3))
     U[0, 1] = 1.0
-    d = MulticlassLabelData(U_hat=U, mask=np.array([True, False, False]))
+    d = MulticlassLabelData(U_hat=U)
     assert d.num_classes == 3
+    assert d.n == 3
+    assert np.array_equal(d.mask, [True, False, False])
     assert np.array_equal(d.weights(10.0), [[10], [0], [0]])  # broadcasts over the classes
-    with pytest.raises(ValueError, match="basis vectors"):
-        MulticlassLabelData(U_hat=U * 0.5, mask=np.array([True, False, False]))
+    with pytest.raises(ValueError, match="basis vector"):
+        MulticlassLabelData(U_hat=U * 0.5)
     bad = U.copy()
-    bad[2, 0] = 1.0
-    with pytest.raises(ValueError, match="zero"):
-        MulticlassLabelData(U_hat=bad, mask=np.array([True, False, False]))
+    bad[0, 0] = 1.0
+    with pytest.raises(ValueError, match="zero or a standard basis vector"):
+        MulticlassLabelData(U_hat=bad)
     with pytest.raises(ValueError, match="K >= 2"):
-        MulticlassLabelData(U_hat=np.ones((3, 1)), mask=np.ones(3, bool))
-    with pytest.raises(ValueError, match="disagree on node count"):
-        MulticlassLabelData(U_hat=U, mask=np.array([True, False]))
+        MulticlassLabelData(U_hat=np.ones((3, 1)))
+
+
+@pytest.mark.parametrize("cls", [-1, 2])
+def test_from_classes_refuses_a_training_node_outside_the_classes(cls):
+    # class -1 (unknown) indexed the last column: it became class K - 1
+    with pytest.raises(ValueError, match="class in \\[0, 2\\)"):
+        MulticlassLabelData.from_classes([cls, 0], [True, True], 2)
+    # off the training mask the class is not read
+    d = MulticlassLabelData.from_classes([cls, 0], [False, True], 2)
+    assert np.array_equal(d.U_hat, [[0, 0], [1, 0]])
+    assert np.array_equal(d.mask, [False, True])
 
 
 # ----------------------------------------------------------------- energy
@@ -676,7 +696,8 @@ def test_multiclass_class_permutation_equivariance(rng, monkeypatch):
                         lambda seed: SimpleNamespace(random=lambda shape: next(draws)))
     _, pred, _ = gl_multiclass(basis, labels, GLConfig())
     # new column j carries old class perm[j], for both the targets and the init
-    permuted = MulticlassLabelData(U_hat=labels.U_hat[:, perm], mask=mask)
+    permuted = MulticlassLabelData(U_hat=labels.U_hat[:, perm])
+    assert np.array_equal(permuted.mask, mask)
     _, pred_p, _ = gl_multiclass(basis, permuted, GLConfig())
     assert np.array_equal(pred, perm[pred_p])
 

@@ -7,6 +7,7 @@ import pytest
 import scipy.sparse as sp
 
 from signedgl import (
+    LabelData,
     SSBMParams,
     SignedGraph,
     generate_ssbm,
@@ -17,6 +18,7 @@ from signedgl import (
     signed_ratio_laplacian,
     split_signs,
     ssbm_label_data,
+    write_labels,
     write_signed_edge_list,
 )
 from signedgl.data import EdgeListError, _canonical_lines, _iter_records
@@ -148,8 +150,17 @@ def test_writer_refuses_ids_that_do_not_reload(bad, tmp_path):
     p = tmp_path / "bad.txt"
     with pytest.raises(ValueError, match=f"node id {bad!r}"):
         write_signed_edge_list(g, p)
+    # the label writer refuses the same fields, node id or class name
+    with pytest.raises(ValueError, match=f"node id {bad!r}"):
+        write_labels(g, LabelData(y=np.zeros(3, np.int64), class_names=("c",)), p)
+    plain = SignedGraph(Wp, np.zeros((3, 3)))
+    with pytest.raises(ValueError, match=f"class name {bad!r}"):
+        write_labels(plain, LabelData(y=np.array([0, 1, -1]), class_names=("c", bad)), p)
     assert not p.exists()
     graph_digest(g)  # the digest does not reload the file, so it accepts any id
+    # an unknown node gets no line, so its id is not checked
+    write_labels(g, LabelData(y=np.array([0, -1, 0]), class_names=("c",)), p)
+    assert p.read_text(encoding="utf-8") == "x c\ny c\n"
 
 
 def test_graph_digest_distinguishes(rng):
@@ -177,6 +188,22 @@ def test_load_labels_two_class(tmp_path):
     three = load_labels(write(tmp_path, "a yes\nb no\nc maybe\n", "labels3.txt"), g)
     with pytest.raises(ValueError, match="exactly 2 classes, got 3"):
         three.binary_signs()
+
+
+def test_write_labels_round_trip_keeps_unlabeled_nodes(tmp_path):
+    g = load_signed_edge_list(write(tmp_path, "a b 1\nb c -1\nc d 1\n"))
+    labels = LabelData(y=np.array([1, -1, 0, 1]), class_names=("x", "y"))
+    p = tmp_path / "labels.txt"
+    write_labels(g, labels, p)
+    assert p.read_text(encoding="utf-8") == "a y\nc x\nd y\n"
+    back = load_labels(p, g)
+    # the loader numbers classes by first appearance, so compare names, not y
+    def names(lab):
+        return [lab.class_names[c] if c >= 0 else None for c in lab.y]
+    assert names(back) == names(labels) == ["y", None, "x", "y"]
+    assert np.array_equal(back.known, [True, False, True, True])
+    with pytest.raises(ValueError, match="labels cover 3 nodes, the graph 4"):
+        write_labels(g, LabelData(y=np.zeros(3, np.int64), class_names=("x",)), p)
 
 
 def test_load_labels_absent_node(tmp_path):
@@ -290,6 +317,12 @@ def test_restrict_labels():
     sub = labels.restrict(old_to_new, 3)
     assert np.array_equal(sub.y, [1, 0, 1])
     assert sub.known.all()
+    # node 4 is unknown before the restriction and stays unknown after it
+    partial = LabelData(y=np.array([0, 1, 0, 1, -1]), class_names=("a", "b"))
+    sub = partial.restrict(old_to_new, 3)
+    assert np.array_equal(sub.y, [1, 0, -1])
+    assert np.array_equal(sub.known, [True, True, False])
+    assert sub.class_names == ("a", "b")
 
 
 def _dataset_path(name):

@@ -159,3 +159,4 @@ def test_parallel_opposite_edges_allowed():
     Wn = np.array([[0, 2.0], [2.0, 0]])
     g = SignedGraph(Wp, Wn)
     assert g.Wp[0, 1] == 1.0 and g.Wn[0, 1] == 2.0
+    assert repr(g) == "SignedGraph(n=2, positive_edges=1, negative_edges=1)"

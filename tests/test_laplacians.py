@@ -211,6 +211,10 @@ def test_build_operator_dispatch():
     assert build_operator(g, "L_plus_sym").spec.kind == OperatorKind.LSYM_POS
     assert build_operator(g, "Q_minus_sym").spec.kind == OperatorKind.QSYM_NEG
     assert build_operator(g, OperatorKind.SPONGE).is_generalized
+    with pytest.raises(ValueError, match="use dense_pair"):
+        build_operator(g, OperatorKind.SPONGE).dense()
+    with pytest.raises(ValueError, match="not a generalized operator"):
+        build_operator(g, "L_plus_sym").dense_pair()
     with pytest.raises(ValueError, match="adjacency"):
         build_operator(g, "Lsym")
 
