@@ -9,13 +9,16 @@ Subcommands:
 Flags may also come from a file: ``signedgl run @sweep.args --runs 3``
 reads one argument per line (``--methods=gl-am,gl-sn``), and a flag given
 later wins.  Exit code is 0 on success, 2 on a malformed command line,
-1 on any other fatal error.
+1 on any other fatal error.  A library warning, such as a loader's count of
+dropped rows or skipped labels, is printed as one ``signedgl: <message>``
+line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from dataclasses import replace
 
 from .data import (
@@ -218,14 +221,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _notice(message, *_) -> None:
+    print(f"signedgl: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except Exception as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():  # restores showwarning on the way out
+        warnings.showwarning = _notice
+        try:
+            return args.func(args)
+        except Exception as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

@@ -1,21 +1,20 @@
 """Experiment runner: method x parameter sweeps with averaged accuracy.
 
-Each method runs on its own connected component (positive subgraph for
-the unsigned methods, negative for the signless one, the full signed
-graph otherwise), with label masks redrawn per run from a seed derived
-deterministically from (base_seed, method, fraction).  Each component is
-extracted once per sweep and shared by the methods that run on it.  Each
-operator is solved once, at the largest eigenvector count of the sweep
-(capped by the component size); smaller counts use leading truncations
-of that basis.  The solve can go through an on-disk cache, which then
-holds one file per operator at that largest count; a basis does not
-depend on ``base_seed``, so a file serves a sweep of any seed.
-``_bases`` is the one writer of those files: ``signedgl eigs`` calls it
-too, so a file holds the same bits whether the sweep or ``eigs`` wrote
-it.  A failed solve, or a cache file that cannot be read or holds
-another operator's basis, turns that method's rows into error rows.
-Every CSV row is a ``Record``; a cell's mean row (``run=None``) is
-derived from its run rows, so the two cannot disagree.
+``run_experiment`` takes each method through four stages, one function
+each.  ``_component`` extracts the largest component of a connectivity
+mode (positive for the unsigned methods, negative for the signless one,
+signed otherwise) with its labels, once per sweep.  ``_cells`` gives a
+method's (N_e, omega0, epsilon, basis) cells from ``_bases``, which
+solves each operator once at the largest N_e (capped by the component
+size), or reads it from an on-disk cache, and truncates it for smaller
+N_e; a basis does not depend on ``base_seed``, so a file serves a sweep
+of any seed, and ``_bases`` is the one writer of the files (``signedgl
+eigs`` calls it too).  ``_samples`` draws a method's label masks per
+(fraction, run), seeded from (base_seed, method, fraction).  ``_rows``
+classifies one cell's samples: the one classifier dispatch, and the one
+place a ``Record`` is built.  A basis that cannot be solved or read, or
+else a mask that cannot be drawn, gives error rows.  A cell's mean row
+(``run=None``) is derived from its run rows, so the two cannot disagree.
 """
 
 from __future__ import annotations
@@ -199,89 +198,87 @@ def _bases(comp, kind, n_eigs, cache_dir, digest) -> list:
     return [(ne, full.truncate(min(ne, comp.n))) for ne in n_eigs]
 
 
-def _classify(method, g, basis, data, spec, w0, eps, init_seed):
-    if method in GL_METHODS:
-        cfg = spec.gl_config(w0, eps)
-        if isinstance(data, MulticlassLabelData):
-            _, pred, diag = gl_multiclass(basis, data, cfg, init_seed=init_seed)
-        else:
-            _, pred, diag = gl_binary(basis, data, cfg)
-        return pred, diag.iterations
-    if method == "hf":
-        pred, _ = harmonic_functions(g.Wp, data)
-    else:
-        pred, _ = local_global(g.Wp, data, alpha=spec.alpha)
-    return pred, None
-
-
 def run_experiment(
     g: SignedGraph, labels: LabelData, spec: ExperimentSpec, cache_dir=None
 ) -> ExperimentResult:
     """Run the full sweep; failures become error rows and the sweep continues."""
-    components: dict[str, tuple] = {}
+    modes = dict.fromkeys(method_component(method) for method in spec.methods)
+    components = {mode: _component(g, labels, mode, cache_dir) for mode in modes}
     run_rows: list[Record] = []
     for method in spec.methods:
-        mode = method_component(method)
-        if mode not in components:
-            comp, old_to_new = largest_connected_component(g, mode)
-            digest = graph_digest(comp) if cache_dir is not None else ""
-            components[mode] = (comp, labels.restrict(old_to_new, comp.n), digest)
-        run_rows += _method_rows(method, *components[mode], spec, cache_dir)
+        comp, comp_labels, digest = components[method_component(method)]
+        samples = _samples(method, comp_labels, spec)
+        # the comprehension's own scope frees a method's bases before the next solves
+        run_rows += [row for cell in _cells(method, comp, digest, spec, cache_dir)
+                     for row in _rows(method, comp, cell, samples, spec)]
     return ExperimentResult(run_rows)
 
 
-def _method_rows(method, comp, comp_labels, digest, spec, cache_dir) -> list:
-    """The run rows of one method on its component.
+def _component(g, labels, mode, cache_dir) -> tuple:
+    """(largest component of one connectivity mode, its labels, its digest);
+    the digest names cache files, so it is computed only with a cache."""
+    comp, old_to_new = largest_connected_component(g, mode)
+    digest = graph_digest(comp) if cache_dir is not None else ""
+    return comp, labels.restrict(old_to_new, comp.n), digest
 
-    A basis that cannot be solved or read, or a label sample that cannot
-    be drawn, turns the cells it affects into error rows.
-    """
-    failure = ""
-    if method in GL_METHODS:
-        try:
-            bases = _bases(comp, GL_METHODS[method], spec.n_eigs, cache_dir, digest)
-        except Exception as exc:  # keep sweeping, record the failure
-            bases, failure = [(ne, None) for ne in spec.n_eigs], str(exc)
-        cells = [
-            (ne, w0, eps, basis)
-            for ne, basis in bases
-            for w0 in spec.omega0
-            for eps in spec.epsilon
-        ]
-    else:
-        cells = [(None, None, None, None)]
-    rows = []
+
+def _cells(method, comp, digest, spec, cache_dir) -> list:
+    """[(N_e, omega0, epsilon, basis)] of one method; a failed basis leaves its
+    message in its slot, and a baseline has one cell of Nones."""
+    if method not in GL_METHODS:
+        return [(None, None, None, None)]
+    try:
+        bases = _bases(comp, GL_METHODS[method], spec.n_eigs, cache_dir, digest)
+    except Exception as exc:  # keep sweeping, record the failure
+        bases = [(ne, str(exc)) for ne in spec.n_eigs]
+    return [(ne, w0, eps, basis) for ne, basis in bases
+            for w0 in spec.omega0 for eps in spec.epsilon]
+
+
+def _samples(method, comp_labels, spec) -> dict:
+    """{(fraction, run): (label object, truth, evaluation mask)} of one method,
+    or the message of a mask that cannot be drawn."""
+    samples = {}
     for fraction in spec.fractions:
         mask_seed = _derived_seed(spec.base_seed, method, "mask", fraction)
-        init_seed_base = _derived_seed(spec.base_seed, method, "init", fraction)
-        for run_index in range(spec.runs):
-            error = failure
-            if not error:
-                try:
-                    train = sample_labeled_nodes(
-                        comp_labels, fraction, run_index, base_seed=mask_seed
-                    )
-                except ValueError as exc:
-                    error = str(exc)
-            if error:
-                rows += [Record(method, fraction, ne, w0, eps, run_index, None, None,
-                                error, wall_time=0.0) for ne, w0, eps, _ in cells]
-                continue
-            data, truth = training_labels(comp_labels, train)
-            eval_mask = comp_labels.known & ~train
-            for ne, w0, eps, basis in cells:
-                t0 = time.perf_counter()
-                try:
-                    pred, iters = _classify(
-                        method, comp, basis, data, spec, w0, eps, init_seed_base + run_index
-                    )
-                    acc = accuracy(pred, truth, eval_mask)
-                    err = ""
-                except Exception as exc:  # keep sweeping, record the failure
-                    pred, iters, acc, err = None, None, None, str(exc)
-                rows.append(Record(method, fraction, ne, w0, eps, run_index, acc, iters, err,
-                                   wall_time=time.perf_counter() - t0))
-    return rows
+        for run in range(spec.runs):
+            try:
+                train = sample_labeled_nodes(comp_labels, fraction, run, base_seed=mask_seed)
+            except ValueError as exc:
+                samples[fraction, run] = str(exc)
+            else:
+                samples[fraction, run] = (*training_labels(comp_labels, train),
+                                          comp_labels.known & ~train)
+    return samples
+
+
+def _rows(method, comp, cell, samples, spec):
+    """One cell's run rows, one per sample.  A failed basis, else a failed sample,
+    makes an error row that never ran (``wall_time`` 0.0); a failed run keeps its time."""
+    ne, w0, eps, basis = cell
+    for (fraction, run), sample in samples.items():
+        acc, iters, elapsed = None, None, 0.0
+        error = basis if isinstance(basis, str) else sample if isinstance(sample, str) else ""
+        if not error:
+            data, truth, eval_mask = sample
+            t0 = time.perf_counter()
+            try:
+                if method == "hf":
+                    pred, _ = harmonic_functions(comp.Wp, data)
+                elif method == "lgc":
+                    pred, _ = local_global(comp.Wp, data, alpha=spec.alpha)
+                elif isinstance(data, MulticlassLabelData):
+                    seed = _derived_seed(spec.base_seed, method, "init", fraction) + run
+                    _, pred, diag = gl_multiclass(basis, data, spec.gl_config(w0, eps),
+                                                  init_seed=seed)
+                else:
+                    _, pred, diag = gl_binary(basis, data, spec.gl_config(w0, eps))
+                acc = accuracy(pred, truth, eval_mask)
+                iters = None if basis is None else diag.iterations
+            except Exception as exc:  # keep sweeping, record the failure
+                acc, error = None, str(exc)
+            elapsed = time.perf_counter() - t0
+        yield Record(method, fraction, ne, w0, eps, run, acc, iters, error, wall_time=elapsed)
 
 
 def _aggregate(run_rows) -> list:

@@ -26,6 +26,8 @@ B-orthonormal for generalized pairs.
 
 from __future__ import annotations
 
+import os
+import secrets
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -273,14 +275,28 @@ def eigenbasis_cache_file(cache_dir, dataset_digest: str, kind, k: int) -> Path:
 
 
 def save_eigenbasis(path, eig: Eigenbasis) -> None:
-    """Write an eigenbasis as a versioned npz dump (little-endian float64)."""
-    np.savez(
-        path,
-        version=np.int64(_CACHE_VERSION),
-        kind=np.str_(eig.source.kind.value),
-        lambdas=eig.lambdas.astype("<f8"),
-        phis=eig.phis.astype("<f8"),
-    )
+    """Write an eigenbasis as a versioned npz dump (little-endian float64).
+
+    The dump goes to a temporary file beside ``path``, which then replaces
+    ``path`` in one rename: a write that fails or is killed partway leaves
+    no file at ``path`` for a later sweep to refuse.  A failed write removes
+    its temporary file."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
+    try:
+        # an open file, since np.savez appends .npz to a name that lacks it
+        with open(tmp, "xb") as fh:
+            np.savez(
+                fh,
+                version=np.int64(_CACHE_VERSION),
+                kind=np.str_(eig.source.kind.value),
+                lambdas=eig.lambdas.astype("<f8"),
+                phis=eig.phis.astype("<f8"),
+            )
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_eigenbasis(path) -> Eigenbasis:

@@ -1,6 +1,7 @@
 import csv
 import re
 import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -217,6 +218,27 @@ def test_corrupt_cache_file_fails_only_its_method(tmp_path):
                              "cannot read cached eigenbasis {}")
 
 
+def test_cache_write_that_fails_partway_leaves_no_file(monkeypatch, tmp_path):
+    g, labels = small_dataset()
+    spec = ExperimentSpec(methods=["gl-sn"], fractions=[0.1], n_eigs=[6], runs=2)
+    real_savez = np.savez
+
+    def fail_partway(file, **arrays):
+        # a readable npz without the eigenvectors, then the disk fills up
+        real_savez(file, **{name: a for name, a in arrays.items() if name != "phis"})
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(np, "savez", fail_partway)
+    failed = run_experiment(g, labels, spec, cache_dir=tmp_path)
+    assert [r.error for r in failed.runs] == ["[Errno 28] No space left on device"] * 2
+    assert list(tmp_path.iterdir()) == []  # no file at the final path, no temporary one
+    monkeypatch.undo()
+    res = run_experiment(g, labels, spec, cache_dir=tmp_path)
+    assert all(r.error == "" for r in res.runs)
+    [path] = tmp_path.iterdir()
+    assert path.name.endswith("_SN_k6.npz") and load_eigenbasis(path).k == 6
+
+
 def test_cached_basis_with_a_negative_eigenvalue_fails_only_its_method(tmp_path):
     # the file reads back fine; only the classifier's check of its numbers refuses it
     def negate_lambda_1(path):
@@ -265,9 +287,11 @@ def test_sponge_and_negative_methods_run():
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_gl_cells_of_the_ci_ssbm_converge_before_max_iter(k):
-    # the n=300 SSBMs of the CLI sweeps in CI, with their default graph seed; at k=3,
-    # gl-sponge converges in about 15 iterations only because its basis is
-    # B-orthonormal rather than orthonormal (ROADMAP item 2)
+    # the n=300 SSBMs of the CLI sweeps in CI, with their default graph seed.  Binary GL
+    # treats the fidelity term implicitly and converges: no run row of the three signed
+    # operators stops at max_iter (the explicit scheme stopped there in 2 of 36); nor
+    # does multiclass GL at k=3, where gl-sponge converges in about 15 iterations only
+    # because its basis is B-orthonormal rather than orthonormal (ROADMAP item 2)
     g, blocks = generate_ssbm(SSBMParams(n=300, k=k, p_in=0.05, p_out=0.05, eta=0.1, seed=0))
     spec = ExperimentSpec(methods=["gl-sn", "gl-am", "gl-sponge"], fractions=[0.05, 0.1],
                           n_eigs=[5, 10, 20], runs=2)
@@ -431,6 +455,21 @@ def test_emit_csv_timings_add_only_a_last_column(monkeypatch, tmp_path):
     assert "0.0" in failed_times and len(failed_times) > 1
     injected = [float(r[-1]) for r in timed_rows if r[error] == "injected failure after the solve"]
     assert injected and min(injected) > 0.0
+
+
+def test_cli_timings_add_only_a_last_column(tmp_path):
+    # --timings must reach emit_csv: the timed CSV is the plain one plus wall_time
+    sweep = ["ssbm", "--n", "60", "--p-in", "0.3", "--p-out", "0.3", "--eta", "0.05",
+             "--methods", "gl-sn,hf", "--fractions", "0.001,0.2", "--neigs", "6", "--runs", "2"]
+    plain, timed = tmp_path / "plain.csv", tmp_path / "timed.csv"
+    assert cli_main([*sweep, "--out", str(plain)]) == 0
+    assert cli_main([*sweep, "--timings", "--out", str(timed)]) == 0
+    with open(plain, newline="") as fh:
+        plain_rows = list(csv.reader(fh))
+    with open(timed, newline="") as fh:
+        timed_rows = list(csv.reader(fh))
+    assert timed_rows[0][-1] == "wall_time"
+    assert [r[:-1] for r in timed_rows] == plain_rows
 
 
 def test_mean_row_of_a_cell_with_one_failed_run(monkeypatch, tmp_path):
@@ -833,3 +872,22 @@ def test_cli_errors_exit_nonzero(tmp_path, capsys):
         assert cli_main([str(a) for a in argv]) == 1, argv
         assert capsys.readouterr().err.startswith(f"error: {message}"), argv
         assert not out.exists()
+
+
+def test_cli_prints_loader_notices_as_plain_lines(tmp_path, capsys):
+    edges, labels = write_small_dataset(tmp_path)
+    dirty, extra = tmp_path / "dirty.txt", tmp_path / "extra.txt"
+    dirty.write_text(edges.read_text() + "0 0 1\n0 1 0\n")
+    extra.write_text(labels.read_text() + "absent block0\n")
+    shown = warnings.showwarning
+    capsys.readouterr()
+    assert cli_main(["run", "--dataset", str(dirty), "--labels", str(extra), "--skip-missing",
+                     "--methods", "hf", "--fractions", "0.2", "--runs", "1",
+                     "--out", str(tmp_path / "out.csv")]) == 0
+    # one plain line per notice: no warning category, source location or source line
+    assert capsys.readouterr().err.splitlines() == [
+        f"signedgl: {dirty}: dropped 1 self-loop rows",
+        f"signedgl: {dirty}: dropped 1 zero-weight rows",
+        f"signedgl: {extra}: skipped 1 labels for absent nodes",
+    ]
+    assert warnings.showwarning is shown
