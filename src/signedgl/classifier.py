@@ -71,6 +71,14 @@ class DivergenceError(RuntimeError):
         self.iteration = iteration
 
 
+def _positive_int(value, name: str) -> int:
+    """``value`` as a plain int; refuses a bool, a non-integer type (a float,
+    a string) and anything below 1."""
+    if isinstance(value, bool) or not hasattr(value, "__index__") or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
+
+
 @dataclass
 class GLConfig:
     """Parameters of the Ginzburg-Landau scheme.
@@ -91,8 +99,7 @@ class GLConfig:
             raise ValueError("omega0 must be nonnegative")
         if self.tau <= 0:
             raise ValueError("tau must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+        self.max_iter = _positive_int(self.max_iter, "max_iter")
         if self.tol < 0:
             raise ValueError("tol must be nonnegative")
 

@@ -32,7 +32,15 @@ from .data import (
     write_signed_edge_list,
 )
 from .graph import largest_connected_component
-from .harness import GL_METHODS, METHODS, ExperimentSpec, _bases, emit_csv, run_experiment
+from .harness import (
+    GL_METHODS,
+    METHODS,
+    ExperimentSpec,
+    _bases,
+    _CacheWriteWarning,
+    emit_csv,
+    run_experiment,
+)
 from .laplacians import OperatorKind, build_operator, operator_component
 from .spectral import smallest_eigs
 
@@ -155,7 +163,9 @@ def _cmd_eigs(args) -> int:
     g = _load_graph(args)
     kind = OperatorKind(args.operator)
     comp, _ = largest_connected_component(g, operator_component(kind))
-    bases = _bases(comp, kind, n_eigs, args.cache_dir, graph_digest(comp))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", _CacheWriteWarning)  # the file is all eigs makes
+        bases = _bases(comp, kind, n_eigs, args.cache_dir, graph_digest(comp))
     k = max(basis.k for _, basis in bases)
     print(f"{kind.value} eigenbasis (n={comp.n}, k={k}) cached in {args.cache_dir}")
     return 0

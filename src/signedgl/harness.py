@@ -13,8 +13,10 @@ eigs`` calls it too).  ``_samples`` draws a method's label masks per
 (fraction, run), seeded from (base_seed, method, fraction).  ``_rows``
 classifies one cell's samples: the one classifier dispatch, and the one
 place a ``Record`` is built.  A basis that cannot be solved or read, or
-else a mask that cannot be drawn, gives error rows.  A cell's mean row
-(``run=None``) is derived from its run rows, so the two cannot disagree.
+else a mask that cannot be drawn, gives error rows; a cache file that
+cannot be written is a warning, and the rows run on the solved basis.  A
+cell's mean row (``run=None``) is derived from its run rows, so the two
+cannot disagree.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import csv
 import hashlib
 import math
 import time
+import warnings
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -31,6 +34,7 @@ from .baselines import LGC_ALPHA, _check_alpha, harmonic_functions, local_global
 from .classifier import (
     GLConfig,
     MulticlassLabelData,
+    _positive_int,
     gl_binary,
     gl_multiclass,
     training_labels,
@@ -79,9 +83,9 @@ class ExperimentSpec:
     """One sweep: methods x fractions x (N_e, omega0, epsilon) x runs.
 
     Refuses, before anything is solved, a list that repeats an entry, a
-    fraction outside (0, 1), an n_eigs entry that is not a positive
-    integer (kept as plain ints), and parameters that GLConfig or
-    local_global reject.
+    fraction outside (0, 1), an n_eigs entry or ``runs`` that is not a
+    positive integer (kept as plain ints), and parameters that GLConfig
+    or local_global reject (``max_iter`` among them).
     """
 
     methods: list
@@ -97,10 +101,7 @@ class ExperimentSpec:
     tol: float = GLConfig.tol
 
     def __post_init__(self):
-        for ne in self.n_eigs:
-            if isinstance(ne, bool) or not hasattr(ne, "__index__") or ne < 1:
-                raise ValueError(f"n_eigs entries must be positive integers, got {ne!r}")
-        self.n_eigs = [int(ne) for ne in self.n_eigs]
+        self.n_eigs = [_positive_int(ne, "each n_eigs entry") for ne in self.n_eigs]
         for name in ("methods", "fractions", "n_eigs", "omega0", "epsilon"):
             values = getattr(self, name)
             if not values:
@@ -113,8 +114,7 @@ class ExperimentSpec:
             # 1.0 draws every node with ground truth for training: none is left to score
             if not 0.0 < f < 1.0:
                 raise ValueError(f"fractions must lie in (0, 1), got {f}")
-        if self.runs < 1:
-            raise ValueError("runs must be at least 1")
+        self.runs = _positive_int(self.runs, "runs")
         # refuse parameters no cell can run before anything is solved
         for w0 in self.omega0:
             for eps in self.epsilon:
@@ -175,11 +175,17 @@ def _derived_seed(*parts) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
+class _CacheWriteWarning(UserWarning):
+    """A solved basis whose cache file could not be written."""
+
+
 def _bases(comp, kind, n_eigs, cache_dir, digest) -> list:
     """[(N_e, basis)] for one operator on its component: one solve, or one
     cache file, at the largest N_e (capped by the component size); smaller
     N_e take its leading vectors.  The one writer of eigenbasis cache files:
-    the sweep and ``signedgl eigs`` both fill the cache through here."""
+    the sweep and ``signedgl eigs`` both fill the cache through here.  A file
+    that cannot be read raises; one that cannot be written is a
+    ``_CacheWriteWarning``, and the solved basis is returned."""
     k = min(max(n_eigs), comp.n)
     path = None if cache_dir is None else eigenbasis_cache_file(cache_dir, digest, kind, k)
     if path is not None and path.exists():
@@ -193,8 +199,12 @@ def _bases(comp, kind, n_eigs, cache_dir, digest) -> list:
     else:
         full = smallest_eigs(build_operator(comp, kind), k=k)
         if path is not None:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            save_eigenbasis(path, full)
+            try:
+                path.parent.mkdir(parents=True, exist_ok=True)
+                save_eigenbasis(path, full)
+            except OSError as exc:  # the solve is good: its rows run without the file
+                warnings.warn(f"cannot write eigenbasis cache file {path.name}: {exc}",
+                              _CacheWriteWarning, stacklevel=2)
     return [(ne, full.truncate(min(ne, comp.n))) for ne in n_eigs]
 
 

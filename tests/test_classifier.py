@@ -51,8 +51,11 @@ def test_config_defaults_and_convexity():
         GLConfig(epsilon=0.0)
     with pytest.raises(ValueError):
         GLConfig(tau=-1.0)
-    with pytest.raises(ValueError):
-        GLConfig(max_iter=0)
+    # max_iter takes the positive-integer check of ExperimentSpec's runs and n_eigs
+    for bad in (0, 2.5, True, "5"):
+        with pytest.raises(ValueError, match="^max_iter must be a positive integer, got "):
+            GLConfig(max_iter=bad)
+    assert type(GLConfig(max_iter=np.int64(5)).max_iter) is int
     with pytest.raises(ValueError, match="tol must be nonnegative"):
         GLConfig(tol=-1.0)
     GLConfig(tol=0.0)  # zero tolerance runs to max_iter, allowed

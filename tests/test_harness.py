@@ -42,6 +42,10 @@ def small_dataset(seed=1, n=80, eta=0.05, p=0.15):
     return g, ssbm_label_data(blocks)
 
 
+# the n=300 SSBM of the CLI sweeps below (graph seed 0); --k sets its block count
+SSBM300 = ["ssbm", "--n", "300", "--p-in", "0.05", "--p-out", "0.05", "--eta", "0.1"]
+
+
 def test_accuracy_examples():
     assert accuracy([1, -1, 1], [1, -1, 1], [True, True, True]) == 1.0
     assert accuracy([1, -1], [-1, 1], [True, True]) == 0.0
@@ -77,6 +81,14 @@ def test_spec_validation():
         ExperimentSpec(methods=["hf"], fractions=[1.5])
     with pytest.raises(ValueError, match="runs"):
         ExperimentSpec(methods=["hf"], fractions=[0.1], runs=0)
+    # runs and max_iter take the positive-integer check of the n_eigs entries
+    for bad in (2.5, True, 0, "3"):
+        got = f"got {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=f"^runs must be a positive integer, {got}"):
+            ExperimentSpec(methods=["hf"], fractions=[0.1], runs=bad)
+        with pytest.raises(ValueError, match=f"^max_iter must be a positive integer, {got}"):
+            ExperimentSpec(methods=["gl-sn"], fractions=[0.1], max_iter=bad)
+    assert type(ExperimentSpec(methods=["hf"], fractions=[0.1], runs=np.int64(3)).runs) is int
     # an n_eigs entry that is not a positive integer is refused by name
     for bad in (6.7, True, "6", 0, np.float64(6.0)):
         with pytest.raises(ValueError, match=f"n_eigs .*got {re.escape(repr(bad))}$"):
@@ -165,22 +177,28 @@ def test_sweep_solves_once_per_operator_and_component_once_per_mode(monkeypatch)
     ]
 
 
+@pytest.mark.parametrize("k", [2, 3, 5])
 def test_cache_holds_one_file_per_operator_and_warm_rerun_solves_nothing(
-    monkeypatch, tmp_path
+    k, monkeypatch, tmp_path
 ):
-    g, labels = small_dataset()
-    spec = ExperimentSpec(**MULTI_NE_SPEC)
+    # every GL operator kind and all three component modes, cached and re-read
     cache = tmp_path / "cache"
-    cold = run_experiment(g, labels, spec, cache_dir=cache)
-    files = sorted(f.name for f in cache.glob("eig_*.npz"))
-    assert len(files) == 2
-    assert [f.split("_")[-2:] for f in files] == [["AM", "k8.npz"], ["SN", "k8.npz"]]
-    solves = count_calls(monkeypatch, "smallest_eigs", lambda *a, **kw: None)
-    warm = run_experiment(g, labels, spec, cache_dir=cache)
-    assert solves == []
-    emit_csv(cold, tmp_path / "cold.csv")
-    emit_csv(warm, tmp_path / "warm.csv")
+    argv = [*SSBM300, "--k", str(k), "--methods", "gl-plus,gl-minus,gl-sn,gl-sponge,gl-am,hf",
+            "--fractions", "0.1", "--neigs", "5,10", "--runs", "1", "--cache-dir", str(cache)]
+    solves = count_calls(monkeypatch, "smallest_eigs", lambda op, k: (op.spec.kind.value, k))
+    assert cli_main([*argv, "--out", str(tmp_path / "cold.csv")]) == 0
+    kinds = sorted(kind.value for kind in signedgl.harness.GL_METHODS.values())
+    assert sorted(solves) == [(kind, 10) for kind in kinds]
+    files = sorted(cache.iterdir())
+    # eig_<digest>_<kind>_k10.npz, the digest of each method's component
+    assert sorted(f.name.split("_", 2)[2] for f in files) == [f"{kind}_k10.npz" for kind in kinds]
+    solves.clear()
+    assert cli_main([*argv, "--out", str(tmp_path / "warm.csv")]) == 0
+    assert solves == [] and sorted(cache.iterdir()) == files
     assert (tmp_path / "cold.csv").read_bytes() == (tmp_path / "warm.csv").read_bytes()
+    # equal bytes alone would also pass if both passes refused every basis
+    rows = read_rows(tmp_path / "warm.csv")
+    assert len(rows) == 22 and all(row["error"] == "" for row in rows)
 
 
 def read_rows(path):
@@ -218,9 +236,13 @@ def test_corrupt_cache_file_fails_only_its_method(tmp_path):
                              "cannot read cached eigenbasis {}")
 
 
-def test_cache_write_that_fails_partway_leaves_no_file(monkeypatch, tmp_path):
+def test_cache_write_that_fails_partway_leaves_no_file(monkeypatch, tmp_path, capsys):
+    # a write that fails after a good solve is a warning: the sweep's rows run on the
+    # solved basis, while `eigs`, whose one job is the file, fails
     g, labels = small_dataset()
     spec = ExperimentSpec(methods=["gl-sn"], fractions=[0.1], n_eigs=[6], runs=2)
+    plain = [(r.accuracy, r.iterations, r.error) for r in run_experiment(g, labels, spec).runs]
+    cache = tmp_path / "cache"
     real_savez = np.savez
 
     def fail_partway(file, **arrays):
@@ -229,14 +251,32 @@ def test_cache_write_that_fails_partway_leaves_no_file(monkeypatch, tmp_path):
         raise OSError(28, "No space left on device")
 
     monkeypatch.setattr(np, "savez", fail_partway)
-    failed = run_experiment(g, labels, spec, cache_dir=tmp_path)
-    assert [r.error for r in failed.runs] == ["[Errno 28] No space left on device"] * 2
-    assert list(tmp_path.iterdir()) == []  # no file at the final path, no temporary one
+    with pytest.warns(UserWarning) as caught:
+        res = run_experiment(g, labels, spec, cache_dir=cache)
+    (warning,) = caught
+    assert re.fullmatch(r"cannot write eigenbasis cache file eig_[0-9a-f]{16}_SN_k6\.npz: "
+                        r"\[Errno 28\] No space left on device", str(warning.message))
+    assert [(r.accuracy, r.iterations, r.error) for r in res.runs] == plain
+    assert list(cache.iterdir()) == []  # no file at the final path, no temporary one
+    edges, _ = write_small_dataset(tmp_path)
+    capsys.readouterr()
+    assert cli_main(["eigs", "--dataset", str(edges), "--operator", "SN", "--neigs", "6",
+                     "--cache-dir", str(cache)]) == 1
+    out, err = capsys.readouterr()
+    assert "cached in" not in out
+    assert err.startswith("error: cannot write eigenbasis cache file ") and "[Errno 28]" in err
+    assert list(cache.iterdir()) == []
     monkeypatch.undo()
-    res = run_experiment(g, labels, spec, cache_dir=tmp_path)
+    res = run_experiment(g, labels, spec, cache_dir=cache)
     assert all(r.error == "" for r in res.runs)
-    [path] = tmp_path.iterdir()
+    [path] = cache.iterdir()
     assert path.name.endswith("_SN_k6.npz") and load_eigenbasis(path).k == 6
+    # a cache directory that cannot be made (under a regular file) fails the same way
+    blocked = tmp_path / "file" / "cache"
+    blocked.parent.write_text("")
+    with pytest.warns(UserWarning, match=r"\[Errno 20\] Not a directory"):
+        res = run_experiment(g, labels, spec, cache_dir=blocked)
+    assert [(r.accuracy, r.iterations, r.error) for r in res.runs] == plain
 
 
 def test_cached_basis_with_a_negative_eigenvalue_fails_only_its_method(tmp_path):
@@ -287,11 +327,12 @@ def test_sponge_and_negative_methods_run():
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_gl_cells_of_the_ci_ssbm_converge_before_max_iter(k):
-    # the n=300 SSBMs of the CLI sweeps in CI, with their default graph seed.  Binary GL
-    # treats the fidelity term implicitly and converges: no run row of the three signed
-    # operators stops at max_iter (the explicit scheme stopped there in 2 of 36); nor
-    # does multiclass GL at k=3, where gl-sponge converges in about 15 iterations only
-    # because its basis is B-orthonormal rather than orthonormal (ROADMAP item 2)
+    # the n=300 SSBMs of test_cache_holds_one_file_per_operator_and_warm_rerun_solves_nothing,
+    # with their default graph seed.  Binary GL treats the fidelity term implicitly and
+    # converges: no run row of the three signed operators stops at max_iter (the explicit
+    # scheme stopped there in 2 of 36); nor does multiclass GL at k=3, where gl-sponge
+    # converges in about 15 iterations only because its basis is B-orthonormal rather
+    # than orthonormal (ROADMAP item 2)
     g, blocks = generate_ssbm(SSBMParams(n=300, k=k, p_in=0.05, p_out=0.05, eta=0.1, seed=0))
     spec = ExperimentSpec(methods=["gl-sn", "gl-am", "gl-sponge"], fractions=[0.05, 0.1],
                           n_eigs=[5, 10, 20], runs=2)
@@ -323,27 +364,38 @@ def test_lanczos_tolerances_move_no_prediction(blocks, monkeypatch):
     assert loose == tight
 
 
-def test_cache_file_holds_one_basis_whatever_the_sweep_seed(tmp_path):
-    # above DENSE_CAP Lanczos runs; the file name leaves out the seed, so the
-    # basis in it must not depend on the seed, or a warm sweep at one seed
-    # would read bits that its own cold sweep does not solve
-    argv = ["ssbm", "--n", "2050", "--p-in", "0.01", "--p-out", "0.01", "--eta", "0.1",
-            "--methods", "gl-sn,gl-sponge", "--fractions", "0.05", "--neigs", "5",
-            "--runs", "1"]
+@pytest.mark.parametrize("k", [2, 3])
+def test_cache_file_holds_one_basis_whatever_the_sweep_seed(k, tmp_path):
+    # above DENSE_CAP every basis comes from Lanczos (shift-invert with inner CG for
+    # SPONGE) at its own tolerances.  The file name leaves out the seed, so the basis in
+    # it must not depend on the seed, or a warm sweep at one seed would read bits that
+    # its own cold sweep does not solve
+    argv = ["ssbm", "--n", "2050", "--k", str(k), "--p-in", "0.01", "--p-out", "0.01",
+            "--eta", "0.1", "--methods", "gl-sn,gl-am,gl-sponge,hf", "--fractions", "0.05",
+            "--neigs", "5,10", "--runs", "1"]
 
     def sweep(seed, cache, out):
         assert cli_main(argv + ["--seed", str(seed), "--cache-dir", str(tmp_path / cache),
                                 "--out", str(tmp_path / out)]) == 0
-        return sorted((tmp_path / cache).glob("eig_*.npz"))
+        return sorted((tmp_path / cache).iterdir())
 
-    files0, files5 = sweep(0, "c0", "cold0.csv"), sweep(5, "c5", "cold5.csv")
-    assert [f.name.split("_")[-2:] for f in files0] == [["SN", "k5.npz"], ["SPONGE", "k5.npz"]]
+    files0 = sweep(0, "c0", "cold0.csv")
+    assert sweep(0, "c0", "warm0.csv") == files0
+    assert (tmp_path / "warm0.csv").read_bytes() == (tmp_path / "cold0.csv").read_bytes()
+    rows = read_rows(tmp_path / "cold0.csv")
+    assert len(rows) == 14 and all(row["error"] == "" for row in rows)
+    files5 = sweep(5, "c5", "cold5.csv")
+    assert [f.name.split("_", 2)[2] for f in files0] == ["AM_k10.npz", "SN_k10.npz",
+                                                         "SPONGE_k10.npz"]
     assert [f.name for f in files0] == [f.name for f in files5]
     for path0, path5 in zip(files0, files5):
-        basis0, basis5 = load_eigenbasis(path0), load_eigenbasis(path5)
-        assert basis0.n > DENSE_CAP
-        assert np.array_equal(basis0.lambdas.view(np.int64), basis5.lambdas.view(np.int64))
-        assert np.array_equal(basis0.phis.view(np.int64), basis5.phis.view(np.int64))
+        assert load_eigenbasis(path0).n > DENSE_CAP
+        # compared entry by entry: the npz archives themselves carry timestamps
+        with np.load(path0) as a, np.load(path5) as b:
+            assert a.files == b.files
+            for key in a.files:
+                x, y = a[key], b[key]
+                assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), key
     sweep(5, "c0", "warm5.csv")
     assert (tmp_path / "warm5.csv").read_bytes() == (tmp_path / "cold5.csv").read_bytes()
     assert all(row["error"] == "" for row in read_rows(tmp_path / "cold5.csv"))
@@ -806,19 +858,74 @@ def write_split_component_dataset(tmp_path):
 
 @pytest.mark.parametrize("method", list(signedgl.harness.GL_METHODS))
 def test_cli_eigs_cache_serves_the_sweep_of_every_gl_method(method, monkeypatch, tmp_path):
+    # `eigs` writes the one file per operator that the sweep's own solve stage writes: a
+    # sweep after it solves nothing, adds no file and equals a sweep without a cache
     edges, labels = write_split_component_dataset(tmp_path)
-    cache, out = tmp_path / "cache", tmp_path / "o.csv"
+    cache, cached_csv, plain_csv = tmp_path / "cache", tmp_path / "c.csv", tmp_path / "p.csv"
     kind = signedgl.harness.GL_METHODS[method].value
     assert cli_main(["eigs", "--dataset", str(edges), "--operator", kind,
-                     "--neigs", "6", "--cache-dir", str(cache)]) == 0
+                     "--neigs", "5,10", "--cache-dir", str(cache)]) == 0
+    (cached,) = cache.iterdir()
+    assert cached.name.endswith(f"_{kind}_k10.npz")
+    sweep = ["run", "--dataset", str(edges), "--labels", str(labels), "--methods", method,
+             "--fractions", "0.2", "--neigs", "5,10", "--runs", "1"]
     solves = count_calls(monkeypatch, "smallest_eigs", lambda *a, **kw: None)
-    assert cli_main(["run", "--dataset", str(edges), "--labels", str(labels),
-                     "--methods", method, "--fractions", "0.2", "--neigs", "6", "--runs", "1",
-                     "--out", str(out), "--cache-dir", str(cache)]) == 0
-    assert solves == []
-    (cached,) = cache.glob("eig_*.npz")
-    assert cached.name.endswith(f"_{kind}_k6.npz")
-    assert all(row["error"] == "" for row in read_rows(out))
+    assert cli_main([*sweep, "--cache-dir", str(cache), "--out", str(cached_csv)]) == 0
+    assert solves == [] and list(cache.iterdir()) == [cached]
+    assert cli_main([*sweep, "--out", str(plain_csv)]) == 0
+    assert cached_csv.read_bytes() == plain_csv.read_bytes()
+    assert all(row["error"] == "" for row in read_rows(cached_csv))
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_exported_ssbm_reloads_as_the_same_sweep_from_every_format(k, tmp_path):
+    # an exported SSBM reloads as the same graph: its components keep the generator's
+    # digests, so a file sweep is served from the generator's cache and writes its CSV.
+    # The delimiter is read from each line: a comma copy with a header line does the same
+    cache = tmp_path / "cache"
+    sweep = ["--methods", "gl-plus,gl-minus,gl-sn,gl-sponge,gl-am,hf,lgc", "--fractions", "0.1",
+             "--neigs", "5,10", "--runs", "1", "--cache-dir", str(cache)]
+    edges, labels = tmp_path / "g.txt", tmp_path / "l.txt"
+    assert cli_main([*SSBM300, "--k", str(k), "--save-edges", str(edges),
+                     "--save-labels", str(labels), *sweep,
+                     "--out", str(tmp_path / "gen.csv")]) == 0
+    listing = sorted(cache.iterdir())
+    comma_edges, comma_labels = tmp_path / "g.csv", tmp_path / "l.csv"
+    comma_edges.write_text("src,dst,weight\n" + "".join(
+        line if line.startswith("#") else line.replace(" ", ",")
+        for line in edges.read_text().splitlines(keepends=True)))
+    comma_labels.write_text(labels.read_text().replace(" ", ","))
+    for name, files in [("space", [edges, labels]),
+                        ("comma", [comma_edges, comma_labels, "--header"])]:
+        data = ["--dataset", str(files[0]), "--labels", str(files[1]), *files[2:]]
+        assert cli_main(["run", *data, *sweep, "--out", str(tmp_path / f"{name}.csv")]) == 0
+        assert sorted(cache.iterdir()) == listing
+        assert (tmp_path / f"{name}.csv").read_bytes() == (tmp_path / "gen.csv").read_bytes()
+
+
+def test_partial_label_file_and_a_line_for_an_absent_node(tmp_path):
+    # a label file may leave nodes unlabeled: they are neither sampled nor scored.  A line
+    # for an absent node fails the run, and --skip-missing gives the sweep without that line
+    edges, every = tmp_path / "g.txt", tmp_path / "all.txt"
+    assert cli_main([*SSBM300, "--k", "3", "--save-edges", str(edges),
+                     "--save-labels", str(every)]) == 0
+    partial, extra = tmp_path / "l.txt", tmp_path / "extra.txt"
+    lines = every.read_text().splitlines(keepends=True)
+    partial.write_text("".join(line for i, line in enumerate(lines, 1) if i % 10))
+    assert len(partial.read_text().splitlines()) == 270
+    extra.write_text(partial.read_text() + "absent block0\n")
+    sweep = ["run", "--dataset", str(edges), "--methods", "gl-sn,gl-sponge,hf,lgc",
+             "--fractions", "0.1", "--neigs", "5,10", "--runs", "2"]
+    out = {name: tmp_path / f"{name}.csv" for name in ("partial", "strict", "skipped")}
+    assert cli_main([*sweep, "--labels", str(partial), "--out", str(out["partial"])]) == 0
+    rows = read_rows(out["partial"])
+    assert len(rows) == 18 and sum(row["record"] == "run" for row in rows) == 12
+    assert all(row["error"] == "" for row in rows)
+    assert cli_main([*sweep, "--labels", str(extra), "--out", str(out["strict"])]) == 1
+    assert not out["strict"].exists()
+    assert cli_main([*sweep, "--labels", str(extra), "--skip-missing",
+                     "--out", str(out["skipped"])]) == 0
+    assert out["skipped"].read_bytes() == out["partial"].read_bytes()
 
 
 def test_cli_eigs_refuses_kinds_no_sweep_method_uses(tmp_path, capsys):
