@@ -71,11 +71,12 @@ class DivergenceError(RuntimeError):
         self.iteration = iteration
 
 
-def _positive_int(value, name: str) -> int:
+def _positive_int(value, name: str, least: int = 1) -> int:
     """``value`` as a plain int; refuses a bool, a non-integer type (a float,
-    a string) and anything below 1."""
-    if isinstance(value, bool) or not hasattr(value, "__index__") or value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    a string) and anything below ``least`` (1, or 0 for a seed)."""
+    if isinstance(value, bool) or not hasattr(value, "__index__") or value < least:
+        kind = "a positive integer" if least == 1 else f"an integer >= {least}"
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
     return int(value)
 
 

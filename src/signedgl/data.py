@@ -28,6 +28,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
+from .classifier import _positive_int
 from .graph import SignedGraph
 
 __all__ = [
@@ -298,10 +299,10 @@ class SSBMParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be positive")
-        if not 1 <= self.k <= self.n:
+        _positive_int(self.n, "n")
+        if _positive_int(self.k, "k") > self.n:
             raise ValueError("k must be in [1, n]")
+        _positive_int(self.seed, "seed", least=0)
         for name in ("p_in", "p_out", "eta"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
@@ -311,32 +312,43 @@ class SSBMParams:
 def generate_ssbm(params: SSBMParams):
     """Sample a signed stochastic block model.
 
+    Draw order, on which every seeded graph and so every cache file digest
+    depends: one ``default_rng(seed)`` stream; for each row i = 0 … n-2,
+    ``random(n-1-i)`` gives one uniform per column j = i+1 … n-1 (an edge
+    when it is below p_in for a same-block j, p_out otherwise), then, if the
+    row has an edge, ``random(#edges)`` gives one flip uniform per edge in
+    column order (the sign flips when it is below eta).
+
     Returns:
         (graph, blocks): the signed graph and the ground-truth block of
         every node.  Deterministic for a fixed seed.
     """
-    n, k = params.n, params.k
+    n, k, p_in, p_out = params.n, params.k, params.p_in, params.p_out
     sizes = np.full(k, n // k, dtype=np.int64)
     sizes[: n % k] += 1
     blocks = np.repeat(np.arange(k), sizes)
+    # blocks are contiguous and ascending: row i's same-block columns are
+    # i+1 … block_end[i]-1, so a prefix of its draws compares with p_in
+    block_end = np.cumsum(sizes)[blocks]
+    ends = block_end.tolist()
     rng = np.random.default_rng(params.seed)
-    rows, cols, signs = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0)]
+    cols, counts, flips = [np.empty(0, np.int64)], np.zeros(n, np.int64), [np.empty(0)]
     for i in range(n - 1):
-        j = np.arange(i + 1, n)
-        same = blocks[j] == blocks[i]
         r = rng.random(n - 1 - i)
-        hit = np.where(same, r < params.p_in, r < params.p_out)
-        jj = j[hit]
-        if jj.size == 0:
-            continue
-        s = np.where(blocks[jj] == blocks[i], 1.0, -1.0)
-        flip = rng.random(jj.size) < params.eta
-        s[flip] *= -1.0
-        rows.append(np.full(jj.size, i, dtype=np.int64))
-        cols.append(jj)
-        signs.append(s)
-    # rebinding frees the per-node arrays before the assembly allocates its own
-    rows, cols, signs = np.concatenate(rows), np.concatenate(cols), np.concatenate(signs)
+        hit = r < p_out
+        if p_in != p_out:  # the paper's model draws every pair with one p
+            m = ends[i] - 1 - i
+            np.less(r[:m], p_in, out=hit[:m])
+        offsets = np.flatnonzero(hit)  # column j as its offset j-i-1
+        if offsets.size:
+            cols.append(offsets)
+            counts[i] = offsets.size
+            flips.append(rng.random(offsets.size))
+    rows = np.repeat(np.arange(n), counts)
+    # rebinding frees the per-row arrays before the assembly allocates its own
+    cols, flips = np.concatenate(cols), np.concatenate(flips) < params.eta
+    cols += rows + 1
+    signs = np.where((cols < block_end[rows]) != flips, 1.0, -1.0)
     return _signed_graph(n, rows, cols, signs), blocks
 
 

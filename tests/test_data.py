@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -269,6 +270,16 @@ def test_ssbm_param_validation():
         SSBMParams(n=5, k=6, p_in=0.5, p_out=0.5)
     with pytest.raises(ValueError):
         SSBMParams(n=5, k=2, p_in=1.5, p_out=0.5)
+    # a non-integer size or seed is refused when the params are built, not deep
+    # in the generator
+    for name, bad in (("n", 10.0), ("n", True), ("k", 2.0), ("k", True), ("k", 0)):
+        with pytest.raises(ValueError, match=f"^{name} must be a positive integer, got {bad!r}$"):
+            SSBMParams(**{"n": 10, "k": 2, name: bad}, p_in=0.5, p_out=0.5)
+    for bad in (1.5, -1, False, "3"):
+        with pytest.raises(ValueError, match=f"^seed must be an integer >= 0, got {bad!r}$"):
+            SSBMParams(n=10, k=2, p_in=0.5, p_out=0.5, seed=bad)
+    params = SSBMParams(n=np.int64(10), k=np.int32(2), p_in=0.5, p_out=0.5, seed=np.uint8(0))
+    assert generate_ssbm(params)[0].n == 10
 
 
 def test_sample_full_fraction():
@@ -523,6 +534,10 @@ SSBM_CASES = [
     SSBMParams(n=300, k=2, p_in=0.05, p_out=0.05, eta=0.1, seed=1),
     SSBMParams(n=301, k=3, p_in=0.04, p_out=0.02, eta=0.15, seed=7919),
     SSBMParams(n=500, k=5, p_in=0.02, p_out=0.01, eta=0.0, seed=11),
+    SSBMParams(n=200, k=200, p_in=0.5, p_out=0.05, eta=0.3, seed=5),
+    # the benchmark's two block models, at its default and held-out seeds
+    *(SSBMParams(n=2200, k=k, p_in=0.007, p_out=0.007, eta=eta, seed=seed)
+      for k, eta in ((2, 0.2), (3, 0.15)) for seed in (1, 7919)),
 ]
 
 
@@ -532,6 +547,19 @@ def test_ssbm_matches_frozen_coo_assembly(params):
     ref, ref_blocks = reference_generate_ssbm(params)
     assert np.array_equal(blocks, ref_blocks)
     assert_same_graph(g, ref, params)
+
+
+def test_ssbm_memory_stays_linear_at_one_node_per_block():
+    # k = n is allowed, so the sampler must stay O(n + m): it peaks near 5.5 MB
+    # here, and a k-by-n or n-by-n table would add 9 MB even as booleans
+    params = SSBMParams(n=3000, k=3000, p_in=0.5, p_out=0.005, eta=0.1, seed=1)
+    tracemalloc.start()
+    try:
+        generate_ssbm(params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def test_graph_digest_of_a_fixed_ssbm_is_pinned():
