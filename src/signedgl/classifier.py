@@ -94,15 +94,16 @@ class GLConfig:
     tol: float = 1e-6
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if self.omega0 < 0:
-            raise ValueError("omega0 must be nonnegative")
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
+        # chained comparisons, so that NaN fails them as inf does
+        if not 0 < self.epsilon < np.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
+        if not 0 <= self.omega0 < np.inf:
+            raise ValueError(f"omega0 must be nonnegative and finite, got {self.omega0}")
+        if not 0 < self.tau < np.inf:
+            raise ValueError(f"tau must be positive and finite, got {self.tau}")
         self.max_iter = _positive_int(self.max_iter, "max_iter")
-        if self.tol < 0:
-            raise ValueError("tol must be nonnegative")
+        if not 0 <= self.tol < np.inf:
+            raise ValueError(f"tol must be nonnegative and finite, got {self.tol}")
 
     @property
     def c_well(self) -> float:
@@ -209,7 +210,7 @@ def training_labels(labels, train_mask):
     data.LabelData: BinaryLabelData (class 0 -> +1, 1 -> -1) for two classes,
     MulticlassLabelData for more."""
     if labels.num_classes == 2:
-        truth = labels.binary_signs()
+        truth = np.where(labels.known, 1 - 2 * labels.y, 0).astype(np.int64)
         return BinaryLabelData.from_signs(truth, train_mask), truth
     return MulticlassLabelData.from_classes(labels.y, train_mask, labels.num_classes), labels.y
 

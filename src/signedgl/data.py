@@ -53,8 +53,9 @@ class EdgeListError(ValueError):
     """Malformed edge-list or label file; message carries the line number."""
 
 
-def _iter_records(text: str, node_order: list[str], header: bool = False):
-    """Yield (lineno, fields) for data rows; collect '# node:' directives.
+def _iter_records(text: str, node_order: list, header: bool = False):
+    """Yield (lineno, fields) for data rows; collect '# node:' directives as
+    (lineno, node id).
 
     A line with a comma is split on commas (fields stripped), any other
     line on whitespace; ``header`` skips the first data row.
@@ -67,7 +68,7 @@ def _iter_records(text: str, node_order: list[str], header: bool = False):
         if line.startswith(_COMMENT_PREFIXES):
             body = line[1:].strip()
             if body.startswith(_NODE_DIRECTIVE):
-                node_order.append(body[len(_NODE_DIRECTIVE):].strip())
+                node_order.append((lineno, body[len(_NODE_DIRECTIVE):].strip()))
             continue
         if not skipped_header:
             skipped_header = True
@@ -88,7 +89,7 @@ def load_signed_edge_list(path, *, header: bool = False) -> SignedGraph:
             names no node.
     """
     text = Path(path).read_text(encoding="utf-8")
-    node_order: list[str] = []
+    node_order: list[tuple[int, str]] = []
     index: dict[str, int] = {}
     src, dst, weights = [], [], []
     n_self = n_zero = 0
@@ -99,13 +100,15 @@ def load_signed_edge_list(path, *, header: bool = False) -> SignedGraph:
         return index[ident]
 
     records = list(_iter_records(text, node_order, header))
-    for ident in node_order:
+    for lineno, ident in node_order:
+        _require_field(path, lineno, "node id", ident)
         node(ident)
     for lineno, fields in records:
         if len(fields) < 3:
             raise EdgeListError(
                 f"{path}: line {lineno}: expected 'src dst weight', got {len(fields)} fields"
             )
+        _require_field(path, lineno, "node id", fields[0], fields[1])
         try:
             w = float(fields[2])
         except ValueError as exc:
@@ -132,6 +135,12 @@ def load_signed_edge_list(path, *, header: bool = False) -> SignedGraph:
     if n_zero:
         warnings.warn(f"{path}: dropped {n_zero} zero-weight rows", stacklevel=2)
     return _signed_graph(len(index), src, dst, weights, node_ids=list(index))
+
+
+def _require_field(path, lineno: int, what: str, *values: str) -> None:
+    """Refuse an empty field, which a comma line such as ``a,,1`` yields."""
+    if "" in values:
+        raise EdgeListError(f"{path}: line {lineno}: empty {what}")
 
 
 def _signed_graph(n, src, dst, weights, node_ids=None) -> SignedGraph:
@@ -216,16 +225,10 @@ class LabelData:
     def n(self) -> int:
         return self.y.shape[0]
 
-    def binary_signs(self) -> np.ndarray:
-        """Map class 0 -> +1, class 1 -> -1 (two-class data only); unknown -> 0."""
-        if self.num_classes != 2:
-            raise ValueError(f"binary signs need exactly 2 classes, got {self.num_classes}")
-        return np.where(self.known, 1 - 2 * self.y, 0).astype(np.int64)
-
-    def restrict(self, old_to_new: np.ndarray, n_new: int) -> "LabelData":
+    def restrict(self, old_to_new: np.ndarray) -> "LabelData":
         """Re-index onto a subgraph produced by largest_connected_component."""
-        y = np.full(n_new, -1, dtype=np.int64)
         kept = np.flatnonzero(old_to_new >= 0)
+        y = np.full(kept.size, -1, dtype=np.int64)
         y[old_to_new[kept]] = self.y[kept]
         return LabelData(y=y, class_names=self.class_names)
 
@@ -266,6 +269,8 @@ def load_labels(path, g: SignedGraph, strict: bool = True) -> LabelData:
                 f"{path}: line {lineno}: expected 'node_id class_label'"
             )
         ident, cls = fields[0], fields[1]
+        _require_field(path, lineno, "node id", ident)
+        _require_field(path, lineno, "class label", cls)
         if ident not in index:
             if strict:
                 raise EdgeListError(
@@ -359,13 +364,11 @@ def ssbm_label_data(blocks: np.ndarray) -> LabelData:
     return LabelData(y=blocks.copy(), class_names=tuple(f"block{i}" for i in range(k)))
 
 
-def sample_labeled_nodes(
-    labels: LabelData, fraction: float, run_index: int = 0, base_seed: int = 0
-) -> np.ndarray:
+def sample_labeled_nodes(labels: LabelData, fraction: float, seed: int = 0) -> np.ndarray:
     """Uniform sample (without replacement) of labeled training nodes.
 
     Draws round(fraction * #known) nodes from those with ground truth,
-    seeded by base_seed + run_index.  Raises if the rounded count is zero.
+    from ``default_rng(seed)``.  Raises if the rounded count is zero.
     """
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"fraction must lie in (0, 1], got {fraction}")
@@ -375,7 +378,7 @@ def sample_labeled_nodes(
         raise ValueError(
             f"fraction {fraction} of {pool.size} labeled nodes rounds to zero"
         )
-    rng = np.random.default_rng(int(base_seed) + int(run_index))
+    rng = np.random.default_rng(int(seed))
     chosen = rng.choice(pool, size=count, replace=False)
     mask = np.zeros(labels.n, dtype=bool)
     mask[chosen] = True

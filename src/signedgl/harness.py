@@ -10,13 +10,15 @@ size), or reads it from an on-disk cache, and truncates it for smaller
 N_e; a basis does not depend on ``base_seed``, so a file serves a sweep
 of any seed, and ``_bases`` is the one writer of the files (``signedgl
 eigs`` calls it too).  ``_samples`` draws a method's label masks per
-(fraction, run), seeded from (base_seed, method, fraction).  ``_rows``
-classifies one cell's samples: the one classifier dispatch, and the one
-place a ``Record`` is built.  A basis that cannot be solved or read, or
-else a mask that cannot be drawn, gives error rows; a cache file that
-cannot be written is a warning, and the rows run on the solved basis.  A
-cell's mean row (``run=None``) is derived from its run rows, so the two
-cannot disagree.
+(fraction, run).  ``_rows`` classifies one cell's samples: the one
+classifier dispatch, and the one place a ``Record`` is built.  Both
+per-run seeds, a run's mask in ``_samples`` and its multiclass start in
+``_rows``, are ``_derived_seed(base_seed, method, stream, fraction) +
+run`` with stream ``"mask"`` or ``"init"``.  A basis that cannot be
+solved or read, or else a mask that cannot be drawn, gives error rows; a
+cache file that cannot be written is a warning, and the rows run on the
+solved basis.  A cell's mean row (``run=None``) is derived from its run
+rows, so the two cannot disagree.
 """
 
 from __future__ import annotations
@@ -229,7 +231,7 @@ def _component(g, labels, mode, cache_dir) -> tuple:
     the digest names cache files, so it is computed only with a cache."""
     comp, old_to_new = largest_connected_component(g, mode)
     digest = graph_digest(comp) if cache_dir is not None else ""
-    return comp, labels.restrict(old_to_new, comp.n), digest
+    return comp, labels.restrict(old_to_new), digest
 
 
 def _cells(method, comp, digest, spec, cache_dir) -> list:
@@ -253,7 +255,7 @@ def _samples(method, comp_labels, spec) -> dict:
         mask_seed = _derived_seed(spec.base_seed, method, "mask", fraction)
         for run in range(spec.runs):
             try:
-                train = sample_labeled_nodes(comp_labels, fraction, run, base_seed=mask_seed)
+                train = sample_labeled_nodes(comp_labels, fraction, mask_seed + run)
             except ValueError as exc:
                 samples[fraction, run] = str(exc)
             else:

@@ -10,6 +10,7 @@ from signedgl import (
     BinaryLabelData,
     DivergenceError,
     GLConfig,
+    LabelData,
     MulticlassLabelData,
     SSBMParams,
     energy,
@@ -28,6 +29,7 @@ from signedgl.classifier import (
     multiclass_potential,
     multiclass_potential_gradient,
     project_rows_onto_simplex,
+    training_labels,
 )
 from signedgl.laplacians import (
     OperatorKind,
@@ -59,6 +61,11 @@ def test_config_defaults_and_convexity():
     with pytest.raises(ValueError, match="tol must be nonnegative"):
         GLConfig(tol=-1.0)
     GLConfig(tol=0.0)  # zero tolerance runs to max_iter, allowed
+    # NaN fails no sign check, and tol=inf would stop after one step as converged
+    for name in ("epsilon", "omega0", "tau", "tol"):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match=f"^{name} must be .* and finite, got "):
+                GLConfig(**{name: bad})
 
 
 def test_binary_label_data_validation():
@@ -109,6 +116,20 @@ def test_from_classes_refuses_a_training_node_outside_the_classes(cls):
     d = MulticlassLabelData.from_classes([cls, 0], [False, True], 2)
     assert np.array_equal(d.U_hat, [[0, 0], [1, 0]])
     assert np.array_equal(d.mask, [False, True])
+
+
+def test_training_labels_code_class_0_as_plus_one():
+    # class 0, the first class a label file names, is +1; an unknown node is 0
+    labels = LabelData(y=np.array([0, 1, 0, -1]), class_names=("yes", "no"))
+    data, truth = training_labels(labels, [True, True, False, False])
+    assert np.array_equal(truth, [1, -1, 1, 0]) and truth.dtype == np.int64
+    assert isinstance(data, BinaryLabelData)
+    assert np.array_equal(data.f, [1, -1, 0, 0])
+    assert np.array_equal(data.readout(data.f), [1, -1, 1, 1])
+    three = LabelData(y=np.array([2, 0, 1, -1]), class_names=("a", "b", "c"))
+    data, truth = training_labels(three, [True, False, True, False])
+    assert isinstance(data, MulticlassLabelData) and truth is three.y
+    assert np.array_equal(data.U_hat, [[0, 0, 1], [0, 0, 0], [0, 1, 0], [0, 0, 0]])
 
 
 # ----------------------------------------------------------------- energy

@@ -311,6 +311,18 @@ def test_cached_basis_of_another_operator_fails_only_its_method(tmp_path):
                              "cached eigenbasis {} holds the AM basis, not the SN one")
 
 
+def test_cached_basis_of_another_node_count_fails_only_its_method(tmp_path):
+    # the file name holds a digest prefix, and the file does not record its n: the
+    # SN basis of a 70-node graph under the 80-node graph's name is refused at GL entry
+    def save_a_70_node_basis(path):
+        g, _ = small_dataset(n=70)
+        comp, _ = largest_connected_component(g, "signed")
+        save_eigenbasis(path, smallest_eigs(build_operator(comp, OperatorKind.SN), k=8))
+
+    assert_warm_sn_rows_fail(tmp_path, save_a_70_node_basis,
+                             "labels cover 80 nodes, the eigenbasis 70")
+
+
 def test_sponge_and_negative_methods_run():
     g, labels = small_dataset(seed=6, n=100, eta=0.05, p=0.2)
     spec = ExperimentSpec(
@@ -665,6 +677,8 @@ def test_cli_malformed_value_is_a_usage_error(flag, tmp_path, capsys):
     ("--omega0=10,10", "omega0"),
     ("--epsilon=0.1,0.1", "epsilon"),
     ("--epsilon=-1", "epsilon"),
+    ("--epsilon=nan", "epsilon"),
+    ("--tol=inf", "tol"),
     ("--omega0=-5", "omega0"),
     ("--tau=0", "tau"),
     ("--max-iter=0", "max_iter"),

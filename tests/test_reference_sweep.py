@@ -166,7 +166,7 @@ def reference_rows(g, y, num_classes, spec):
             mask_seed = _derived_seed(spec.base_seed, method, "mask", fraction)
             init_seed = _derived_seed(spec.base_seed, method, "init", fraction)
             for run in range(spec.runs):
-                train = sample_labeled_nodes(comp_labels, fraction, run, base_seed=mask_seed)
+                train = sample_labeled_nodes(comp_labels, fraction, mask_seed + run)
                 evaluate = (cy >= 0) & ~train
                 if num_classes == 2:
                     truth = np.where(cy >= 0, 1 - 2 * cy, 0)
