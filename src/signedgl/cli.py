@@ -8,10 +8,11 @@ Subcommands:
 
 Flags may also come from a file: ``signedgl run @sweep.args --runs 3``
 reads one argument per line (``--methods=gl-am,gl-sn``), and a flag given
-later wins.  Exit code is 0 on success, 2 on a malformed command line,
-1 on any other fatal error.  A library warning, such as a loader's count of
-dropped rows or skipped labels, is printed as one ``signedgl: <message>``
-line on stderr.
+later wins.  Exit code is 0 on success, 2 on a malformed command line (a
+value that does not parse, or a missing flag that a subcommand always
+needs), 1 on any other fatal error.  A library warning, such as a loader's
+count of dropped rows or skipped labels, is printed as one
+``signedgl: <message>`` line on stderr.
 """
 
 from __future__ import annotations
@@ -83,8 +84,6 @@ def _default_help(flag: str) -> str:
 
 def _build_spec(args) -> ExperimentSpec:
     """The sweep spec from the flags the user set; ExperimentSpec fills in the rest."""
-    if not args.methods:
-        raise ValueError(f"--methods is required (choose from {', '.join(METHODS)})")
     given = {"fractions": list(_DEFAULTS.fractions)}
     for flag, (name, _, _) in _SPEC_FLAGS.items():
         value = getattr(args, flag)
@@ -93,18 +92,21 @@ def _build_spec(args) -> ExperimentSpec:
     return ExperimentSpec(methods=args.methods, **given)
 
 
-def _add_sweep_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--methods", type=_str_list, help=f"comma list from: {', '.join(METHODS)}")
+def _add_sweep_flags(p: argparse.ArgumentParser, required: bool) -> None:
+    """The sweep flags; ``required`` makes --methods and --out always needed."""
+    p.add_argument("--methods", type=_str_list, required=required,
+                   help=f"comma list from: {', '.join(METHODS)}")
     for flag, (_, parse, text) in _SPEC_FLAGS.items():
-        p.add_argument("--" + flag.replace("_", "-"), dest=flag, type=parse,
+        p.add_argument("--" + flag.replace("_", "-"), type=parse,
                        help=f"{text} {_default_help(flag)}")
-    p.add_argument("--out", help="output CSV path")
-    p.add_argument("--cache-dir", dest="cache_dir", help="eigenbasis cache directory")
+    p.add_argument("--out", required=required, help="output CSV path")
+    p.add_argument("--cache-dir", help="eigenbasis cache directory")
     p.add_argument("--timings", action="store_true", help="include wall times in the CSV")
 
 
 def _add_dataset_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--dataset", help="signed edge-list file (comma or whitespace delimited)")
+    p.add_argument("--dataset", required=True,
+                   help="signed edge-list file (comma or whitespace delimited)")
     p.add_argument("--header", action="store_true", help="skip the first data line")
 
 
@@ -118,16 +120,10 @@ def _sweep(args, g, labels) -> int:
 
 
 def _load_graph(args):
-    if not args.dataset:
-        raise ValueError("--dataset is required")
     return load_signed_edge_list(args.dataset, header=args.header)
 
 
 def _cmd_run(args) -> int:
-    if not args.labels:
-        raise ValueError("--labels is required")
-    if not args.out:
-        raise ValueError("--out is required")
     g = _load_graph(args)
     labels = load_labels(args.labels, g, strict=not args.skip_missing)
     return _sweep(args, g, labels)
@@ -156,8 +152,6 @@ def _cmd_ssbm(args) -> int:
 
 
 def _cmd_eigs(args) -> int:
-    if not args.cache_dir:
-        raise ValueError("--cache-dir is required")
     # the sweep's n_eigs check (positive, no repeat) runs before the graph is read
     n_eigs = replace(_DEFAULTS, n_eigs=args.neigs or _DEFAULTS.n_eigs).n_eigs
     g = _load_graph(args)
@@ -195,24 +189,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run a sweep on an edge-list dataset")
     _add_dataset_flags(p_run)
-    p_run.add_argument("--labels", help="node label file")
+    p_run.add_argument("--labels", required=True, help="node label file")
     p_run.add_argument(
         "--skip-missing", action="store_true",
         help="skip labels whose node id is absent from the graph",
     )
-    _add_sweep_flags(p_run)
+    _add_sweep_flags(p_run, required=True)
     p_run.set_defaults(func=_cmd_run)
 
     p_ssbm = sub.add_parser("ssbm", help="run a sweep on a generated block model")
     p_ssbm.add_argument("--n", type=int, required=True)
     p_ssbm.add_argument("--k", type=int, default=2)
-    p_ssbm.add_argument("--p-in", dest="p_in", type=float, required=True)
-    p_ssbm.add_argument("--p-out", dest="p_out", type=float, required=True)
-    p_ssbm.add_argument("--eta", type=float, default=0.0)
-    p_ssbm.add_argument("--graph-seed", dest="graph_seed", type=int, default=0)
-    p_ssbm.add_argument("--save-edges", dest="save_edges", help="export the edge list")
-    p_ssbm.add_argument("--save-labels", dest="save_labels", help="export block labels")
-    _add_sweep_flags(p_ssbm)
+    p_ssbm.add_argument("--p-in", type=float, required=True)
+    p_ssbm.add_argument("--p-out", type=float, required=True)
+    p_ssbm.add_argument("--eta", type=float, default=SSBMParams.eta)
+    p_ssbm.add_argument("--graph-seed", type=int, default=SSBMParams.seed)
+    p_ssbm.add_argument("--save-edges", help="export the edge list")
+    p_ssbm.add_argument("--save-labels", help="export block labels")
+    # --methods and --out are needed together, unless the graph is only exported
+    _add_sweep_flags(p_ssbm, required=False)
     p_ssbm.set_defaults(func=_cmd_ssbm)
 
     p_eigs = sub.add_parser("eigs", help="precompute eigenbasis cache files")
@@ -222,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_eigs.add_argument("--neigs", type=_int_list,
                         help=f"{_SPEC_FLAGS['neigs'][2]} {_default_help('neigs')}")
-    p_eigs.add_argument("--cache-dir", dest="cache_dir")
+    p_eigs.add_argument("--cache-dir", required=True)
     p_eigs.set_defaults(func=_cmd_eigs)
 
     p_bal = sub.add_parser("balance-check", help="report lambda_min of the signed ratio Laplacian")

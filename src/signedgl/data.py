@@ -226,7 +226,10 @@ class LabelData:
         return self.y.shape[0]
 
     def restrict(self, old_to_new: np.ndarray) -> "LabelData":
-        """Re-index onto a subgraph produced by largest_connected_component."""
+        """Re-index onto a subgraph produced by largest_connected_component;
+        ``old_to_new`` must cover the graph these labels cover."""
+        if old_to_new.shape[0] != self.n:
+            raise ValueError(f"labels cover {self.n} nodes, the graph {old_to_new.shape[0]}")
         kept = np.flatnonzero(old_to_new >= 0)
         y = np.full(kept.size, -1, dtype=np.int64)
         y[old_to_new[kept]] = self.y[kept]

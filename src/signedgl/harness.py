@@ -86,8 +86,11 @@ class ExperimentSpec:
 
     Refuses, before anything is solved, a list that repeats an entry, a
     fraction outside (0, 1), an n_eigs entry or ``runs`` that is not a
-    positive integer (kept as plain ints), and parameters that GLConfig
-    or local_global reject (``max_iter`` among them).
+    positive integer, a ``base_seed`` that is not an integer, and
+    parameters that GLConfig or local_global reject (``max_iter`` among
+    them).  Keeps fractions, omega0 and epsilon as plain floats and the
+    integers as plain ints: a run's seeds hash their ``repr`` and its CSV
+    row writes them, so numpy scalars give the rows of Python numbers.
     """
 
     methods: list
@@ -117,11 +120,16 @@ class ExperimentSpec:
             if not 0.0 < f < 1.0:
                 raise ValueError(f"fractions must lie in (0, 1), got {f}")
         self.runs = _positive_int(self.runs, "runs")
+        if isinstance(self.base_seed, bool) or not hasattr(self.base_seed, "__index__"):
+            raise ValueError(f"base_seed must be an integer, got {self.base_seed!r}")
+        self.base_seed = int(self.base_seed)
         # refuse parameters no cell can run before anything is solved
         for w0 in self.omega0:
             for eps in self.epsilon:
                 self.gl_config(w0, eps)
         _check_alpha(self.alpha)
+        for name in ("fractions", "omega0", "epsilon"):
+            setattr(self, name, [float(v) for v in getattr(self, name)])
 
     def gl_config(self, omega0: float, epsilon: float) -> GLConfig:
         """The GL parameters of one (omega0, epsilon) cell."""
@@ -213,7 +221,13 @@ def _bases(comp, kind, n_eigs, cache_dir, digest) -> list:
 def run_experiment(
     g: SignedGraph, labels: LabelData, spec: ExperimentSpec, cache_dir=None
 ) -> ExperimentResult:
-    """Run the full sweep; failures become error rows and the sweep continues."""
+    """Run the full sweep; failures become error rows and the sweep continues.
+
+    Labels that no run could score, of another node count or with fewer
+    than two classes, raise before anything is solved."""
+    if labels.num_classes < 2:
+        raise ValueError(f"a sweep needs at least 2 classes, the labels hold "
+                         f"{labels.num_classes}")
     modes = dict.fromkeys(method_component(method) for method in spec.methods)
     components = {mode: _component(g, labels, mode, cache_dir) for mode in modes}
     run_rows: list[Record] = []
@@ -313,11 +327,7 @@ def _aggregate(run_rows) -> list:
 
 
 def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return "" if value is None else str(value)
 
 
 def _sort_key(row: Record):

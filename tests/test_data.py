@@ -338,6 +338,10 @@ def test_restrict_labels():
     assert np.array_equal(sub.y, [1, 0, -1])
     assert np.array_equal(sub.known, [True, True, False])
     assert sub.class_names == ("a", "b")
+    # a map of another graph is refused, in either direction
+    for other in (old_to_new[:4], np.append(old_to_new, 3)):
+        with pytest.raises(ValueError, match=f"^labels cover 5 nodes, the graph {other.size}$"):
+            partial.restrict(other)
 
 
 def _dataset_path(name):

@@ -95,6 +95,34 @@ def test_spec_validation():
             ExperimentSpec(methods=["gl-sn"], fractions=[0.1], n_eigs=[8, bad])
     spec = ExperimentSpec(methods=["gl-sn"], fractions=[0.1], n_eigs=[np.int64(6), 8])
     assert spec.n_eigs == [6, 8] and all(type(ne) is int for ne in spec.n_eigs)
+    # base_seed is any plain int, negative too; a bool, a float or a string is refused
+    for bad in (True, 0.0, 1.5, "0"):
+        got = f"got {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=f"^base_seed must be an integer, {got}"):
+            ExperimentSpec(methods=["hf"], fractions=[0.1], base_seed=bad)
+    spec = ExperimentSpec(methods=["hf"], fractions=[0.1], base_seed=np.int64(-3))
+    assert spec.base_seed == -3 and type(spec.base_seed) is int
+    # the float lists are kept as plain floats, so an int omega0 is written 1000.0
+    spec = ExperimentSpec(methods=["gl-sn"], fractions=[np.float64(0.1)], omega0=[1000],
+                          epsilon=[np.float32(0.5)])
+    assert (spec.fractions, spec.omega0, spec.epsilon) == ([0.1], [1000.0], [0.5])
+    assert all(type(v) is float for v in spec.fractions + spec.omega0 + spec.epsilon)
+
+
+def test_spec_of_numpy_scalars_writes_the_csv_of_python_numbers(tmp_path):
+    # a run's mask seed hashes repr(fraction), and the CSV writes str of each value
+    g, blocks = generate_ssbm(SSBMParams(n=120, k=2, p_in=0.1, p_out=0.1, eta=0.05, seed=0))
+    labels = ssbm_label_data(blocks)
+    sweep = dict(methods=["gl-sn", "hf"], n_eigs=[10], runs=2)
+    plain = ExperimentSpec(fractions=[0.1], omega0=[1000.0], epsilon=[0.1], base_seed=0,
+                           **sweep)
+    scalars = ExperimentSpec(fractions=list(np.array([0.1])), omega0=list(np.array([1000.0])),
+                             epsilon=[np.float64(0.1)], base_seed=np.int64(0), **sweep)
+    paths = tmp_path / "plain.csv", tmp_path / "scalars.csv"
+    for spec, path in zip((plain, scalars), paths):
+        emit_csv(run_experiment(g, labels, spec), path)
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    assert "np." not in paths[1].read_text()
 
 
 def test_run_experiment_rows_and_means():
@@ -129,6 +157,38 @@ def test_full_fraction_is_refused():
     # a fraction of 1.0 trains on every node with ground truth, leaving none to score
     with pytest.raises(ValueError, match=r"fractions must lie in \(0, 1\), got 1.0$"):
         ExperimentSpec(methods=["gl-sn"], fractions=[0.1, 1.0], n_eigs=[6], runs=1)
+
+
+def test_labels_of_another_node_count_are_refused_before_any_solve(monkeypatch):
+    solves = count_calls(monkeypatch, "smallest_eigs", lambda *a, **kw: None)
+    spec = ExperimentSpec(methods=["gl-sn", "hf"], fractions=[0.1], n_eigs=[10], runs=2)
+    (g120, labels120), (g150, labels150) = small_dataset(n=120), small_dataset(n=150)
+    for g, labels, message in [(g120, labels150, "labels cover 150 nodes, the graph 120"),
+                               (g150, labels120, "labels cover 120 nodes, the graph 150")]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_experiment(g, labels, spec)
+    assert solves == []
+
+
+def test_labels_of_one_class_are_refused_before_any_solve(monkeypatch, tmp_path, capsys):
+    solves = count_calls(monkeypatch, "smallest_eigs", lambda *a, **kw: None)
+    message = "a sweep needs at least 2 classes, the labels hold 1"
+    g, blocks = generate_ssbm(SSBMParams(n=100, k=1, p_in=0.1, p_out=0.1))
+    spec = ExperimentSpec(methods=["gl-sn", "hf"], fractions=[0.1], n_eigs=[10], runs=2)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run_experiment(g, ssbm_label_data(blocks), spec)
+    # through the CLI: a one-block SSBM, and a label file that names one class
+    edges, labels = write_small_dataset(tmp_path)
+    one_class = tmp_path / "one.txt"
+    one_class.write_text("".join(line + "\n" for line in labels.read_text().splitlines()
+                                 if line.endswith(" block0")))
+    out = tmp_path / "o.csv"
+    for argv in (["ssbm", "--n", "100", "--k", "1", "--p-in", "0.1", "--p-out", "0.1"],
+                 ["run", "--dataset", str(edges), "--labels", str(one_class)]):
+        capsys.readouterr()
+        assert cli_main(argv + ["--methods", "gl-sn", "--neigs", "10", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert solves == [] and not out.exists()
 
 
 def test_eigenbasis_cache_reused(tmp_path):
@@ -663,7 +723,8 @@ def test_cli_list_items_may_have_blanks_after_commas(via_file, tmp_path):
 @pytest.mark.parametrize("flag", ["--fractions=x", "--neigs=6,x", "--runs=x"])
 def test_cli_malformed_value_is_a_usage_error(flag, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
-        cli_main(["run", "--dataset", "g", "--labels", "l", "--out", "o", flag])
+        cli_main(["run", "--dataset", "g", "--labels", "l", "--methods", "hf", "--out", "o",
+                  flag])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert f"argument {flag.split('=')[0]}: invalid" in err and "<lambda>" not in err
@@ -972,27 +1033,59 @@ def test_cache_file_with_a_regularization_entry_still_loads(monkeypatch, tmp_pat
 
 
 def test_cli_errors_exit_nonzero(tmp_path, capsys):
-    rc = cli_main(["run", "--out", str(tmp_path / "x.csv")])
-    assert rc == 1
-    assert "error:" in capsys.readouterr().err
     rc = cli_main(["balance-check", "--dataset", str(tmp_path / "missing.txt")])
     assert rc == 1
-    # a command that lacks what it needs is refused before it writes anything
+    assert "error:" in capsys.readouterr().err
+    # what the parser cannot check is refused before anything is written (exit 1)
     edges, labels = write_small_dataset(tmp_path)
     out = tmp_path / "o.csv"
     ssbm = ["ssbm", "--n", "30", "--p-in", "0.5", "--p-out", "0.5"]
     for argv, message in [
-        (["run", "--dataset", edges, "--labels", labels, "--out", out], "--methods is required"),
-        (["run", "--labels", labels, "--methods", "hf", "--out", out], "--dataset is required"),
-        (["run", "--dataset", edges, "--labels", labels, "--methods", "hf"], "--out is required"),
+        (["run", "--dataset", edges, "--labels", labels, "--methods=", "--out", out],
+         "methods list is empty"),
         (ssbm, "nothing to do: pass --methods and/or --save-edges"),
         (ssbm + ["--methods", "hf"], "--out is required when running a sweep"),
-        (["eigs", "--dataset", edges, "--operator", "SN"], "--cache-dir is required"),
     ]:
         capsys.readouterr()
         assert cli_main([str(a) for a in argv]) == 1, argv
         assert capsys.readouterr().err.startswith(f"error: {message}"), argv
         assert not out.exists()
+
+
+# every flag a subcommand always needs, with a value; each line is a whole command
+ALWAYS_REQUIRED = {
+    "run": {"--dataset": "g.txt", "--labels": "l.txt", "--methods": "gl-sn", "--out": "o.csv"},
+    "eigs": {"--dataset": "g.txt", "--operator": "SN", "--cache-dir": "cache"},
+    "balance-check": {"--dataset": "g.txt"},
+    "ssbm": {"--n": "50", "--p-in": "0.3", "--p-out": "0.3"},
+}
+
+
+@pytest.mark.parametrize("command, missing", [
+    pytest.param(command, missing, id=f"{command}-{','.join(missing)}")
+    for command, flags in ALWAYS_REQUIRED.items()
+    for missing in dict.fromkeys([tuple(flags), *((flag,) for flag in flags)])
+])
+def test_cli_missing_required_flag_is_a_usage_error(command, missing, monkeypatch, tmp_path,
+                                                    capsys):
+    write_small_dataset(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    solves = []
+    for module in (signedgl.harness, signedgl.cli):
+        monkeypatch.setattr(module, "smallest_eigs", lambda *a, **kw: solves.append(a))
+    argv = [command, *(arg for flag, value in ALWAYS_REQUIRED[command].items()
+                       if flag not in missing for arg in (flag, value))]
+    if command == "ssbm":  # a sweep and an export, lacking only the graph's flags
+        argv += ["--methods", "gl-sn", "--out", "o.csv", "--save-edges", "e.txt"]
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        cli_main(argv)
+    assert exc.value.code == 2
+    # one error line, after the usage lines, names every missing flag
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"signedgl {command}: error: the following arguments are required: {', '.join(missing)}")
+    assert sorted(tmp_path.rglob("*")) == before and solves == []
 
 
 def test_cli_prints_loader_notices_as_plain_lines(tmp_path, capsys):
