@@ -4,7 +4,8 @@ Subcommands:
   run            sweep methods/parameters over an edge-list dataset
   ssbm           same sweep over a generated signed block model
   eigs           precompute the eigenbasis cache file a sweep reads
-  balance-check  report the smallest signed-ratio eigenvalue
+  balance-check  report the smallest signed-ratio eigenvalue of the largest
+                 signed component
 
 Flags may also come from a file: ``signedgl run @sweep.args --runs 3``
 reads one argument per line (``--methods=gl-am,gl-sn``), and a flag given
@@ -70,35 +71,25 @@ _SPEC_FLAGS = {
     "max_iter": ("max_iter", int, "iteration cap"),
     "tol": ("tol", float, "stopping tolerance"),
 }
-# the sweep defaults, for help strings and `eigs`; fractions is the CLI's own default
+# the sweep flags' defaults; fractions is the CLI's own default
 _DEFAULTS = ExperimentSpec(methods=list(METHODS), fractions=[0.05])
 # balance-check reports 2-balanced when lambda_min(signed ratio Laplacian) is at most this
 _BALANCE_TOL = 1e-10
 
 
-def _default_help(flag: str) -> str:
-    value = getattr(_DEFAULTS, _SPEC_FLAGS[flag][0])
-    shown = ",".join(map(str, value)) if isinstance(value, list) else value
-    return f"(default {shown})"
-
-
 def _build_spec(args) -> ExperimentSpec:
-    """The sweep spec from the flags the user set; ExperimentSpec fills in the rest."""
-    given = {"fractions": list(_DEFAULTS.fractions)}
-    for flag, (name, _, _) in _SPEC_FLAGS.items():
-        value = getattr(args, flag)
-        if value not in (None, []):  # an empty list keeps the default too
-            given[name] = value
-    return ExperimentSpec(methods=args.methods, **given)
+    """The sweep spec the flags describe; argparse filled in _DEFAULTS for the rest."""
+    return ExperimentSpec(methods=args.methods, **{
+        name: getattr(args, flag) for flag, (name, _, _) in _SPEC_FLAGS.items()})
 
 
 def _add_sweep_flags(p: argparse.ArgumentParser, required: bool) -> None:
     """The sweep flags; ``required`` makes --methods and --out always needed."""
     p.add_argument("--methods", type=_str_list, required=required,
                    help=f"comma list from: {', '.join(METHODS)}")
-    for flag, (_, parse, text) in _SPEC_FLAGS.items():
+    for flag, (name, parse, text) in _SPEC_FLAGS.items():
         p.add_argument("--" + flag.replace("_", "-"), type=parse,
-                       help=f"{text} {_default_help(flag)}")
+                       default=getattr(_DEFAULTS, name), help=f"{text} (default %(default)s)")
     p.add_argument("--out", required=required, help="output CSV path")
     p.add_argument("--cache-dir", help="eigenbasis cache directory")
     p.add_argument("--timings", action="store_true", help="include wall times in the CSV")
@@ -153,7 +144,7 @@ def _cmd_ssbm(args) -> int:
 
 def _cmd_eigs(args) -> int:
     # the sweep's n_eigs check (positive, no repeat) runs before the graph is read
-    n_eigs = replace(_DEFAULTS, n_eigs=args.neigs or _DEFAULTS.n_eigs).n_eigs
+    n_eigs = replace(_DEFAULTS, n_eigs=args.neigs).n_eigs
     g = _load_graph(args)
     kind = OperatorKind(args.operator)
     comp, _ = largest_connected_component(g, operator_component(kind))
@@ -167,11 +158,12 @@ def _cmd_eigs(args) -> int:
 
 def _cmd_balance_check(args) -> int:
     g = _load_graph(args)
-    op = build_operator(g, OperatorKind.SR)
-    lam = smallest_eigs(op, k=1).lambdas[0]
+    # every other component would add a zero eigenvalue of its own
+    comp, _ = largest_connected_component(g, "signed")
+    lam = smallest_eigs(build_operator(comp, OperatorKind.SR), k=1).lambdas[0]
     balanced = "yes" if lam <= _BALANCE_TOL else "no"
-    print(f"nodes={g.n} positive_edges={g.num_positive_edges} "
-          f"negative_edges={g.num_negative_edges}")
+    print(f"largest signed component: nodes={comp.n} of {g.n} "
+          f"positive_edges={comp.num_positive_edges} negative_edges={comp.num_negative_edges}")
     print(f"lambda_min(signed ratio Laplacian) = {lam:.6e}")
     print(f"2-balanced (lambda_min <= {_BALANCE_TOL:g}): {balanced}")
     return 0
@@ -215,12 +207,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_eigs.add_argument(
         "--operator", required=True, choices=[kind.value for kind in GL_METHODS.values()]
     )
-    p_eigs.add_argument("--neigs", type=_int_list,
-                        help=f"{_SPEC_FLAGS['neigs'][2]} {_default_help('neigs')}")
+    p_eigs.add_argument("--neigs", type=_int_list, default=_DEFAULTS.n_eigs,
+                        help=f"{_SPEC_FLAGS['neigs'][2]} (default %(default)s)")
     p_eigs.add_argument("--cache-dir", required=True)
     p_eigs.set_defaults(func=_cmd_eigs)
 
-    p_bal = sub.add_parser("balance-check", help="report lambda_min of the signed ratio Laplacian")
+    p_bal = sub.add_parser("balance-check", help="report lambda_min of the signed ratio Laplacian "
+                           "on the largest signed component")
     _add_dataset_flags(p_bal)
     p_bal.set_defaults(func=_cmd_balance_check)
     return parser

@@ -371,7 +371,8 @@ def sample_labeled_nodes(labels: LabelData, fraction: float, seed: int = 0) -> n
     """Uniform sample (without replacement) of labeled training nodes.
 
     Draws round(fraction * #known) nodes from those with ground truth,
-    from ``default_rng(seed)``.  Raises if the rounded count is zero.
+    from ``default_rng(seed)``.  Raises if the rounded count is zero, or if
+    ``seed`` is not an integer >= 0 (a float or a bool would be truncated).
     """
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"fraction must lie in (0, 1], got {fraction}")
@@ -381,7 +382,7 @@ def sample_labeled_nodes(labels: LabelData, fraction: float, seed: int = 0) -> n
         raise ValueError(
             f"fraction {fraction} of {pool.size} labeled nodes rounds to zero"
         )
-    rng = np.random.default_rng(int(seed))
+    rng = np.random.default_rng(_positive_int(seed, "seed", least=0))
     chosen = rng.choice(pool, size=count, replace=False)
     mask = np.zeros(labels.n, dtype=bool)
     mask[chosen] = True

@@ -298,10 +298,18 @@ def test_sample_full_fraction():
 def test_sample_deterministic():
     labels = ssbm_label_data(np.zeros(100, dtype=int))
     a = sample_labeled_nodes(labels, 0.2, seed=8)
-    b = sample_labeled_nodes(labels, 0.2, seed=8)
+    b = sample_labeled_nodes(labels, 0.2, seed=np.int64(8))
     assert np.array_equal(a, b)
     c = sample_labeled_nodes(labels, 0.2, seed=9)
     assert not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("seed", [1.5, 1.0, True, "1", -1, None])
+def test_sample_refuses_a_seed_that_is_not_an_integer(seed):
+    # int(seed) would draw the mask of seed=1 for 1.5 and True
+    labels = ssbm_label_data(np.zeros(100, dtype=int))
+    with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+        sample_labeled_nodes(labels, 0.2, seed=seed)
 
 
 def test_sample_count_rounds_half_to_even():

@@ -733,6 +733,7 @@ def test_cli_malformed_value_is_a_usage_error(flag, tmp_path, capsys):
 @pytest.mark.parametrize("flag, named", [
     ("--methods=hf,gl-sn,hf", "methods"),
     ("--neigs=6,6", "n_eigs"),
+    pytest.param("--neigs=", "n_eigs list is empty", id="--neigs=-empty"),  # not the default
     ("--fractions=0.1,0.2,0.1", "fractions"),
     ("--fractions=0.1,1.0", "fractions"),
     ("--omega0=10,10", "omega0"),
@@ -757,17 +758,36 @@ def test_cli_run_refuses_a_sweep_no_cell_can_run(flag, named, monkeypatch, tmp_p
     assert solves == [] and not out.exists()
 
 
-def test_cli_balance_check(tmp_path, capsys):
+def balance_check(tmp_path, capsys, graph):
+    """The three lines balance-check prints for the SSBM that ``graph`` describes."""
     edges = tmp_path / "g.txt"
-    assert cli_main([
-        "ssbm", "--n", "30", "--k", "2", "--p-in", "0.5", "--p-out", "0.5",
-        "--eta", "0.0", "--graph-seed", "2", "--save-edges", str(edges),
-    ]) == 0
-    rc = cli_main(["balance-check", "--dataset", str(edges)])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "lambda_min" in out
-    assert "2-balanced (lambda_min <= 1e-10): yes" in out
+    assert cli_main(["ssbm", "--k", "2", *graph, "--save-edges", str(edges)]) == 0
+    capsys.readouterr()
+    assert cli_main(["balance-check", "--dataset", str(edges)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[1].startswith("lambda_min(signed ratio Laplacian) = ")
+    return out
+
+
+def test_cli_balance_check(tmp_path, capsys):
+    out = balance_check(tmp_path, capsys, ["--n", "30", "--p-in", "0.5", "--p-out", "0.5",
+                                           "--eta", "0.0", "--graph-seed", "2"])
+    assert out[0].startswith("largest signed component: nodes=30 of 30 ")
+    assert out[2] == "2-balanced (lambda_min <= 1e-10): yes"
+
+
+@pytest.mark.parametrize("graph, component", [
+    (["--n", "30", "--p-in", "0.5", "--p-out", "0.5", "--eta", "0.3", "--graph-seed", "2"],
+     "nodes=30 of 30"),
+    # isolated nodes and small balanced components each add a zero eigenvalue of the
+    # whole graph; its largest signed component has lambda_min 8.2e-3
+    (["--n", "300", "--p-in", "0.004", "--p-out", "0.004", "--eta", "0.3", "--graph-seed", "0"],
+     "nodes=127 of 300"),
+], ids=["connected", "disconnected"])
+def test_cli_balance_check_reads_no_with_sign_flips(graph, component, tmp_path, capsys):
+    out = balance_check(tmp_path, capsys, graph)
+    assert out[0].startswith(f"largest signed component: {component} ")
+    assert out[2] == "2-balanced (lambda_min <= 1e-10): no"
 
 
 def test_cli_eigs_cache_then_run(tmp_path):
@@ -794,7 +814,8 @@ def test_cli_eigs_cache_then_run(tmp_path):
     assert cached[0].stat().st_mtime_ns == stamp  # reused the precomputed basis
 
 
-@pytest.mark.parametrize("neigs, entry", [("5,0", "got 0"), ("5,5", "[5, 5]")])
+@pytest.mark.parametrize("neigs, entry", [("5,0", "got 0"), ("5,5", "[5, 5]"),
+                                          pytest.param("", "list is empty", id="empty")])
 def test_cli_eigs_refuses_neigs_the_sweep_refuses(neigs, entry, monkeypatch, tmp_path, capsys):
     solves = count_calls(monkeypatch, "smallest_eigs", lambda *a, **kw: None)
     cache = tmp_path / "cache"

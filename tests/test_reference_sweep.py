@@ -9,9 +9,12 @@ of the convexity-splitting step of the energy.  The multiclass scheme
 uses its own sort-based simplex projection and a well gradient that
 loops over the L1 distances to the simplex vertices.  The baselines are
 dense solves.  From the package only the code under test, the label
-sampler, the seed derivation and the SSBM generator are used, so a
-change to the sweep's plumbing (components, label restriction, seeds,
-truncation, evaluation mask, accuracy) shows up as a differing row.
+sampler, the seed derivation, the SSBM generator and the dense size cap
+are used, so a change to the sweep's plumbing (components, label
+restriction, seeds, truncation, evaluation mask, accuracy) shows up as a
+differing row.
+One binary case has a signed component above ``DENSE_CAP``, so its sweep
+takes the Lanczos path while the reference still solves densely.
 
 gl-sponge is left out: its basis is B-orthonormal, on which the
 coefficient-space and node-space forms of the step disagree.
@@ -23,6 +26,7 @@ from scipy.sparse.csgraph import connected_components
 
 from signedgl import LabelData, SSBMParams, generate_ssbm, sample_labeled_nodes
 from signedgl.harness import ExperimentSpec, _derived_seed, run_experiment
+from signedgl.spectral import DENSE_CAP
 
 ALPHA = 0.99  # the LGC mixing parameter, passed to the sweep explicitly
 NORM_FLOOR = 1e-30
@@ -201,17 +205,23 @@ def sweep_rows(g, y, num_classes, spec):
 
 
 # binary: 96 GL rows and 12 baseline rows; multiclass: 24 GL rows and 8 baseline rows
-# (its larger fractions keep the multiclass iterations, 4,011 in all, within budget)
-@pytest.mark.parametrize("num_classes, unknown_every, methods, fractions, epsilon, runs", [
-    (2, 7, ["gl-plus", "gl-minus", "gl-sn", "gl-am", "hf", "lgc"], [0.05, 0.1], [0.1, 0.3], 3),
-    (3, 9, ["gl-plus", "gl-sn", "gl-am", "hf", "lgc"], [0.1, 0.2], [0.1], 2),
+# (its larger fractions keep the multiclass iterations, 4,011 in all, within budget);
+# binary-lanczos: 8 GL rows whose bases the sweep solves by Lanczos
+@pytest.mark.parametrize("n, p, num_classes, unknown_every, methods, fractions, epsilon, runs", [
+    pytest.param(240, 0.05, 2, 7, ["gl-plus", "gl-minus", "gl-sn", "gl-am", "hf", "lgc"],
+                 [0.05, 0.1], [0.1, 0.3], 3, id="binary"),
+    pytest.param(240, 0.05, 3, 9, ["gl-plus", "gl-sn", "gl-am", "hf", "lgc"],
+                 [0.1, 0.2], [0.1], 2, id="multiclass"),
+    pytest.param(2100, 0.005, 2, 7, ["gl-sn", "gl-am"], [0.05], [0.1], 2, id="binary-lanczos"),
 ])
-def test_run_rows_equal_the_reference(num_classes, unknown_every, methods, fractions, epsilon,
-                                      runs):
+def test_run_rows_equal_the_reference(n, p, num_classes, unknown_every, methods, fractions,
+                                      epsilon, runs):
     # every 7th (9th) node has no ground truth, and the positive component drops
     # 1 (3) of the 240 nodes, so the label restriction and the evaluation mask matter
-    g, blocks = generate_ssbm(SSBMParams(n=240, k=num_classes, p_in=0.05, p_out=0.05,
+    g, blocks = generate_ssbm(SSBMParams(n=n, k=num_classes, p_in=p, p_out=p,
                                          eta=0.1, seed=11))
+    if n > DENSE_CAP:  # the signed component, too, so the sweep takes the Lanczos path
+        assert largest_component((g.Wp + g.Wn).toarray()).size > DENSE_CAP
     y = np.where(np.arange(g.n) % unknown_every == 0, -1, blocks).astype(np.int64)
     spec = ExperimentSpec(methods=methods, fractions=fractions, n_eigs=[10, 20],
                           epsilon=epsilon, runs=runs, base_seed=3, alpha=ALPHA)
