@@ -101,9 +101,8 @@ def _add_dataset_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--header", action="store_true", help="skip the first data line")
 
 
-def _sweep(args, g, labels) -> int:
-    """Run the sweep the flags describe on (g, labels) and write its CSV."""
-    spec = _build_spec(args)
+def _sweep(args, spec, g, labels) -> int:
+    """Run the sweep ``spec`` on (g, labels) and write its CSV."""
     result = run_experiment(g, labels, spec, cache_dir=args.cache_dir)
     emit_csv(result, args.out, include_timings=args.timings)
     print(f"wrote {args.out} ({len(result.runs)} run rows, {len(result.means)} mean rows)")
@@ -117,10 +116,18 @@ def _load_graph(args):
 def _cmd_run(args) -> int:
     g = _load_graph(args)
     labels = load_labels(args.labels, g, strict=not args.skip_missing)
-    return _sweep(args, g, labels)
+    return _sweep(args, _build_spec(args), g, labels)
 
 
 def _cmd_ssbm(args) -> int:
+    # a sweep that would be refused is refused before any file is written
+    spec = None
+    if args.methods is not None:
+        spec = _build_spec(args)
+        if not args.out:
+            raise ValueError("--out is required when running a sweep")
+    elif not (args.save_edges or args.save_labels):
+        raise ValueError("nothing to do: pass --methods and/or --save-edges")
     params = SSBMParams(
         n=args.n, k=args.k, p_in=args.p_in, p_out=args.p_out,
         eta=args.eta, seed=args.graph_seed,
@@ -133,13 +140,7 @@ def _cmd_ssbm(args) -> int:
     if args.save_labels:
         write_labels(g, labels, args.save_labels)
         print(f"wrote {args.save_labels}")
-    if not args.methods:
-        if not (args.save_edges or args.save_labels):
-            raise ValueError("nothing to do: pass --methods and/or --save-edges")
-        return 0
-    if not args.out:
-        raise ValueError("--out is required when running a sweep")
-    return _sweep(args, g, labels)
+    return 0 if spec is None else _sweep(args, spec, g, labels)
 
 
 def _cmd_eigs(args) -> int:

@@ -7,10 +7,12 @@ signed otherwise) with its labels, once per sweep.  ``_cells`` gives a
 method's (N_e, omega0, epsilon, basis) cells from ``_bases``, which
 solves each operator once at the largest N_e (capped by the component
 size), or reads it from an on-disk cache, and truncates it for smaller
-N_e; a basis does not depend on ``base_seed``, so a file serves a sweep
-of any seed, and ``_bases`` is the one writer of the files (``signedgl
-eigs`` calls it too).  ``_samples`` draws a method's label masks per
-(fraction, run).  ``_rows`` classifies one cell's samples: the one
+N_e.  Its leading vectors equal a direct smaller solve to solver
+accuracy, and give the same rows.  A basis does not depend on
+``base_seed``, so a file serves a sweep of any seed, and ``_bases`` is
+the one writer of the files (``signedgl eigs`` calls it too).
+``_samples`` draws a method's label masks per (fraction, run).
+``_rows`` classifies one cell's samples: the one
 classifier dispatch, and the one place a ``Record`` is built.  Both
 per-run seeds, a run's mask in ``_samples`` and its multiclass start in
 ``_rows``, are ``_derived_seed(base_seed, method, stream, fraction) +

@@ -89,7 +89,11 @@ class OperatorHandle:
 
 
 def _to_dense(M) -> np.ndarray:
-    return M.toarray() if sp.issparse(M) else np.asarray(M, dtype=float)
+    """A Fortran-ordered float64 copy of M, never a view of it: LAPACK
+    works on a Fortran array in place, so a solve may overwrite the copy."""
+    if sp.issparse(M):
+        return M.toarray(order="F").astype(float, copy=False)
+    return np.array(M, dtype=float, order="F", copy=True)
 
 
 def _symmetrized(S) -> sp.csr_array:

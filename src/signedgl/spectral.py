@@ -1,12 +1,16 @@
 """Smallest eigenpairs of symmetric operators and symmetric-definite pairs.
 
 Small problems (n <= DENSE_CAP, the package's one size rule) go through
-LAPACK on dense matrices, a generalized pair through its
-symmetric-definite driver (``sygvd``); larger ones through ARPACK's
-Lanczos iteration.  Every Lanczos run starts from one fixed vector, so a
-basis depends on its operator and k alone: a solve repeats bit for bit,
-and an eigenbasis cache file keyed by (graph digest, operator, k) holds
-what any sweep would solve, whatever seed draws its label masks.
+LAPACK on dense matrices, which computes only the k pairs kept: ``syevr``
+for a plain operator, the symmetric-definite ``sygvx`` for a generalized
+pair, each in place on Fortran-ordered copies that the solve owns.
+Larger problems go through ARPACK's Lanczos iteration.  Every Lanczos run
+starts from one fixed vector, so a basis depends on its operator and k
+alone: a solve repeats bit for bit, and an eigenbasis cache file keyed by
+(graph digest, operator, k) holds what any sweep would solve, whatever
+seed draws its label masks.  On the dense path the leading pairs of a
+k-pair solve equal a smaller solve to solver accuracy (about 1e-15), not
+bit for bit.
 Generalized pairs run shift-invert Lanczos at sigma = 0: A is positive
 definite, so the largest 1/lambda are the smallest lambda, and the tight
 cluster at the bottom of the spectrum is stretched apart.  A^{-1} is
@@ -243,11 +247,13 @@ def smallest_eigs(op: OperatorHandle, k: int) -> Eigenbasis:
         raise ValueError(f"k must be in [1, {n}], got {k}")
     # ARPACK needs k < n-1; fall back to the dense path near full spectra.
     if n <= DENSE_CAP or k > n - 2:
-        if op.is_generalized:
-            lam, V = sla.eigh(*op.dense_pair())
-        else:
-            lam, V = np.linalg.eigh(op.dense())
-        lam, V = lam[:k], V[:, :k]
+        # only the k pairs kept (syevr, or sygvx for a pair), in place on
+        # copies the solve owns
+        mats = op.dense_pair() if op.is_generalized else (op.dense(),)
+        lam, V = sla.eigh(*mats, subset_by_index=[0, k - 1], overwrite_a=True,
+                          overwrite_b=True, check_finite=False)
+        if len(lam) < k:  # unchecked, a NaN entry makes LAPACK find fewer pairs
+            raise EigenSolveError(f"dense solve found {len(lam)} of {k} eigenpairs")
     else:
         lam, V = _arpack_smallest(op, k)
     V = _canonical_signs(np.ascontiguousarray(V))
@@ -256,7 +262,8 @@ def smallest_eigs(op: OperatorHandle, k: int) -> Eigenbasis:
 
 
 def full_dense_eigs(op: OperatorHandle) -> Eigenbasis:
-    """All n eigenpairs, ascending; dense oracle path, n <= DENSE_CAP only."""
+    """All n eigenpairs, ascending: ``smallest_eigs(op, op.n)``, the dense
+    path's subset drivers asked for every pair; n <= DENSE_CAP only."""
     if op.n > DENSE_CAP:
         raise ValueError(f"full dense solve limited to n <= {DENSE_CAP}, got n={op.n}")
     return smallest_eigs(op, op.n)

@@ -1061,16 +1061,23 @@ def test_cli_errors_exit_nonzero(tmp_path, capsys):
     edges, labels = write_small_dataset(tmp_path)
     out = tmp_path / "o.csv"
     ssbm = ["ssbm", "--n", "30", "--p-in", "0.5", "--p-out", "0.5"]
+    # a sweep that is refused exports no graph either
+    exports = [tmp_path / "e.txt", tmp_path / "b.txt"]
+    export = ["--save-edges", exports[0], "--save-labels", exports[1]]
     for argv, message in [
         (["run", "--dataset", edges, "--labels", labels, "--methods=", "--out", out],
          "methods list is empty"),
         (ssbm, "nothing to do: pass --methods and/or --save-edges"),
         (ssbm + ["--methods", "hf"], "--out is required when running a sweep"),
+        (ssbm + ["--methods=", *export, "--out", out], "methods list is empty"),
+        (ssbm + ["--methods", "hf", "--fractions", "1.5", *export, "--out", out],
+         "fractions must lie in (0, 1), got 1.5"),
+        (ssbm + ["--methods", "hf", *export], "--out is required when running a sweep"),
     ]:
         capsys.readouterr()
         assert cli_main([str(a) for a in argv]) == 1, argv
         assert capsys.readouterr().err.startswith(f"error: {message}"), argv
-        assert not out.exists()
+        assert not out.exists() and not any(path.exists() for path in exports), argv
 
 
 # every flag a subcommand always needs, with a value; each line is a whole command

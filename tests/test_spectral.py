@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -12,6 +14,7 @@ from signedgl import (
     build_operator,
     full_dense_eigs,
     generate_ssbm,
+    largest_connected_component,
     load_eigenbasis,
     save_eigenbasis,
     signed_ratio_laplacian,
@@ -252,6 +255,18 @@ def test_lanczos_failures_are_eigensolve_errors(b, monkeypatch):
             smallest_eigs(op, k=3)
 
 
+@pytest.mark.parametrize("pair", [False, True])
+def test_dense_solve_refuses_a_matrix_that_is_not_finite(pair):
+    # the dense solve skips scipy's finiteness check; LAPACK then finds no
+    # pair at all, which must not come back as an empty basis
+    S = np.eye(5)
+    S[1, 2] = S[2, 1] = np.nan
+    op = OperatorHandle(OperatorSpec(OperatorKind.BR), sp.csr_array(S),
+                        sp.eye_array(5, format="csr") if pair else None)
+    with pytest.raises(EigenSolveError, match="dense solve found 0 of 2 eigenpairs"):
+        smallest_eigs(op, k=2)
+
+
 def test_k_out_of_range(rng):
     g = random_signed_graph(rng, 10)
     op = signed_ratio_laplacian(g)
@@ -299,15 +314,71 @@ def test_truncate():
 
 
 def test_truncated_solve_equals_smaller_solve(rng):
-    # the dense path solves the full spectrum, so a sweep may solve once at
-    # its largest N_e and truncate for the others
+    # a sweep solves once at its largest N_e and truncates for the others;
+    # the dense path's subset drivers (syevr, sygvx) solve only the k pairs
+    # kept, so the leading pairs of a larger solve equal a smaller solve to
+    # solver accuracy (gaps near 1e-15 here), not bit for bit
     g = random_signed_graph(rng, 40, weighted=True)
     for kind in (OperatorKind.SN, OperatorKind.AM, OperatorKind.SPONGE):
         op = build_operator(g, kind)
         truncated = smallest_eigs(op, 8).truncate(4)
         direct = smallest_eigs(op, 4)
-        assert np.array_equal(truncated.lambdas, direct.lambdas)
-        assert np.array_equal(truncated.phis, direct.phis)
+        scale = np.maximum(1.0, np.abs(direct.lambdas))
+        assert np.all(np.abs(truncated.lambdas - direct.lambdas) <= 1e-14 * scale)
+        assert np.abs(truncated.phis - direct.phis).max() <= 1e-12
+
+
+@pytest.fixture(scope="module")
+def ssbm300_component():
+    # the signed component of the n=300 SSBM that the CLI tests sweep
+    g, _ = generate_ssbm(SSBMParams(n=300, k=2, p_in=0.05, p_out=0.05, eta=0.1, seed=0))
+    return largest_connected_component(g, "signed")[0]
+
+
+def _largest_entry_positive(V):
+    idx = np.argmax(np.abs(V), axis=0)
+    return V * np.sign(V[idx, np.arange(V.shape[1])])
+
+
+@pytest.mark.parametrize("kind", ["SN", "AM", "SPONGE"])
+def test_dense_subset_basis_matches_full_spectrum_oracle(kind, rng, ssbm300_component):
+    k = 10
+    graphs = [random_signed_graph(rng, 40, weighted=True) for _ in range(3)]
+    for g in [*graphs, ssbm300_component]:
+        sparse = build_operator(g, kind)
+        mats = [M.toarray() for M in (sparse.A, sparse.B) if M is not None]
+        # the same operator on Fortran-ordered arrays, the layout LAPACK
+        # would overwrite if the solve did not copy it
+        fortran = OperatorHandle(sparse.spec, *(np.asfortranarray(M) for M in mats))
+        for op in (sparse, fortran):
+            held = [M for M in (op.A, op.B) if M is not None]
+            before = [M.copy() for M in held]
+            basis = smallest_eigs(op, k)
+            for M, copy in zip(held, before):  # the solve overwrote only its own copies
+                assert (M != copy).sum() == 0
+            # every pair from the full-spectrum drivers, then the k smallest
+            lam, V = sla.eigh(*mats) if op.is_generalized else np.linalg.eigh(mats[0])
+            assert basis.phis.shape == (g.n, k) and basis.phis.flags.c_contiguous
+            assert np.allclose(basis.lambdas, lam[:k], rtol=0.0, atol=1e-12)
+            assert np.allclose(basis.phis, _largest_entry_positive(V[:, :k]), rtol=0.0, atol=1e-10)
+            B = mats[1] if op.is_generalized else np.eye(g.n)
+            assert np.allclose(basis.phis.T @ B @ basis.phis, np.eye(k), rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind, bound", [("SN", 1.5), ("AM", 1.5), ("SPONGE", 2.5)])
+def test_dense_solve_peak_memory(kind, bound, ssbm300_component):
+    # the subset drivers work in place on the one dense copy of each matrix
+    # and write k eigenvectors, not n: about 1.2 n^2 doubles (2.2 for a
+    # pair), where a full solve and a slice took 2.0 (6.0 for a pair)
+    op = build_operator(ssbm300_component, kind)
+    smallest_eigs(op, 10)  # first-call allocations stay out of the peak
+    tracemalloc.start()
+    try:
+        smallest_eigs(op, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * 8 * op.n ** 2
 
 
 def test_cache_round_trip(tmp_path, rng):
