@@ -82,10 +82,7 @@ def _positive_int(value, name: str, least: int = 1) -> int:
 
 @dataclass
 class GLConfig:
-    """Parameters of the Ginzburg-Landau scheme.
-
-    The solvers use whatever eigenbasis they are handed.
-    """
+    """Parameters of the Ginzburg-Landau scheme."""
 
     epsilon: float = 0.1
     omega0: float = 1000.0

@@ -22,6 +22,7 @@ import argparse
 import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 from .data import (
     SSBMParams,
@@ -113,7 +114,17 @@ def _load_graph(args):
     return load_signed_edge_list(args.dataset, header=args.header)
 
 
+def _check_out(out: str) -> None:
+    """Refuse an --out path the CSV could not be written to, before the sweep runs."""
+    path = Path(out)
+    if path.is_dir():
+        raise ValueError(f"--out {out} is a directory")
+    if not path.parent.is_dir():
+        raise ValueError(f"--out {out}: directory {path.parent} does not exist")
+
+
 def _cmd_run(args) -> int:
+    _check_out(args.out)
     g = _load_graph(args)
     labels = load_labels(args.labels, g, strict=not args.skip_missing)
     return _sweep(args, _build_spec(args), g, labels)
@@ -126,6 +137,7 @@ def _cmd_ssbm(args) -> int:
         spec = _build_spec(args)
         if not args.out:
             raise ValueError("--out is required when running a sweep")
+        _check_out(args.out)
     elif not (args.save_edges or args.save_labels):
         raise ValueError("nothing to do: pass --methods and/or --save-edges")
     params = SSBMParams(

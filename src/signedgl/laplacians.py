@@ -63,11 +63,18 @@ class OperatorSpec:
 @dataclass(frozen=True)
 class OperatorHandle:
     """A symmetric operator A, or the generalized pair (A, B) with A and B
-    positive definite; B is None for a plain operator."""
+    positive definite; B is None for a plain operator.  Given in any sparse
+    format or as arrays, each is held as a float64 CSR copy with sorted
+    indices, the one form the eigensolvers read."""
 
     spec: OperatorSpec
-    A: object
-    B: object = None
+    A: sp.csr_array
+    B: sp.csr_array | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "A", _as_csr(self.A))
+        if self.B is not None:
+            object.__setattr__(self, "B", _as_csr(self.B))
 
     @property
     def is_generalized(self) -> bool:
@@ -88,12 +95,10 @@ class OperatorHandle:
         return _to_dense(self.A), _to_dense(self.B)
 
 
-def _to_dense(M) -> np.ndarray:
-    """A Fortran-ordered float64 copy of M, never a view of it: LAPACK
-    works on a Fortran array in place, so a solve may overwrite the copy."""
-    if sp.issparse(M):
-        return M.toarray(order="F").astype(float, copy=False)
-    return np.array(M, dtype=float, order="F", copy=True)
+def _to_dense(M: sp.csr_array) -> np.ndarray:
+    """A new Fortran-ordered array of the float64 CSR M: LAPACK works on a
+    Fortran array in place, so a solve may overwrite it."""
+    return M.toarray(order="F")
 
 
 def _symmetrized(S) -> sp.csr_array:

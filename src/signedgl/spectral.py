@@ -1,16 +1,15 @@
 """Smallest eigenpairs of symmetric operators and symmetric-definite pairs.
 
-Small problems (n <= DENSE_CAP, the package's one size rule) go through
-LAPACK on dense matrices, which computes only the k pairs kept: ``syevr``
-for a plain operator, the symmetric-definite ``sygvx`` for a generalized
-pair, each in place on Fortran-ordered copies that the solve owns.
-Larger problems go through ARPACK's Lanczos iteration.  Every Lanczos run
-starts from one fixed vector, so a basis depends on its operator and k
-alone: a solve repeats bit for bit, and an eigenbasis cache file keyed by
-(graph digest, operator, k) holds what any sweep would solve, whatever
-seed draws its label masks.  On the dense path the leading pairs of a
-k-pair solve equal a smaller solve to solver accuracy (about 1e-15), not
-bit for bit.
+n <= DENSE_CAP, or k > n - 2 (which ARPACK cannot solve), goes through
+LAPACK's subset drivers, computing only the k pairs kept: ``syevr`` for an
+operator, the symmetric-definite ``sygvx`` for a pair, each in place on
+Fortran-ordered dense copies that the solve owns.  All else goes through
+ARPACK's Lanczos iteration.  Every Lanczos run starts from one fixed
+vector, so a basis depends on its operator and k alone: a solve repeats
+bit for bit, and an eigenbasis cache file keyed by (graph digest,
+operator, k) holds what any sweep would solve, whatever seed draws its
+label masks.  On the dense path the leading pairs of a k-pair solve equal
+a smaller solve to solver accuracy (about 1e-15), not bit for bit.
 Generalized pairs run shift-invert Lanczos at sigma = 0: A is positive
 definite, so the largest 1/lambda are the smallest lambda, and the tight
 cluster at the bottom of the spectrum is stretched apart.  A^{-1} is
@@ -20,12 +19,13 @@ one CG solver, at one relative tolerance ``_CG_RTOL``; the baselines solve
 every system with it, at every size.
 
 Lanczos stops at the accuracy the residual check asks for, not at machine
-precision: ARPACK runs to ``_ARPACK_TOL`` = ``_RESIDUAL_TOL`` / 100, and
-every solve still ends in ``_check_residuals`` at ``_RESIDUAL_TOL``.  The
-sparse operators (A in mode 1, A inside CG and B in mode 3) are applied by
-scipy's CSR kernel directly, which is the arithmetic of ``A @ x`` bit for
-bit without its dispatch.  The returned eigenvectors are orthonormal,
-B-orthonormal for generalized pairs.
+precision: ARPACK runs to ``_ARPACK_TOL`` = ``_RESIDUAL_TOL`` / 100.  Both
+paths end in ``_check_pairs``, which refuses fewer than k pairs and any
+residual not within ``_RESIDUAL_TOL`` (NaN too).  A handle holds float64
+CSR, so the sparse operators (A in mode 1, A inside CG and B in mode 3)
+are applied by scipy's CSR kernel directly, which is the arithmetic of
+``A @ x`` bit for bit without its dispatch.  The returned eigenvectors are
+orthonormal, B-orthonormal for generalized pairs.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from pathlib import Path
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 from scipy.sparse._sparsetools import csr_matvec
 from scipy.sparse.linalg import (
     ArpackError,
@@ -59,11 +58,11 @@ __all__ = [
     "eigenbasis_cache_file",
 ]
 
-DENSE_CAP = 2000  # largest n solved by dense LAPACK; Lanczos above it
+DENSE_CAP = 2000  # largest n always solved by dense LAPACK; Lanczos above it unless k > n - 2
 _RESIDUAL_TOL = 1e-6
 # ARPACK stops once each Ritz estimate is below tol * |Ritz value| of the
 # operator it iterates on (1/lambda for A^{-1} B in shift-invert), which is
-# not the ||A v - lambda B v|| that _check_residuals bounds; the factor 100
+# not the ||A v - lambda B v|| that _check_pairs bounds; the factor 100
 # covers that gap and the CG error of the inner solves.  On the ssbm2
 # benchmark pairs the residuals stay below 1e-8.
 _ARPACK_TOL = _RESIDUAL_TOL / 100
@@ -113,14 +112,6 @@ def _canonical_signs(phis: np.ndarray) -> np.ndarray:
     return phis * signs
 
 
-def _float_csr(A) -> sp.csr_array:
-    """A as float64 CSR: A itself when it already is, else one conversion,
-    so that no CSC index array ever reaches the CSR kernel."""
-    if sp.issparse(A) and A.format == "csr" and A.dtype == np.float64:
-        return A
-    return sp.csr_array(A, dtype=np.float64)
-
-
 def _matvec_into(A, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """y = A x for a float64 CSR A, into y; returns y.
 
@@ -135,7 +126,6 @@ def _matvec_into(A, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _csr_operator(A) -> LinearOperator:
     """A sparse symmetric operator as a LinearOperator applied by the CSR
     kernel: the mode-1 operator and B in mode 3."""
-    A = _float_csr(A)
     return LinearOperator(
         A.shape, matvec=lambda x: _matvec_into(A, np.ravel(x), np.empty(A.shape[0])),
         dtype=float,
@@ -143,15 +133,14 @@ def _csr_operator(A) -> LinearOperator:
 
 
 def _cg_solve(A, b: np.ndarray, rtol: float) -> np.ndarray:
-    """Solve A x = b by conjugate gradients from x = 0, stopping at r = 0 or
-    ||r|| < rtol ||b||; the arithmetic of scipy's unpreconditioned ``cg``.
+    """Solve A x = b (A float64 CSR) by conjugate gradients from x = 0, stopping
+    at r = 0 or ||r|| < rtol ||b||; the arithmetic of scipy's unpreconditioned ``cg``.
 
     Raises np.linalg.LinAlgError when p^T A p <= 0 (A is not positive
     definite) or when 10 n steps do not reach the tolerance.
     """
     bnorm = np.linalg.norm(b)
     x = np.zeros_like(b)
-    A = _float_csr(A)
     r = b.copy()
     p = r.copy()
     q = np.empty_like(b)
@@ -184,9 +173,8 @@ def _cg_inverse(A) -> LinearOperator:
     Laplacian), so no factorization is needed and sparsity fill-in is
     avoided.  Each solve stops at ``_CG_RTOL``, two orders of magnitude
     below ``_ARPACK_TOL``, so the inexact applies add far less error than
-    ARPACK's own stopping rule leaves; ``_check_residuals`` then measures
+    ARPACK's own stopping rule leaves; ``_check_pairs`` then measures
     every pair on A and B themselves."""
-    A = _float_csr(A)
     return LinearOperator(A.shape, matvec=lambda x: _cg_solve(A, x, _CG_RTOL), dtype=float)
 
 
@@ -200,7 +188,7 @@ def _arpack_smallest(op: OperatorHandle, k: int):
         else:
             lam, V = eigsh(_csr_operator(op.A), k=k, which="SA", v0=v0, tol=_ARPACK_TOL)
     except ArpackNoConvergence as exc:
-        best = _best_residual(op, exc.eigenvalues, exc.eigenvectors)
+        best = _residual_norms(op, exc.eigenvalues, exc.eigenvectors).min(initial=np.inf)
         raise EigenSolveError(
             f"eigensolver did not converge for k={k} "
             f"({len(exc.eigenvalues)} pairs found, best residual {best:.3e})"
@@ -219,15 +207,13 @@ def _residual_norms(op: OperatorHandle, lam, V) -> np.ndarray:
     return np.linalg.norm(op.A @ V - BV * lam, axis=0)
 
 
-def _best_residual(op, lam, V) -> float:
-    if lam is None or len(lam) == 0:
-        return float("inf")
-    return float(_residual_norms(op, lam, V).min())
-
-
-def _check_residuals(op: OperatorHandle, lam: np.ndarray, V: np.ndarray) -> None:
+def _check_pairs(op: OperatorHandle, k: int, lam: np.ndarray, V: np.ndarray) -> None:
+    """Refuse fewer than k pairs (a NaN entry makes LAPACK find fewer) and any
+    residual that is not within ``_RESIDUAL_TOL``, NaN included."""
+    if len(lam) < k:
+        raise EigenSolveError(f"eigensolver found {len(lam)} of {k} eigenpairs")
     rnorm = _residual_norms(op, lam, V)
-    if np.any(rnorm > _RESIDUAL_TOL):
+    if not np.all(rnorm <= _RESIDUAL_TOL):
         raise EigenSolveError(
             f"eigenpair residual {rnorm.max():.3e} exceeds tolerance {_RESIDUAL_TOL:.1e}"
         )
@@ -238,9 +224,9 @@ def smallest_eigs(op: OperatorHandle, k: int) -> Eigenbasis:
 
     A function of (op, k) alone: every Lanczos run starts from the same
     vector, so a repeated solve gives the same bits and a cache file needs
-    no seed in its key.  Raises EigenSolveError if the iterative solver
-    fails to converge (with the best residual reached), ValueError for k
-    out of range.
+    no seed in its key.  Raises EigenSolveError if Lanczos fails to converge
+    (with the best residual reached) or a solve gives fewer than k pairs or
+    one above the residual bound; ValueError for k out of range.
     """
     n = op.n
     if not 1 <= k <= n:
@@ -252,12 +238,10 @@ def smallest_eigs(op: OperatorHandle, k: int) -> Eigenbasis:
         mats = op.dense_pair() if op.is_generalized else (op.dense(),)
         lam, V = sla.eigh(*mats, subset_by_index=[0, k - 1], overwrite_a=True,
                           overwrite_b=True, check_finite=False)
-        if len(lam) < k:  # unchecked, a NaN entry makes LAPACK find fewer pairs
-            raise EigenSolveError(f"dense solve found {len(lam)} of {k} eigenpairs")
     else:
         lam, V = _arpack_smallest(op, k)
     V = _canonical_signs(np.ascontiguousarray(V))
-    _check_residuals(op, lam, V)
+    _check_pairs(op, k, lam, V)
     return Eigenbasis(lambdas=lam, phis=V, source=op.spec)
 
 

@@ -1053,13 +1053,16 @@ def test_cache_file_with_a_regularization_entry_still_loads(monkeypatch, tmp_pat
     assert (tmp_path / "cold.csv").read_bytes() == (tmp_path / "warm.csv").read_bytes()
 
 
-def test_cli_errors_exit_nonzero(tmp_path, capsys):
+def test_cli_errors_exit_nonzero(tmp_path, capsys, monkeypatch):
     rc = cli_main(["balance-check", "--dataset", str(tmp_path / "missing.txt")])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
-    # what the parser cannot check is refused before anything is written (exit 1)
+    # what the parser cannot check is refused before anything is solved or written (exit 1)
+    solves = count_calls(monkeypatch, "smallest_eigs", lambda *a, **kw: None)
     edges, labels = write_small_dataset(tmp_path)
     out = tmp_path / "o.csv"
+    lost = tmp_path / "missing" / "x.csv"
+    sweep = ["--methods", "gl-sn", "--fractions", "0.1", "--neigs", "5", "--runs", "1"]
     ssbm = ["ssbm", "--n", "30", "--p-in", "0.5", "--p-out", "0.5"]
     # a sweep that is refused exports no graph either
     exports = [tmp_path / "e.txt", tmp_path / "b.txt"]
@@ -1073,11 +1076,18 @@ def test_cli_errors_exit_nonzero(tmp_path, capsys):
         (ssbm + ["--methods", "hf", "--fractions", "1.5", *export, "--out", out],
          "fractions must lie in (0, 1), got 1.5"),
         (ssbm + ["--methods", "hf", *export], "--out is required when running a sweep"),
+        # an --out the CSV cannot be written to is refused before the sweep runs
+        (["run", "--dataset", edges, "--labels", labels, *sweep, "--out", lost],
+         f"--out {lost}: directory {lost.parent} does not exist"),
+        (ssbm + [*sweep, *export, "--out", lost],
+         f"--out {lost}: directory {lost.parent} does not exist"),
+        (ssbm + [*sweep, *export, "--out", tmp_path], f"--out {tmp_path} is a directory"),
     ]:
         capsys.readouterr()
         assert cli_main([str(a) for a in argv]) == 1, argv
         assert capsys.readouterr().err.startswith(f"error: {message}"), argv
         assert not out.exists() and not any(path.exists() for path in exports), argv
+        assert solves == [], argv
 
 
 # every flag a subcommand always needs, with a value; each line is a whole command

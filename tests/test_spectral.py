@@ -169,10 +169,11 @@ def test_lanczos_generalized_path(kind):
     x = np.random.default_rng(0).standard_normal(g.n)
     for M in applied:
         assert np.array_equal(_csr_operator(M).matvec(x), M @ x)
-        # a CSC matrix is converted, not read as the CSR of its transpose,
-        # which only a non-symmetric matrix tells apart
+        # a handle converts a CSC matrix, which the kernel would read as the
+        # CSR of its transpose; only a non-symmetric matrix tells them apart
         upper = sp.triu(M, format="csc")
-        assert np.array_equal(_csr_operator(upper).matvec(x), upper @ x)
+        held = OperatorHandle(op.spec, upper).A
+        assert np.array_equal(_csr_operator(held).matvec(x), upper @ x)
 
 
 def test_lanczos_generalized_path_refuses_indefinite_A():
@@ -231,13 +232,18 @@ def test_residual_check_refuses_pairs_above_its_tolerance(rng, monkeypatch):
         smallest_eigs(op, k=3)
 
 
+def diagonal_handle(b=None):
+    """diag(1, ..., 2101), with B = b I: above DENSE_CAP, so solved by eigsh."""
+    n = 2101
+    return OperatorHandle(OperatorSpec(OperatorKind.BR),
+                          sp.diags_array(np.arange(1.0, n + 1), format="csr"),
+                          None if b is None else b * sp.eye_array(n, format="csr"))
+
+
 @pytest.mark.parametrize("b", [None, 2.0])
 def test_lanczos_failures_are_eigensolve_errors(b, monkeypatch):
-    # diag(1, ..., 2101), with B = b I: above DENSE_CAP, so solved by eigsh
-    n = 2101
-    op = OperatorHandle(OperatorSpec(OperatorKind.BR),
-                        sp.diags_array(np.arange(1.0, n + 1), format="csr"),
-                        None if b is None else b * sp.eye_array(n, format="csr"))
+    op = diagonal_handle(b)
+    n = op.n
     # A e_1 = e_1 and A e_2 = 2 e_2 (B e = b e), so these pairs have residuals 0.25 and 0.5
     partial = ArpackNoConvergence("", np.array([1.25, 2.5]) / (b or 1.0), np.eye(n, 2))
     failures = [
@@ -255,6 +261,45 @@ def test_lanczos_failures_are_eigensolve_errors(b, monkeypatch):
             smallest_eigs(op, k=3)
 
 
+def test_lanczos_pair_with_a_nan_entry_is_refused(monkeypatch):
+    # A e_i = i e_i, so every pair below has residual 0 but the one with a NaN
+    op = diagonal_handle()
+    V = np.eye(op.n, 3)
+    V[5, 1] = np.nan
+    monkeypatch.setattr("signedgl.spectral.eigsh", lambda *a, **kw: (np.array([1.0, 2.0, 3.0]), V))
+    with pytest.raises(EigenSolveError, match="eigenpair residual nan exceeds tolerance"):
+        smallest_eigs(op, k=3)
+
+
+@pytest.mark.parametrize("kind", ["SR", "SN", "SPONGE", "diagonal"])
+def test_handle_holds_float64_csr_whatever_it_is_built_from(kind, rng):
+    # SR, SN and SPONGE on 40 nodes take the dense path, the diagonal Lanczos
+    if kind == "diagonal":
+        csr, k = diagonal_handle(), 3
+    else:
+        csr, k = build_operator(random_signed_graph(rng, 40), kind), 5
+    expected = smallest_eigs(csr, k)
+    mats = [M for M in (csr.A, csr.B) if M is not None]
+    forms = {"csc": lambda M: M.tocsc(), "coo": lambda M: M.tocoo(),
+             "fortran": lambda M: np.asfortranarray(M.toarray())}
+    if kind in ("SR", "diagonal"):  # integer-valued on an unweighted graph
+        forms["int"] = lambda M: M.toarray().astype(np.int64)
+    for form, make in forms.items():
+        given = [make(M) for M in mats]
+        before = [M.copy() for M in given]
+        op = OperatorHandle(csr.spec, *given)
+        held = [M for M in (op.A, op.B) if M is not None]
+        for M, original in zip(held, mats):
+            assert M.format == "csr" and M.dtype == np.float64 and M.has_sorted_indices, form
+            assert (M != original).nnz == 0, form
+        basis = smallest_eigs(op, k)
+        assert np.array_equal(basis.lambdas, expected.lambdas), form
+        assert np.array_equal(basis.phis, expected.phis), form
+        for M, copy in zip(given, before):  # the inputs are left as they were
+            assert (M != copy).sum() == 0, form
+        del given, before, op, held  # free the 2101 x 2101 arrays before the next form
+
+
 @pytest.mark.parametrize("pair", [False, True])
 def test_dense_solve_refuses_a_matrix_that_is_not_finite(pair):
     # the dense solve skips scipy's finiteness check; LAPACK then finds no
@@ -263,7 +308,7 @@ def test_dense_solve_refuses_a_matrix_that_is_not_finite(pair):
     S[1, 2] = S[2, 1] = np.nan
     op = OperatorHandle(OperatorSpec(OperatorKind.BR), sp.csr_array(S),
                         sp.eye_array(5, format="csr") if pair else None)
-    with pytest.raises(EigenSolveError, match="dense solve found 0 of 2 eigenpairs"):
+    with pytest.raises(EigenSolveError, match="found 0 of 2 eigenpairs"):
         smallest_eigs(op, k=2)
 
 
