@@ -420,9 +420,12 @@ def project_rows_onto_simplex(V: np.ndarray) -> np.ndarray:
 
     Sorts each row in decreasing order, s_1 >= ... >= s_K, takes the
     cumulative sums c_j and the gaps s_j - (c_j - 1)/j, and shifts the
-    row by theta = (c_rho - 1)/rho at the last positive gap rho (the last
-    column if no gap is positive), clipping at zero (Condat, "Fast
-    projection onto the simplex and the l1 ball", 2016).
+    row by theta = (c_rho - 1)/rho at the last positive gap rho, clipping
+    at zero (Condat, "Fast projection onto the simplex and the l1 ball",
+    2016).  Once |s_1| >= 2**53 the 1 vanishes and no gap is positive; the
+    projection is unchanged by adding a constant to the row, so such a row
+    is projected again less s_1, whose first gap is 1.  A row with no
+    finite s_1 (NaN or inf) keeps the last column's theta.
 
     Up to ``_SORTING_NETWORK_MAX_K`` columns (the widest at which it beat
     ``np.sort`` on 2200 rows) an odd-even transposition network of
@@ -460,7 +463,11 @@ def project_rows_onto_simplex(V: np.ndarray) -> np.ndarray:
     out = np.empty((n, K))
     # through the transpose, as multiclass_potential_gradient writes its result
     np.subtract(V.T, theta, out=out.T, order="C")
-    return np.maximum(out, 0.0, out=out)
+    np.maximum(out, 0.0, out=out)
+    if not found.all():
+        huge = ~found & np.isfinite(s[0])
+        out[huge] = project_rows_onto_simplex(V[huge] - s[0][huge, None])
+    return out
 
 
 def simplex_project(v) -> np.ndarray:

@@ -158,6 +158,9 @@ def _cmd_ssbm(args) -> int:
 def _cmd_eigs(args) -> int:
     # the sweep's n_eigs check (positive, no repeat) runs before the graph is read
     n_eigs = replace(_DEFAULTS, n_eigs=args.neigs).n_eigs
+    cache = Path(args.cache_dir)
+    if cache.exists() and not cache.is_dir():
+        raise ValueError(f"--cache-dir {args.cache_dir} is not a directory")
     g = _load_graph(args)
     kind = OperatorKind(args.operator)
     comp, _ = largest_connected_component(g, operator_component(kind))

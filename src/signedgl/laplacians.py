@@ -1,8 +1,9 @@
 """Laplacian operators for unsigned and signed graphs.
 
 Every constructor returns an :class:`OperatorHandle`: a symmetric matrix
-A, plus B for SPONGE's symmetric-definite generalized pair (A, B), ready
-for the eigensolvers in :mod:`signedgl.spectral`.
+A, plus B for SPONGE's symmetric-definite generalized pair (A, B), each in
+float64 CSR.  Any dense copy is made by the eigensolver that needs it
+(:func:`signedgl.spectral.smallest_eigs`).
 
 Conventions:
   * zero-degree nodes: D^{-1/2} entries are set to 0, so such nodes
@@ -65,7 +66,8 @@ class OperatorHandle:
     """A symmetric operator A, or the generalized pair (A, B) with A and B
     positive definite; B is None for a plain operator.  Given in any sparse
     format or as arrays, each is held as a float64 CSR copy with sorted
-    indices, the one form the eigensolvers read."""
+    indices, the one form the eigensolvers read; the handle holds matrices
+    only, and a dense solve makes its own copies of them."""
 
     spec: OperatorSpec
     A: sp.csr_array
@@ -83,22 +85,6 @@ class OperatorHandle:
     @property
     def n(self) -> int:
         return self.A.shape[0]
-
-    def dense(self) -> np.ndarray:
-        if self.is_generalized:
-            raise ValueError("use dense_pair() for generalized operators")
-        return _to_dense(self.A)
-
-    def dense_pair(self):
-        if not self.is_generalized:
-            raise ValueError("not a generalized operator")
-        return _to_dense(self.A), _to_dense(self.B)
-
-
-def _to_dense(M: sp.csr_array) -> np.ndarray:
-    """A new Fortran-ordered array of the float64 CSR M: LAPACK works on a
-    Fortran array in place, so a solve may overwrite it."""
-    return M.toarray(order="F")
 
 
 def _symmetrized(S) -> sp.csr_array:

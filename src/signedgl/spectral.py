@@ -3,12 +3,12 @@
 n <= DENSE_CAP, or k > n - 2 (which ARPACK cannot solve), goes through
 LAPACK's subset drivers, computing only the k pairs kept: ``syevr`` for an
 operator, the symmetric-definite ``sygvx`` for a pair, each in place on
-Fortran-ordered dense copies that the solve owns.  All else goes through
-ARPACK's Lanczos iteration.  Every Lanczos run starts from one fixed
-vector, so a basis depends on its operator and k alone: a solve repeats
-bit for bit, and an eigenbasis cache file keyed by (graph digest,
-operator, k) holds what any sweep would solve, whatever seed draws its
-label masks.  On the dense path the leading pairs of a k-pair solve equal
+Fortran-ordered dense copies that ``smallest_eigs`` makes from the handle
+and alone owns.  All else goes through ARPACK's Lanczos iteration.  Every
+Lanczos run starts from one fixed vector, so a basis depends on its
+operator and k alone: a solve repeats bit for bit, and an eigenbasis
+cache file keyed by (graph digest, operator, k) holds what any sweep
+would solve, whatever seed draws its label masks.  On the dense path the leading pairs of a k-pair solve equal
 a smaller solve to solver accuracy (about 1e-15), not bit for bit.
 Generalized pairs run shift-invert Lanczos at sigma = 0: A is positive
 definite, so the largest 1/lambda are the smallest lambda, and the tight
@@ -234,8 +234,9 @@ def smallest_eigs(op: OperatorHandle, k: int) -> Eigenbasis:
     # ARPACK needs k < n-1; fall back to the dense path near full spectra.
     if n <= DENSE_CAP or k > n - 2:
         # only the k pairs kept (syevr, or sygvx for a pair), in place on
-        # copies the solve owns
-        mats = op.dense_pair() if op.is_generalized else (op.dense(),)
+        # Fortran-ordered copies the solve owns: f2py passes them as they
+        # are, and the handle's matrices are never overwritten
+        mats = [M.toarray(order="F") for M in (op.A, op.B) if M is not None]
         lam, V = sla.eigh(*mats, subset_by_index=[0, k - 1], overwrite_a=True,
                           overwrite_b=True, check_finite=False)
     else:

@@ -163,7 +163,7 @@ def test_energy_unlabeled_zero_vector():
 def test_energy_matches_summation_oracle(rng):
     g = random_signed_graph(rng, 10, weighted=True)
     op = signed_ratio_laplacian(g, normalized=True)
-    S, basis = op.dense(), full_dense_eigs(op)
+    S, basis = op.A.toarray(), full_dense_eigs(op)
     signs = np.where(rng.random(10) < 0.5, 1.0, -1.0)
     mask = rng.random(10) < 0.4
     labels = BinaryLabelData.from_signs(signs, mask)
@@ -226,7 +226,7 @@ def test_binary_two_cliques_matches_brute_force():
     cfg = GLConfig(epsilon=0.1, omega0=1000.0)
     _, pred, diag = gl_binary(basis, labels, cfg)
     oracle = brute_force_binary_minimizer(
-        op.dense(), labels.f, labels.weights(1000.0), 0.1
+        op.A.toarray(), labels.f, labels.weights(1000.0), 0.1
     )
     assert np.array_equal(oracle, signs)  # ground state is the clique partition
     assert np.array_equal(pred, signs.astype(int))
@@ -288,7 +288,7 @@ def test_binary_truncation_consistency_with_node_space_scheme(rng):
     g = random_signed_graph(rng, 12, weighted=True)
     op = signed_ratio_laplacian(g, normalized=True)
     basis = full_dense_eigs(op)
-    S = op.dense()
+    S = op.A.toarray()
     signs = np.where(rng.random(12) < 0.5, 1.0, -1.0)
     labels = BinaryLabelData.from_signs(signs, rng.random(12) < 0.3)
     cfg_proto = GLConfig()
@@ -607,14 +607,31 @@ def assert_same_bits(new, ref, case):
     assert np.array_equal(new.view(np.int64), ref.view(np.int64)), case
 
 
+def no_positive_gap(V):
+    """Rows whose gaps s_j - (c_j - 1)/j are all <= 0: the frozen projection
+    takes theta from the last column there, and misses the simplex."""
+    s = -np.sort(-V, axis=1)
+    return ((s - (np.cumsum(s, axis=1) - 1.0) / np.arange(1, V.shape[1] + 1)) <= 0).all(axis=1)
+
+
 def test_projection_matches_frozen_sort_projection():
     # the sorting network up to the crossover, np.sort for the two widths above it
     for K in range(1, classifier._SORTING_NETWORK_MAX_K + 3):
         for name, V in kernel_inputs(K).items():
-            assert_same_bits(project_rows_onto_simplex(V), reference_projection(V), (K, name))
-    s = -np.sort(-kernel_inputs(3)["huge"], axis=1)
-    gaps = s - (np.cumsum(s, axis=1) - 1.0) / np.arange(1, 4)
-    assert (gaps <= 0).all(axis=1).any()  # rows whose theta is the last column's
+            ref = reference_projection(V)
+            # only huge rows have no positive gap: they are projected less their maximum
+            lost = no_positive_gap(V)
+            ref[lost] = reference_projection(V[lost] - V[lost].max(axis=1, keepdims=True))
+            assert_same_bits(project_rows_onto_simplex(V), ref, (K, name))
+    assert no_positive_gap(kernel_inputs(3)["huge"]).any()
+
+
+def test_projection_of_rows_with_a_huge_maximum():
+    # from |max| >= 2**53 the 1 vanishes beside the maximum, so no gap is positive
+    V = np.array([[1.55e300, -1.33e299], [-3e20, -5e20], [1e20, 1e20]])
+    assert np.array_equal(project_rows_onto_simplex(V), [[1.0, 0.0], [1.0, 0.0], [0.5, 0.5]])
+    assert np.array_equal(simplex_project(V[0]), [1.0, 0.0])
+    assert np.array_equal(project_rows_onto_simplex(np.array([[-3e20], [5e300]])), [[1.0], [1.0]])
 
 
 def test_potential_gradient_matches_frozen_prefix_suffix_products():
@@ -748,7 +765,7 @@ def test_multiclass_energy_of_a_full_basis_is_the_dense_form(rng):
     cfg = GLConfig()
     # with a full basis the span-projected trace form is exact: <U, S U>
     fidelity = float(np.sum(labels.weights(cfg.omega0) * (labels.U_hat - U) ** 2))
-    dense = (0.5 * cfg.epsilon * float(np.tensordot(U, op.dense() @ U))
+    dense = (0.5 * cfg.epsilon * float(np.tensordot(U, op.A.toarray() @ U))
              + multiclass_potential(U) / (2.0 * cfg.epsilon) + 0.5 * fidelity)
     assert np.isclose(multiclass_energy(basis, U, labels, cfg), dense)
 

@@ -239,7 +239,7 @@ def test_ssbm_complete_two_balanced():
     off = ~np.eye(10, dtype=bool)
     assert (Wp[same & off] == 1).all()
     assert (Wn[~same] == 1).all()
-    lam = np.linalg.eigvalsh(signed_ratio_laplacian(g).dense())
+    lam = np.linalg.eigvalsh(signed_ratio_laplacian(g).A.toarray())
     assert lam[0] <= 1e-10
 
 

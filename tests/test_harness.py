@@ -1,7 +1,11 @@
 import csv
+import os
 import re
 import shutil
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1062,6 +1066,8 @@ def test_cli_errors_exit_nonzero(tmp_path, capsys, monkeypatch):
     edges, labels = write_small_dataset(tmp_path)
     out = tmp_path / "o.csv"
     lost = tmp_path / "missing" / "x.csv"
+    notadir = tmp_path / "notadir"
+    notadir.write_text("")
     sweep = ["--methods", "gl-sn", "--fractions", "0.1", "--neigs", "5", "--runs", "1"]
     ssbm = ["ssbm", "--n", "30", "--p-in", "0.5", "--p-out", "0.5"]
     # a sweep that is refused exports no graph either
@@ -1082,12 +1088,34 @@ def test_cli_errors_exit_nonzero(tmp_path, capsys, monkeypatch):
         (ssbm + [*sweep, *export, "--out", lost],
          f"--out {lost}: directory {lost.parent} does not exist"),
         (ssbm + [*sweep, *export, "--out", tmp_path], f"--out {tmp_path} is a directory"),
+        # so is an eigs --cache-dir that no cache file could be written into
+        (["eigs", "--dataset", edges, "--operator", "SN", "--neigs", "5", "--cache-dir", notadir],
+         f"--cache-dir {notadir} is not a directory"),
     ]:
         capsys.readouterr()
         assert cli_main([str(a) for a in argv]) == 1, argv
         assert capsys.readouterr().err.startswith(f"error: {message}"), argv
         assert not out.exists() and not any(path.exists() for path in exports), argv
         assert solves == [], argv
+
+
+def test_cli_runs_as_a_module(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+
+    def module(*argv):
+        return subprocess.run([sys.executable, "-m", "signedgl.cli", *argv], env=env,
+                              cwd=tmp_path, capture_output=True, text=True, timeout=120)
+
+    done = module("ssbm", "--n", "40", "--p-in", "0.3", "--p-out", "0.3", "--methods", "hf",
+                  "--fractions", "0.2", "--runs", "1", "--out", "s.csv")
+    assert done.returncode == 0, done.stderr
+    # a header, one run row and its mean row
+    assert [line.split(",")[0] for line in (tmp_path / "s.csv").read_text().splitlines()] == [
+        "record", "run", "mean"]
+    refused = module("balance-check", "--dataset", "missing.txt")
+    assert refused.returncode == 1 and refused.stderr.startswith("error: "), refused.stderr
 
 
 # every flag a subcommand always needs, with a value; each line is a whole command

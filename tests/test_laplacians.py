@@ -26,7 +26,7 @@ PSD_KINDS = ["L_plus_sym", "Q_minus_sym", "SR", "SN", "AM"]
 
 def eigs_of(handle):
     # dense eigendecomposition oracle
-    return np.linalg.eigvalsh(handle.dense())
+    return np.linalg.eigvalsh(handle.A.toarray())
 
 
 def gl_binary_on_full_basis(handle):
@@ -38,10 +38,10 @@ def gl_binary_on_full_basis(handle):
 def test_path_laplacian():
     W = np.array([[0, 1.0], [1.0, 0]])
     L = unsigned_laplacian(W)
-    assert np.array_equal(L.dense(), [[1, -1], [-1, 1]])
+    assert np.array_equal(L.A.toarray(), [[1, -1], [-1, 1]])
     assert np.allclose(eigs_of(L), [0, 2])
     Ls = unsigned_laplacian(W, normalized=True)
-    assert np.allclose(Ls.dense(), [[1, -1], [-1, 1]])  # degree-1 regular
+    assert np.allclose(Ls.A.toarray(), [[1, -1], [-1, 1]])  # degree-1 regular
 
 
 def test_laplacian_zero_multiplicity_counts_components():
@@ -54,7 +54,7 @@ def test_laplacian_zero_multiplicity_counts_components():
 
 def test_signless_single_edge_bipartite():
     Q = signless_laplacian(np.array([[0, 1.0], [1.0, 0]]))
-    assert np.array_equal(Q.dense(), [[1, 1], [1, 1]])
+    assert np.array_equal(Q.A.toarray(), [[1, 1], [1, 1]])
     assert eigs_of(Q)[0] < 1e-12
 
 
@@ -86,22 +86,22 @@ def test_signed_ratio_negative_triangle_positive():
 
 def test_signed_ratio_collapses_without_negative_edges(rng):
     g = random_signed_graph(rng, 20, neg_share=0.0)
-    Lsr = signed_ratio_laplacian(g).dense()
-    L = unsigned_laplacian(g.Wp).dense()
+    Lsr = signed_ratio_laplacian(g).A.toarray()
+    L = unsigned_laplacian(g.Wp).A.toarray()
     assert np.array_equal(Lsr, L)
 
 
 def test_balance_ratio_collapses_without_negative_edges(rng):
     g = random_signed_graph(rng, 15, neg_share=0.0)
     assert np.array_equal(
-        balance_ratio_laplacian(g).dense(), unsigned_laplacian(g.Wp).dense()
+        balance_ratio_laplacian(g).A.toarray(), unsigned_laplacian(g.Wp).A.toarray()
     )
 
 
 def test_balance_ratio_single_negative_edge_indefinite():
     g = split_signs(np.array([[0, -1.0], [-1.0, 0]]))
     h = balance_ratio_laplacian(g)
-    assert np.array_equal(h.dense(), [[0, 1], [1, 0]])
+    assert np.array_equal(h.A.toarray(), [[0, 1], [1, 0]])
     assert np.allclose(eigs_of(h), [-1, 1])
     with pytest.raises(ValueError, match="not positive semi-definite"):
         gl_binary_on_full_basis(h)
@@ -118,23 +118,24 @@ def test_balance_ratio_four_cycle_spectrum():
 
 def test_sponge_reduces_when_one_sign_absent(rng):
     g = random_signed_graph(rng, 12, neg_share=0.0)
-    A, B = sponge_operator(g).dense_pair()
+    op = sponge_operator(g)
+    A, B = op.A.toarray(), op.B.toarray()
     assert np.array_equal(B, np.eye(12))
     gen = sla.eigh(A, B, eigvals_only=True)
     std = np.linalg.eigvalsh(A)
     assert np.allclose(gen, std, atol=1e-10)
 
     g2 = random_signed_graph(rng, 12, neg_share=1.0)
-    A2, B2 = sponge_operator(g2).dense_pair()
+    op2 = sponge_operator(g2)
+    A2, B2 = op2.A.toarray(), op2.B.toarray()
     assert np.array_equal(A2, np.eye(12))
     gen2 = np.sort(sla.eigh(A2, B2, eigvals_only=True))
     assert np.allclose(gen2, np.sort(1.0 / np.linalg.eigvalsh(B2)), atol=1e-10)
 
 
 def test_sponge_recovers_balanced_partition():
-    g = balanced_four_cycle()
-    A, B = sponge_operator(g).dense_pair()
-    lam, V = sla.eigh(A, B)
+    op = sponge_operator(balanced_four_cycle())
+    lam, V = sla.eigh(op.A.toarray(), op.B.toarray())
     v = V[:, 0]
     assert np.isclose(lam[0], 1.0 / 3.0)
     assert len(set(np.sign(v[:2]))) == 1
@@ -143,11 +144,11 @@ def test_sponge_recovers_balanced_partition():
 
 def test_arithmetic_mean_conventions(rng):
     g = random_signed_graph(rng, 10, neg_share=0.0)
-    am = arithmetic_mean_laplacian(g).dense()
-    assert np.array_equal(am, unsigned_laplacian(g.Wp, normalized=True).dense())
+    am = arithmetic_mean_laplacian(g).A.toarray()
+    assert np.array_equal(am, unsigned_laplacian(g.Wp, normalized=True).A.toarray())
     g2 = random_signed_graph(rng, 10, neg_share=1.0)
-    am2 = arithmetic_mean_laplacian(g2).dense()
-    assert np.array_equal(am2, signless_laplacian(g2.Wn, normalized=True).dense())
+    am2 = arithmetic_mean_laplacian(g2).A.toarray()
+    assert np.array_equal(am2, signless_laplacian(g2.Wn, normalized=True).A.toarray())
     # with both signs absent, both parts are the zero operator
     empty = arithmetic_mean_laplacian(SignedGraph(np.zeros((3, 3)), np.zeros((3, 3))))
     assert empty.A.shape == (3, 3) and empty.A.nnz == 0
@@ -162,7 +163,7 @@ def test_arithmetic_mean_spectrum_range(rng):
 
 
 def test_arithmetic_mean_separates_balanced_groups():
-    lam, V = np.linalg.eigh(arithmetic_mean_laplacian(balanced_four_cycle()).dense())
+    lam, V = np.linalg.eigh(arithmetic_mean_laplacian(balanced_four_cycle()).A.toarray())
     v = V[:, 0]
     assert np.sign(v[0]) == np.sign(v[1]) == -np.sign(v[2]) == -np.sign(v[3])
 
@@ -171,7 +172,7 @@ def test_explicit_matrices_are_symmetric(rng):
     for _ in range(5):
         g = random_signed_graph(rng, 30, weighted=True)
         for kind in PSD_KINDS + ["BR", "BN"]:
-            S = build_operator(g, kind).dense()
+            S = build_operator(g, kind).A.toarray()
             assert np.array_equal(S, S.T)
 
 
@@ -182,8 +183,8 @@ def test_psd_kinds_are_psd(rng):
             h = build_operator(g, kind)
             gl_binary_on_full_basis(h)  # accepted
             assert eigs_of(h)[0] >= -1e-10
-        A, B = sponge_operator(g).dense_pair()
-        assert sla.eigh(A, B, eigvals_only=True)[0] >= -1e-10
+        op = sponge_operator(g)
+        assert sla.eigh(op.A.toarray(), op.B.toarray(), eigvals_only=True)[0] >= -1e-10
 
 
 def test_normalized_spectra_bounded(rng):
@@ -201,8 +202,8 @@ def test_normalized_spectra_bounded(rng):
 def test_signed_ratio_identity(rng):
     for _ in range(10):
         g = random_signed_graph(rng, int(rng.integers(3, 50)), weighted=True)
-        lhs = signed_ratio_laplacian(g).dense()
-        rhs = unsigned_laplacian(g.Wp).dense() + signless_laplacian(g.Wn).dense()
+        lhs = signed_ratio_laplacian(g).A.toarray()
+        rhs = unsigned_laplacian(g.Wp).A.toarray() + signless_laplacian(g.Wn).A.toarray()
         assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
 
@@ -211,10 +212,6 @@ def test_build_operator_dispatch():
     assert build_operator(g, "L_plus_sym").spec.kind == OperatorKind.LSYM_POS
     assert build_operator(g, "Q_minus_sym").spec.kind == OperatorKind.QSYM_NEG
     assert build_operator(g, OperatorKind.SPONGE).is_generalized
-    with pytest.raises(ValueError, match="use dense_pair"):
-        build_operator(g, OperatorKind.SPONGE).dense()
-    with pytest.raises(ValueError, match="not a generalized operator"):
-        build_operator(g, "L_plus_sym").dense_pair()
     with pytest.raises(ValueError, match="adjacency"):
         build_operator(g, "Lsym")
 
@@ -223,7 +220,7 @@ def test_zero_degree_rows_become_identity_rows():
     # node 2 is isolated in the positive graph
     Wp = np.zeros((3, 3))
     Wp[0, 1] = Wp[1, 0] = 1.0
-    S = unsigned_laplacian(Wp, normalized=True).dense()
+    S = unsigned_laplacian(Wp, normalized=True).A.toarray()
     assert np.array_equal(S[2], [0, 0, 1])
-    Q = signless_laplacian(np.zeros((3, 3)), normalized=True).dense()
+    Q = signless_laplacian(np.zeros((3, 3)), normalized=True).A.toarray()
     assert np.array_equal(Q, np.eye(3))

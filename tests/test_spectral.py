@@ -75,7 +75,7 @@ def test_generalized_matches_dense_oracle(rng):
         g = random_signed_graph(rng, 30, weighted=True)
         op = sponge_operator(g)
         basis = smallest_eigs(op, k=4)
-        A, B = op.dense_pair()
+        A, B = op.A.toarray(), op.B.toarray()
         # the standard problem B^{-1/2} A B^{-1/2}, from B's own eigendecomposition:
         # no generalized driver, so not the one smallest_eigs calls
         mu, U = np.linalg.eigh(B)
@@ -131,7 +131,7 @@ def test_lanczos_path_matches_dense_oracle():
     g, _ = generate_ssbm(params)
     op = signed_ratio_laplacian(g, normalized=True)
     basis = smallest_eigs(op, k=6)
-    dense = np.linalg.eigvalsh(op.dense())
+    dense = np.linalg.eigvalsh(op.A.toarray())
     assert np.allclose(basis.lambdas, dense[:6], atol=1e-6)
     again = smallest_eigs(op, k=6)
     assert np.array_equal(basis.lambdas, again.lambdas)
@@ -149,11 +149,11 @@ def test_lanczos_generalized_path(kind):
     Phi = basis.phis
     A, B = op.A, op.B
     if op.is_generalized:
-        oracle = sla.eigh(*op.dense_pair(), eigvals_only=True, subset_by_index=[0, 19])
+        oracle = sla.eigh(A.toarray(), B.toarray(), eigvals_only=True, subset_by_index=[0, 19])
         gram = Phi.T @ (B @ Phi)
         applied = [A, B]
     else:
-        oracle = sla.eigh(op.dense(), eigvals_only=True, subset_by_index=[0, 19])
+        oracle = sla.eigh(A.toarray(), eigvals_only=True, subset_by_index=[0, 19])
         gram = Phi.T @ Phi
         applied = [A]
     assert np.allclose(basis.lambdas, oracle, rtol=0.0, atol=1e-8)
@@ -390,24 +390,20 @@ def test_dense_subset_basis_matches_full_spectrum_oracle(kind, rng, ssbm300_comp
     k = 10
     graphs = [random_signed_graph(rng, 40, weighted=True) for _ in range(3)]
     for g in [*graphs, ssbm300_component]:
-        sparse = build_operator(g, kind)
-        mats = [M.toarray() for M in (sparse.A, sparse.B) if M is not None]
-        # the same operator on Fortran-ordered arrays, the layout LAPACK
-        # would overwrite if the solve did not copy it
-        fortran = OperatorHandle(sparse.spec, *(np.asfortranarray(M) for M in mats))
-        for op in (sparse, fortran):
-            held = [M for M in (op.A, op.B) if M is not None]
-            before = [M.copy() for M in held]
-            basis = smallest_eigs(op, k)
-            for M, copy in zip(held, before):  # the solve overwrote only its own copies
-                assert (M != copy).sum() == 0
-            # every pair from the full-spectrum drivers, then the k smallest
-            lam, V = sla.eigh(*mats) if op.is_generalized else np.linalg.eigh(mats[0])
-            assert basis.phis.shape == (g.n, k) and basis.phis.flags.c_contiguous
-            assert np.allclose(basis.lambdas, lam[:k], rtol=0.0, atol=1e-12)
-            assert np.allclose(basis.phis, _largest_entry_positive(V[:, :k]), rtol=0.0, atol=1e-10)
-            B = mats[1] if op.is_generalized else np.eye(g.n)
-            assert np.allclose(basis.phis.T @ B @ basis.phis, np.eye(k), rtol=0.0, atol=1e-12)
+        op = build_operator(g, kind)
+        held = [M for M in (op.A, op.B) if M is not None]
+        before = [[a.tobytes() for a in (M.data, M.indices, M.indptr)] for M in held]
+        basis = smallest_eigs(op, k)
+        for M, copy in zip(held, before):  # the solve overwrote only its own copies
+            assert [a.tobytes() for a in (M.data, M.indices, M.indptr)] == copy
+        # every pair from the full-spectrum drivers, then the k smallest
+        mats = [M.toarray() for M in held]
+        lam, V = sla.eigh(*mats) if op.is_generalized else np.linalg.eigh(mats[0])
+        assert basis.phis.shape == (g.n, k) and basis.phis.flags.c_contiguous
+        assert np.allclose(basis.lambdas, lam[:k], rtol=0.0, atol=1e-12)
+        assert np.allclose(basis.phis, _largest_entry_positive(V[:, :k]), rtol=0.0, atol=1e-10)
+        B = mats[1] if op.is_generalized else np.eye(g.n)
+        assert np.allclose(basis.phis.T @ B @ basis.phis, np.eye(k), rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("kind, bound", [("SN", 1.5), ("AM", 1.5), ("SPONGE", 2.5)])
