@@ -32,6 +32,7 @@ refused.  A full basis (``full_dense_eigs``) gives the exact energy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -237,10 +238,14 @@ def _double_well(u) -> float:
     return float(np.sum((u**2 - 1.0) ** 2)) / 4.0
 
 
-def _double_well_gradient(u) -> np.ndarray:
+def _double_well_gradient(u, out=None) -> np.ndarray:
+    """(u * u) * u - u, written into ``out`` when it is given."""
     # u * u * u, not u**3: numpy sends an integer power through pow(),
     # which costs more than the rest of the step together.
-    return u * u * u - u
+    out = np.multiply(u, u, out=out)
+    out *= u
+    out -= u
+    return out
 
 
 def _check_basis(basis: Eigenbasis, labels: TrainingLabels) -> None:
@@ -334,25 +339,37 @@ def gl_binary(
     def state_energy(a, u):
         return _energy(float(a @ (lambdas * a)), _double_well(u), u, labels, cfg)
 
+    # each step runs in these n- and k-vectors, swapped between steps
     a = phis.T @ labels.f
     u = phis @ a
+    u_new, w = np.empty_like(u), np.empty_like(u)
+    s, r = np.empty_like(a), np.empty_like(a)
+    keep, pull = 1.0 + c * tau, tau / eps
     diag = GLDiagnostics(0, np.inf, np.nan, False)
     if track_energy:
         diag.energy_history.append(state_energy(a, u))
     for it in range(cfg.max_iter):
-        well = phis.T @ _double_well_gradient(u)
-        a_new = minv @ ((1.0 + c * tau) * a - (tau / eps) * well + drive)
-        u_new = phis @ a_new
-        if not np.all(np.isfinite(u_new)):
+        np.dot(phis.T, _double_well_gradient(u, w), out=s)
+        # r = ((1 + c tau) a - (tau/eps) Phi^T W'(u)) + drive, in that order
+        np.multiply(pull, s, out=s)
+        np.multiply(keep, a, out=r)
+        np.subtract(r, s, out=r)
+        np.add(r, drive, out=r)
+        np.dot(minv, r, out=s)
+        np.dot(phis, s, out=u_new)
+        if not np.isfinite(u_new).all():
             raise DivergenceError(it)
-        change = np.linalg.norm(u_new - u) / max(np.linalg.norm(u_new), _NORM_FLOOR)
-        a, u = a_new, u_new
-        diag.iterations, diag.final_change = it + 1, float(change)
+        # sqrt(x . x) is what np.linalg.norm computes for a 1-D float array
+        np.subtract(u_new, u, out=w)
+        change = math.sqrt(np.dot(w, w)) / max(math.sqrt(np.dot(u_new, u_new)), _NORM_FLOOR)
+        a, s = s, a
+        u, u_new = u_new, u
         if track_energy:
             diag.energy_history.append(state_energy(a, u))
         if change < cfg.tol:
             diag.converged = True
             break
+    diag.iterations, diag.final_change = it + 1, change
     diag.final_energy = state_energy(a, u)
     return u, labels.readout(u), diag
 

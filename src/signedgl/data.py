@@ -21,6 +21,7 @@ isolated nodes.
 from __future__ import annotations
 
 import hashlib
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -115,7 +116,7 @@ def load_signed_edge_list(path, *, header: bool = False) -> SignedGraph:
             raise EdgeListError(
                 f"{path}: line {lineno}: weight {fields[2]!r} is not a number"
             ) from exc
-        if not np.isfinite(w):
+        if not math.isfinite(w):
             raise EdgeListError(f"{path}: line {lineno}: non-finite weight")
         if fields[0] == fields[1]:
             n_self += 1
@@ -198,20 +199,34 @@ def write_signed_edge_list(g: SignedGraph, path) -> None:
 
 def graph_digest(g: SignedGraph) -> str:
     """SHA-256 of the canonical edge-list serialization."""
-    h = hashlib.sha256()
-    for line in _canonical_lines(g):
-        h.update((line + "\n").encode("utf-8"))
-    return h.hexdigest()
+    text = "".join(line + "\n" for line in _canonical_lines(g))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)
 class LabelData:
     """Ground-truth classes aligned to graph indices: y[i] indexes
     ``class_names``, and y[i] = -1 marks an unknown node, so ``known`` is
-    y >= 0."""
+    y >= 0.  Any other index, and a y that is not a 1-D integer array, is
+    refused; y is held as int64."""
 
     y: np.ndarray
     class_names: tuple
+
+    def __post_init__(self):
+        y = np.asarray(self.y)
+        if not np.issubdtype(y.dtype, np.integer):  # bool is not an integer dtype
+            raise ValueError(f"class indices must be integers, got dtype {y.dtype}")
+        if y.ndim != 1:
+            raise ValueError(f"class indices must form a 1-D array, got shape {y.shape}")
+        bad = np.flatnonzero((y < -1) | (y >= len(self.class_names)))
+        if bad.size:
+            i = int(bad[0])
+            raise ValueError(
+                f"y[{i}] = {y[i]} names no class: indices run from -1 (unknown) "
+                f"to {len(self.class_names) - 1}"
+            )
+        object.__setattr__(self, "y", y.astype(np.int64, copy=False))
 
     @property
     def known(self) -> np.ndarray:

@@ -13,16 +13,21 @@ from signedgl import (
     LabelData,
     MulticlassLabelData,
     SSBMParams,
+    build_operator,
     energy,
     energy_gradient,
     full_dense_eigs,
     generate_ssbm,
     gl_binary,
     gl_multiclass,
+    largest_connected_component,
     multiclass_energy,
+    sample_labeled_nodes,
     signed_ratio_laplacian,
     simplex_project,
+    smallest_eigs,
     sponge_operator,
+    ssbm_label_data,
     unsigned_laplacian,
 )
 from signedgl.classifier import (
@@ -498,18 +503,62 @@ def assert_same_run(new, ref, tracked=True):
     assert diag.final_energy == history[-1]
 
 
+def benchmark_shaped_runs():
+    """(basis, binary labels) at the GL shapes of the benchmark sweeps: SN and SPONGE
+    on the dense-cache graph (n = 600, p 0.01, eta 0.2, a 599-node signed component)
+    at k = 20, 50 and 100, cut from one solve as the sweep cuts them, and a Lanczos
+    SN basis at n = 2050, k = 20."""
+    for n, p, kinds, ks in ((600, 0.01, (OperatorKind.SN, OperatorKind.SPONGE), (20, 50, 100)),
+                            (2050, 0.007, (OperatorKind.SN,), (20,))):
+        g, blocks = generate_ssbm(SSBMParams(n=n, k=2, p_in=p, p_out=p, eta=0.2, seed=1))
+        comp, old_to_new = largest_connected_component(g)
+        truth = ssbm_label_data(blocks).restrict(old_to_new)
+        labels, _ = training_labels(truth, sample_labeled_nodes(truth, 0.05, seed=3))
+        for kind in kinds:
+            full = smallest_eigs(build_operator(comp, kind), k=max(ks))
+            for k in ks:
+                yield full.truncate(k), labels
+
+
 def test_gl_binary_matches_frozen_loop():
     g, blocks = generate_ssbm(SSBMParams(n=160, k=2, p_in=0.08, p_out=0.08, eta=0.15, seed=8))
     signs = np.where(blocks == 0, 1.0, -1.0)
+    runs = []
     for basis in reference_bases(g):
         for seed in range(2):
             mask = np.random.default_rng(seed).random(g.n) < 0.1
             labels = BinaryLabelData.from_signs(signs, mask)
             for cfg in (GLConfig(), GLConfig(epsilon=0.3, omega0=50.0, max_iter=40, tol=0.0)):
-                ref = reference_gl_binary(basis, labels, cfg)
-                assert_same_run(gl_binary(basis, labels, cfg, track_energy=True), ref)
-                # the sweep's path: no energy after each step
-                assert_same_run(gl_binary(basis, labels, cfg), ref, tracked=False)
+                runs.append((basis, labels, cfg))
+    # OpenBLAS picks its kernels by shape, so the benchmark's (n, k) run too
+    for basis, labels in benchmark_shaped_runs():
+        for cfg in (GLConfig(), GLConfig(max_iter=200, tol=0.0)):
+            runs.append((basis, labels, cfg))
+    for basis, labels, cfg in runs:
+        ref = reference_gl_binary(basis, labels, cfg)
+        assert_same_run(gl_binary(basis, labels, cfg, track_energy=True), ref)
+        # the sweep's path: no energy after each step
+        assert_same_run(gl_binary(basis, labels, cfg), ref, tracked=False)
+
+
+def test_gl_binary_results_own_their_memory():
+    g, blocks = generate_ssbm(SSBMParams(n=160, k=2, p_in=0.08, p_out=0.08, eta=0.15, seed=8))
+    signs = np.where(blocks == 0, 1.0, -1.0)
+    basis = reference_bases(g)[0]
+    phis = basis.phis.copy()
+    first, second = (BinaryLabelData.from_signs(signs, np.arange(g.n) % 10 == r) for r in (0, 5))
+    # one step and two steps end in different vectors of a swapped pair
+    for cfg in (GLConfig(max_iter=1, tol=0.0), GLConfig(max_iter=2, tol=0.0), GLConfig()):
+        u1, pred1, _ = gl_binary(basis, first, cfg)
+        kept = u1.copy(), pred1.copy()
+        u2, pred2, _ = gl_binary(basis, second, cfg)
+        assert not np.array_equal(u1, u2)
+        assert np.array_equal(u1, kept[0]) and np.array_equal(pred1, kept[1])
+        for u in (u1, u2):
+            assert u.dtype == np.float64 and u.shape == (g.n,) and u.flags.c_contiguous
+            assert not np.shares_memory(u, basis.phis)
+        assert not np.shares_memory(u1, u2) and not np.shares_memory(pred1, pred2)
+    assert np.array_equal(basis.phis, phis)
 
 
 def test_gl_multiclass_matches_frozen_loop():

@@ -352,6 +352,29 @@ def test_restrict_labels():
             partial.restrict(other)
 
 
+def test_label_data_refuses_indices_that_name_no_class():
+    # the n=300 CI block model with class 2 of two on three nodes: a sweep scored
+    # them as wrong, or failed in the middle when one of them was drawn to train
+    _, blocks = generate_ssbm(SSBMParams(n=300, k=2, p_in=0.05, p_out=0.05, eta=0.1, seed=0))
+    y = blocks.copy()
+    y[[7, 150, 299]] = 2
+    with pytest.raises(ValueError, match=r"^y\[7\] = 2 names no class: indices run from "
+                                         r"-1 \(unknown\) to 1$"):
+        LabelData(y=y, class_names=("block0", "block1"))
+    with pytest.raises(ValueError, match=r"^y\[1\] = -3 names no class"):
+        LabelData(y=np.array([0, -3, 1]), class_names=("a", "b"))
+    for bad in (np.array([0.0, 1.0]), np.array([True, False])):
+        with pytest.raises(ValueError, match="^class indices must be integers, got dtype "):
+            LabelData(y=bad, class_names=("a", "b"))
+    with pytest.raises(ValueError, match=r"^class indices must form a 1-D array, got shape"):
+        LabelData(y=np.zeros((2, 2), np.int64), class_names=("a",))
+    # a list or another integer type is held as int64
+    for y in ([0, -1, 1], np.array([0, 1, 1], np.uint8)):
+        labels = LabelData(y=y, class_names=("a", "b"))
+        assert labels.y.dtype == np.int64 and labels.y.ndim == 1
+    assert np.array_equal(LabelData(y=[1, -1], class_names=("a", "b")).y, [1, -1])
+
+
 def _dataset_path(name):
     import os
     from pathlib import Path
