@@ -50,13 +50,7 @@ from .laplacians import (
     OperatorHandle,
     OperatorKind,
     OperatorSpec,
-    arithmetic_mean_laplacian,
-    balance_ratio_laplacian,
     build_operator,
-    signed_ratio_laplacian,
-    signless_laplacian,
-    sponge_operator,
-    unsigned_laplacian,
 )
 from .spectral import (
     Eigenbasis,

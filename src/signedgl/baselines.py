@@ -1,12 +1,13 @@
 """Unsigned-graph transductive baselines on the positive subgraph.
 
 Harmonic-function label propagation solves the Dirichlet problem on the
-unlabeled block of the combinatorial Laplacian; local-global
+unlabeled block of the combinatorial Laplacian D - W; local-global
 consistency solves (I - alpha * D^{-1/2} W D^{-1/2}) u = f.  Every system,
 whatever its size, goes to the conjugate-gradient solver of ``spectral`` at
 the package's one CG tolerance, ``spectral._CG_RTOL`` (1e-10, shared with
 the shift-invert inner solves); a singular or badly conditioned one raises
-np.linalg.LinAlgError.
+np.linalg.LinAlgError.  Both refuse labels over another node count than
+the graph's.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .classifier import TrainingLabels
 from .graph import _as_csr
-from .laplacians import _norm_adjacency, unsigned_laplacian
+from .laplacians import _laplacian, _norm_adjacency
 from .spectral import _CG_RTOL, _cg_solve
 
 __all__ = ["harmonic_functions", "local_global"]
@@ -44,9 +45,11 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
 
 
-def _require_labels(labels) -> None:
+def _require_labels(labels, W) -> None:
     if not isinstance(labels, TrainingLabels):
         raise TypeError("labels must be BinaryLabelData or MulticlassLabelData")
+    if labels.n != W.shape[0]:
+        raise ValueError(f"labels cover {labels.n} nodes, the graph {W.shape[0]}")
 
 
 def harmonic_functions(Wp, labels):
@@ -60,8 +63,8 @@ def harmonic_functions(Wp, labels):
         (labels_out, scores): the label object's readout of the harmonic
         values, and the values.
     """
-    _require_labels(labels)
     W = _as_csr(Wp)
+    _require_labels(labels, W)
     if not labels.mask.any():
         raise ValueError("harmonic functions need at least one labeled node")
     values = labels.target
@@ -74,7 +77,7 @@ def harmonic_functions(Wp, labels):
         if orphans.size:
             raise np.linalg.LinAlgError(f"linear system is singular: {orphans.size} unlabeled "
                                         f"nodes (first {orphans[0]}) have no labeled node in reach")
-        L_uu = unsigned_laplacian(W).A[unl, :][:, unl]
+        L_uu = _laplacian(W)[unl, :][:, unl]
         scores[unl] = _solve_columns(L_uu, W[unl, :][:, lab] @ values[lab])
     return labels.readout(scores), scores
 
@@ -88,8 +91,8 @@ def local_global(Wp, labels, alpha: float = LGC_ALPHA):
         (labels_out, scores).
     """
     _check_alpha(alpha)
-    _require_labels(labels)
     W = _as_csr(Wp)
+    _require_labels(labels, W)
     n = W.shape[0]
     M = sp.csr_array(sp.eye_array(n, format="csr") - alpha * _norm_adjacency(W))
     scores = _solve_columns(M, labels.target)

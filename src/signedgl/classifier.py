@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
+from .graph import _positive_int
 from .spectral import _RESIDUAL_TOL, Eigenbasis
 
 __all__ = [
@@ -70,15 +71,6 @@ class DivergenceError(RuntimeError):
     def __init__(self, iteration: int):
         super().__init__(f"iterate became non-finite at iteration {iteration}")
         self.iteration = iteration
-
-
-def _positive_int(value, name: str, least: int = 1) -> int:
-    """``value`` as a plain int; refuses a bool, a non-integer type (a float,
-    a string) and anything below ``least`` (1, or 0 for a seed)."""
-    if isinstance(value, bool) or not hasattr(value, "__index__") or value < least:
-        kind = "a positive integer" if least == 1 else f"an integer >= {least}"
-        raise ValueError(f"{name} must be {kind}, got {value!r}")
-    return int(value)
 
 
 @dataclass

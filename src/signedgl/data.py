@@ -29,8 +29,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from .classifier import _positive_int
-from .graph import SignedGraph
+from .graph import SignedGraph, _positive_int
 
 __all__ = [
     "EdgeListError",

@@ -39,6 +39,15 @@ def _as_csr(W) -> sp.csr_array:
     return A
 
 
+def _positive_int(value, name: str, least: int = 1) -> int:
+    """``value`` as a plain int; refuses a bool, a non-integer type (a float,
+    a string) and anything below ``least`` (1, or 0 for a seed)."""
+    if isinstance(value, bool) or not hasattr(value, "__index__") or value < least:
+        kind = "a positive integer" if least == 1 else f"an integer >= {least}"
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+    return int(value)
+
+
 def _first_asymmetric_pair(W: sp.csr_array):
     """Return the lexicographically smallest (i, j) with W[i,j] != W[j,i], or None."""
     diff = sp.csr_array(W - W.T)

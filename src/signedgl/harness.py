@@ -38,13 +38,12 @@ from .baselines import LGC_ALPHA, _check_alpha, harmonic_functions, local_global
 from .classifier import (
     GLConfig,
     MulticlassLabelData,
-    _positive_int,
     gl_binary,
     gl_multiclass,
     training_labels,
 )
 from .data import LabelData, graph_digest, sample_labeled_nodes
-from .graph import SignedGraph, largest_connected_component
+from .graph import SignedGraph, _positive_int, largest_connected_component
 from .laplacians import OperatorKind, build_operator, operator_component
 from .spectral import eigenbasis_cache_file, load_eigenbasis, save_eigenbasis, smallest_eigs
 

@@ -1,9 +1,13 @@
-"""Laplacian operators for unsigned and signed graphs.
+"""Laplacian operators of signed graphs.
 
-Every constructor returns an :class:`OperatorHandle`: a symmetric matrix
-A, plus B for SPONGE's symmetric-definite generalized pair (A, B), each in
-float64 CSR.  Any dense copy is made by the eigensolver that needs it
-(:func:`signedgl.spectral.smallest_eigs`).
+``build_operator(g, kind)``, the one constructor, returns an
+:class:`OperatorHandle`: a symmetric matrix A, plus B for SPONGE's
+symmetric-definite generalized pair (A, B), each in float64 CSR.  Any dense
+copy is made by the eigensolver that needs it
+(:func:`signedgl.spectral.smallest_eigs`).  The unsigned Laplacians of a
+plain adjacency W are kinds on a one-sign graph, bit for bit: L(W) and
+Q(W) are SR on (W, 0) and (0, W), Lsym(W) is L_plus_sym on (W, 0) and
+Qsym(W) is Q_minus_sym on (0, W).
 
 Conventions:
   * zero-degree nodes: D^{-1/2} entries are set to 0, so such nodes
@@ -12,7 +16,7 @@ Conventions:
     operator to composite constructions, so e.g. the arithmetic-mean
     operator of an all-positive graph collapses to the normalized
     Laplacian of its positive part;
-  * every explicit matrix is symmetrized as (S + S^T)/2 after assembly.
+  * every matrix is symmetrized as (S + S^T)/2 after assembly.
 """
 
 from __future__ import annotations
@@ -29,21 +33,11 @@ __all__ = [
     "OperatorKind",
     "OperatorSpec",
     "OperatorHandle",
-    "unsigned_laplacian",
-    "signless_laplacian",
-    "signed_ratio_laplacian",
-    "balance_ratio_laplacian",
-    "sponge_operator",
-    "arithmetic_mean_laplacian",
     "build_operator",
     "operator_component",
 ]
 
 class OperatorKind(str, Enum):
-    L = "L"
-    LSYM = "Lsym"
-    Q = "Q"
-    QSYM = "Qsym"
     LSYM_POS = "L_plus_sym"
     QSYM_NEG = "Q_minus_sym"
     SR = "SR"
@@ -91,16 +85,12 @@ def _symmetrized(S) -> sp.csr_array:
     return sp.csr_array((S + S.T) * 0.5)
 
 
-def _sqrt_inv_degrees(d: np.ndarray) -> np.ndarray:
-    out = np.zeros(d.shape, dtype=float)
-    nz = d > 0
-    out[nz] = 1.0 / np.sqrt(d[nz])
-    return out
-
-
 def _degree_scaled(M, d: np.ndarray) -> sp.csr_array:
     """D^{-1/2} M D^{-1/2} for degrees d, with zero rows for zero-degree nodes."""
-    Di = sp.diags_array(_sqrt_inv_degrees(d), format="csr")
+    inv_sqrt = np.zeros(d.shape, dtype=float)
+    nz = d > 0
+    inv_sqrt[nz] = 1.0 / np.sqrt(d[nz])
+    Di = sp.diags_array(inv_sqrt, format="csr")
     return sp.csr_array(Di @ M @ Di)
 
 
@@ -109,62 +99,33 @@ def _norm_adjacency(W: sp.csr_array) -> sp.csr_array:
     return _degree_scaled(W, np.asarray(W.sum(axis=1)).ravel())
 
 
-def _eye(n: int) -> sp.csr_array:
-    return sp.eye_array(n, format="csr")
-
-
 def _norm_laplacian(W: sp.csr_array) -> sp.csr_array:
-    return sp.csr_array(_eye(W.shape[0]) - _norm_adjacency(W))
+    return sp.csr_array(sp.eye_array(W.shape[0], format="csr") - _norm_adjacency(W))
 
 
 def _norm_signless(W: sp.csr_array) -> sp.csr_array:
-    return sp.csr_array(_eye(W.shape[0]) + _norm_adjacency(W))
+    return sp.csr_array(sp.eye_array(W.shape[0], format="csr") + _norm_adjacency(W))
 
 
-def _degree_matrix(W: sp.csr_array) -> sp.csr_array:
-    return sp.diags_array(np.asarray(W.sum(axis=1)).ravel(), format="csr")
+def _laplacian(W: sp.csr_array) -> sp.csr_array:
+    """D - W for a plain float64 CSR adjacency W with row sums D, held as an
+    operator handle holds its A (what ``SR`` builds on the graph (W, 0))."""
+    D = sp.diags_array(np.asarray(W.sum(axis=1)).ravel(), format="csr")
+    return _as_csr(_symmetrized(D - W))
 
 
-def _handle(kind: OperatorKind, S) -> OperatorHandle:
-    return OperatorHandle(OperatorSpec(kind), _symmetrized(S))
-
-
-def unsigned_laplacian(W, normalized: bool = False) -> OperatorHandle:
-    """L = D - W, or its normalized form I - D^{-1/2} W D^{-1/2}."""
-    W = _as_csr(W)
-    if normalized:
-        return _handle(OperatorKind.LSYM, _norm_laplacian(W))
-    return _handle(OperatorKind.L, _degree_matrix(W) - W)
-
-
-def signless_laplacian(W, normalized: bool = False) -> OperatorHandle:
-    """Q = D + W, or its normalized form I + D^{-1/2} W D^{-1/2}."""
-    W = _as_csr(W)
-    if normalized:
-        return _handle(OperatorKind.QSYM, _norm_signless(W))
-    return _handle(OperatorKind.Q, _degree_matrix(W) + W)
-
-
-def signed_ratio_laplacian(g: SignedGraph, normalized: bool = False) -> OperatorHandle:
+def _signed_ratio(g: SignedGraph) -> tuple:
     """Dbar - (Wp - Wn); its smallest eigenvalue is 0 iff the graph is 2-balanced."""
-    dbar = degrees(g).dbar
-    W = g.signed_adjacency()
-    if normalized:
-        return _handle(OperatorKind.SN, _eye(g.n) - _degree_scaled(W, dbar))
-    return _handle(OperatorKind.SR, sp.diags_array(dbar, format="csr") - W)
+    return (sp.diags_array(degrees(g).dbar, format="csr") - g.signed_adjacency(),)
 
 
-def balance_ratio_laplacian(g: SignedGraph, normalized: bool = False) -> OperatorHandle:
+def _balance_ratio(g: SignedGraph) -> tuple:
     """Dp - Wp + Wn.  Not positive semi-definite in general: the classifier
     refuses a basis of it whose smallest eigenvalue is negative."""
-    deg = degrees(g)
-    S = sp.csr_array(sp.diags_array(deg.dp, format="csr") - g.Wp + g.Wn)
-    if normalized:
-        return _handle(OperatorKind.BN, _degree_scaled(S, deg.dbar))
-    return _handle(OperatorKind.BR, S)
+    return (sp.csr_array(sp.diags_array(degrees(g).dp, format="csr") - g.Wp + g.Wn),)
 
 
-def sponge_operator(g: SignedGraph) -> OperatorHandle:
+def _sponge(g: SignedGraph) -> tuple:
     """Generalized pair A = Lsym(Wp) + I, B = Lsym(Wn) + I.
 
     Both are I plus a positive semidefinite normalized Laplacian, so both
@@ -173,64 +134,42 @@ def sponge_operator(g: SignedGraph) -> OperatorHandle:
     at sigma = 0 does.  An absent sign
     contributes the zero operator (so e.g. Wn = 0 gives B = I).
     """
-    eye = _eye(g.n)
+    eye = sp.eye_array(g.n, format="csr")
     A = eye if g.Wp.nnz == 0 else sp.csr_array(_norm_laplacian(g.Wp) + eye)
     B = eye if g.Wn.nnz == 0 else sp.csr_array(_norm_laplacian(g.Wn) + eye)
-    return OperatorHandle(OperatorSpec(OperatorKind.SPONGE), _symmetrized(A), _symmetrized(B))
+    return A, B
 
 
-def arithmetic_mean_laplacian(g: SignedGraph) -> OperatorHandle:
+def _arithmetic_mean(g: SignedGraph) -> tuple:
     """Lsym(Wp) + Qsym(Wn), blending attraction and repulsion."""
-    n = g.n
-    parts = []
-    if g.Wp.nnz:
-        parts.append(_norm_laplacian(g.Wp))
-    if g.Wn.nnz:
-        parts.append(_norm_signless(g.Wn))
-    if not parts:
-        S = sp.csr_array((n, n))
-    else:
-        S = parts[0] if len(parts) == 1 else sp.csr_array(parts[0] + parts[1])
-    return _handle(OperatorKind.AM, S)
+    parts = [part(W) for part, W in ((_norm_laplacian, g.Wp), (_norm_signless, g.Wn)) if W.nnz]
+    return (sum(parts[1:], parts[0]) if parts else sp.csr_array((g.n, g.n)),)
 
 
-# Every kind built on a SignedGraph: its builder, and the connectivity mode
-# of the largest component it is built on.  The unsigned kinds (L, Lsym,
-# Q, Qsym) take a plain adjacency and are not listed.
-_SIGNED_KINDS = {
-    OperatorKind.LSYM_POS: (lambda g: _handle(OperatorKind.LSYM_POS, _norm_laplacian(g.Wp)),
-                            "positive"),
-    OperatorKind.QSYM_NEG: (lambda g: _handle(OperatorKind.QSYM_NEG, _norm_signless(g.Wn)),
-                            "negative"),
-    OperatorKind.SR: (signed_ratio_laplacian, "signed"),
-    OperatorKind.SN: (lambda g: signed_ratio_laplacian(g, normalized=True), "signed"),
-    OperatorKind.BR: (balance_ratio_laplacian, "signed"),
-    OperatorKind.BN: (lambda g: balance_ratio_laplacian(g, normalized=True), "signed"),
-    OperatorKind.SPONGE: (sponge_operator, "signed"),
-    OperatorKind.AM: (arithmetic_mean_laplacian, "signed"),
+# Every kind: the connectivity mode of the largest component it is built
+# on, and the builder of its matrix (of SPONGE's pair).  SN is
+# I - Dbar^{-1/2} (Wp - Wn) Dbar^{-1/2}, and BN is Dbar^{-1/2} BR Dbar^{-1/2}.
+_KINDS = {
+    OperatorKind.LSYM_POS: ("positive", lambda g: (_norm_laplacian(g.Wp),)),
+    OperatorKind.QSYM_NEG: ("negative", lambda g: (_norm_signless(g.Wn),)),
+    OperatorKind.SR: ("signed", _signed_ratio),
+    OperatorKind.SN: ("signed", lambda g: (
+        sp.eye_array(g.n, format="csr") - _degree_scaled(g.signed_adjacency(), degrees(g).dbar),)),
+    OperatorKind.BR: ("signed", _balance_ratio),
+    OperatorKind.BN: ("signed", lambda g: (
+        _degree_scaled(*_balance_ratio(g), degrees(g).dbar),)),
+    OperatorKind.SPONGE: ("signed", _sponge),
+    OperatorKind.AM: ("signed", _arithmetic_mean),
 }
 
 
-def _signed_kind(kind) -> tuple:
-    kind = OperatorKind(kind)
-    if kind not in _SIGNED_KINDS:
-        raise ValueError(
-            f"kind {kind.value} takes a plain adjacency; "
-            "use unsigned_laplacian or signless_laplacian"
-        )
-    return _SIGNED_KINDS[kind]
-
-
 def build_operator(g: SignedGraph, kind) -> OperatorHandle:
-    """Construct any signed-graph operator kind from a SignedGraph.
-
-    The unsigned kinds (L, Lsym, Q, Qsym) need an explicit adjacency and
-    must go through unsigned_laplacian/signless_laplacian directly.
-    """
-    build, _ = _signed_kind(kind)
-    return build(g)
+    """The operator of ``kind`` (an OperatorKind or its value) on ``g``;
+    a value that names no kind raises ValueError."""
+    kind = OperatorKind(kind)
+    return OperatorHandle(OperatorSpec(kind), *map(_symmetrized, _KINDS[kind][1](g)))
 
 
 def operator_component(kind) -> str:
     """Connectivity mode whose largest component an operator kind is built on."""
-    return _signed_kind(kind)[1]
+    return _KINDS[OperatorKind(kind)][0]

@@ -45,6 +45,7 @@ from scipy.sparse.linalg import (
     eigsh,
 )
 
+from .graph import _positive_int
 from .laplacians import OperatorHandle, OperatorKind, OperatorSpec
 
 __all__ = [
@@ -226,10 +227,11 @@ def smallest_eigs(op: OperatorHandle, k: int) -> Eigenbasis:
     vector, so a repeated solve gives the same bits and a cache file needs
     no seed in its key.  Raises EigenSolveError if Lanczos fails to converge
     (with the best residual reached) or a solve gives fewer than k pairs or
-    one above the residual bound; ValueError for k out of range.
+    one above the residual bound; ValueError for a k not an integer in [1, n].
     """
     n = op.n
-    if not 1 <= k <= n:
+    k = _positive_int(k, "k")
+    if k > n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
     # ARPACK needs k < n-1; fall back to the dense path near full spectra.
     if n <= DENSE_CAP or k > n - 2:

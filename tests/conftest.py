@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from signedgl import SignedGraph
 
@@ -14,6 +15,20 @@ def random_signed_graph(rng, n, density=0.2, neg_share=0.3, weighted=False):
     Wp = np.where(W > 0, W, 0.0)
     Wn = np.where(W < 0, -W, 0.0)
     return SignedGraph(Wp, Wn)
+
+
+def positive_only(W):
+    """The graph (W, 0).  Its SR operator is the Laplacian D - W of the plain
+    adjacency W, and its L_plus_sym the normalized Laplacian."""
+    W = sp.csr_array(W)
+    return SignedGraph(W, sp.csr_array(W.shape))
+
+
+def negative_only(W):
+    """The graph (0, W).  Its SR operator is the signless Laplacian D + W of the
+    plain adjacency W, and its Q_minus_sym the normalized signless Laplacian."""
+    W = sp.csr_array(W)
+    return SignedGraph(sp.csr_array(W.shape), W)
 
 
 def clique_graph(sizes):

@@ -18,7 +18,6 @@ from signedgl import (
     GLConfig,
     MulticlassLabelData,
     SSBMParams,
-    balance_ratio_laplacian,
     build_operator,
     energy,
     energy_gradient,
@@ -30,17 +29,14 @@ from signedgl import (
     load_labels,
     load_signed_edge_list,
     run_experiment,
-    signed_ratio_laplacian,
-    signless_laplacian,
     simplex_project,
     split_signs,
-    unsigned_laplacian,
 )
 from signedgl.cli import main as cli_main
 from signedgl.classifier import multiclass_potential_gradient
 from signedgl.harness import ExperimentSpec
 
-from conftest import clique_graph, random_signed_graph
+from conftest import clique_graph, negative_only, positive_only, random_signed_graph
 from test_classifier import potential_oracle, qp_projection_oracle
 
 
@@ -66,9 +62,9 @@ def test_criterion_1_balance_theorem():
         g, _ = generate_ssbm(
             SSBMParams(n=n, k=2, p_in=p, p_out=p, eta=0.0, seed=int(rng.integers(1e9)))
         )
-        worst_balanced = max(worst_balanced, lam_min(signed_ratio_laplacian(g)))
+        worst_balanced = max(worst_balanced, lam_min(build_operator(g, "SR")))
         worst_balanced = max(
-            worst_balanced, lam_min(signed_ratio_laplacian(g, normalized=True))
+            worst_balanced, lam_min(build_operator(g, "SN"))
         )
     assert worst_balanced <= 1e-10
     smallest_perturbed = np.inf
@@ -78,7 +74,7 @@ def test_criterion_1_balance_theorem():
         g, _ = generate_ssbm(
             SSBMParams(n=n, k=2, p_in=p, p_out=p, eta=0.2, seed=int(rng.integers(1e9)))
         )
-        smallest_perturbed = min(smallest_perturbed, lam_min(signed_ratio_laplacian(g)))
+        smallest_perturbed = min(smallest_perturbed, lam_min(build_operator(g, "SR")))
     elapsed = time.monotonic() - t0
     report(
         1,
@@ -104,14 +100,14 @@ def test_criterion_2_psd_suite():
     for g in _suite_graphs():
         W_abs = g.absolute_adjacency()
         handles = [
-            unsigned_laplacian(W_abs),
-            unsigned_laplacian(W_abs, normalized=True),
-            signless_laplacian(W_abs),
-            signless_laplacian(W_abs, normalized=True),
+            build_operator(positive_only(W_abs), "SR"),
+            build_operator(positive_only(W_abs), "L_plus_sym"),
+            build_operator(negative_only(W_abs), "SR"),
+            build_operator(negative_only(W_abs), "Q_minus_sym"),
             build_operator(g, "L_plus_sym"),
             build_operator(g, "Q_minus_sym"),
-            signed_ratio_laplacian(g),
-            signed_ratio_laplacian(g, normalized=True),
+            build_operator(g, "SR"),
+            build_operator(g, "SN"),
             build_operator(g, "AM"),
             build_operator(g, "SPONGE"),
         ]
@@ -119,7 +115,7 @@ def test_criterion_2_psd_suite():
             worst = min(worst, lam_min(h))
     assert worst >= -1e-10
     neg_edge = split_signs(np.array([[0, -1.0], [-1.0, 0]]))
-    br_min = lam_min(balance_ratio_laplacian(neg_edge))
+    br_min = lam_min(build_operator(neg_edge, "BR"))
     elapsed = time.monotonic() - t0
     report(
         2,
@@ -132,8 +128,10 @@ def test_criterion_2_psd_suite():
 def test_criterion_3_signed_ratio_identity():
     worst = 0.0
     for g in _suite_graphs():
-        lhs = signed_ratio_laplacian(g).A.toarray()
-        rhs = unsigned_laplacian(g.Wp).A.toarray() + signless_laplacian(g.Wn).A.toarray()
+        lhs = build_operator(g, "SR").A.toarray()
+        Wp, Wn = g.Wp.toarray(), g.Wn.toarray()
+        # (D+ - W+) + (D- + W-), from the dense adjacencies
+        rhs = (np.diag(Wp.sum(axis=1)) - Wp) + (np.diag(Wn.sum(axis=1)) + Wn)
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     report(3, worst <= 1e-12, f"max entrywise deviation {worst:.2e}")
 
@@ -141,7 +139,7 @@ def test_criterion_3_signed_ratio_identity():
 def test_criterion_4_energy_gradient_and_T_matrix():
     rng = np.random.default_rng(404)
     g = random_signed_graph(rng, 30, density=0.25, weighted=True)
-    basis = full_dense_eigs(signed_ratio_laplacian(g, normalized=True))
+    basis = full_dense_eigs(build_operator(g, "SN"))
     signs = np.where(rng.random(30) < 0.5, 1.0, -1.0)
     labels = BinaryLabelData.from_signs(signs, rng.random(30) < 0.3)
     cfg = GLConfig()
@@ -184,7 +182,7 @@ def test_criterion_5_monotone_descent():
     worst_increase = -np.inf
     for _ in range(20):
         g = random_signed_graph(rng, 50, density=0.15, weighted=True)
-        basis = full_dense_eigs(signed_ratio_laplacian(g, normalized=True))
+        basis = full_dense_eigs(build_operator(g, "SN"))
         signs = np.where(rng.random(50) < 0.5, 1.0, -1.0)
         mask = rng.random(50) < 0.2
         mask[0] = True
@@ -248,7 +246,7 @@ def test_criterion_7_synthetic_recovery(tmp_path):
 
 def test_criterion_8_multiclass_binary_consistency():
     g, truth = clique_graph([5, 5])
-    op = unsigned_laplacian(g.Wp, normalized=True)
+    op = build_operator(g, "L_plus_sym")
     mask = np.zeros(10, bool)
     mask[0] = mask[5] = True
     signs = np.where(truth == 0, 1.0, -1.0)

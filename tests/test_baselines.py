@@ -225,3 +225,14 @@ def test_baselines_reject_objects_that_are_not_label_objects():
         for baseline in (harmonic_functions, local_global):
             with pytest.raises(TypeError, match="BinaryLabelData or MulticlassLabelData"):
                 baseline(g.Wp, bad)
+
+
+def test_baselines_refuse_labels_over_another_node_count():
+    g, blocks = generate_ssbm(SSBMParams(n=60, k=2, p_in=0.2, p_out=0.2, seed=1))
+    train = np.arange(10) < 4
+    binary = BinaryLabelData.from_signs(np.where(blocks[:10] == 0, 1.0, -1.0), train)
+    three = MulticlassLabelData.from_classes(np.arange(10) % 3, train, 3)
+    for labels in (binary, three):
+        for baseline in (harmonic_functions, local_global):
+            with pytest.raises(ValueError, match="labels cover 10 nodes, the graph 60"):
+                baseline(g.Wp, labels)

@@ -23,12 +23,9 @@ from signedgl import (
     largest_connected_component,
     multiclass_energy,
     sample_labeled_nodes,
-    signed_ratio_laplacian,
     simplex_project,
     smallest_eigs,
-    sponge_operator,
     ssbm_label_data,
-    unsigned_laplacian,
 )
 from signedgl.classifier import (
     multiclass_potential,
@@ -36,12 +33,7 @@ from signedgl.classifier import (
     project_rows_onto_simplex,
     training_labels,
 )
-from signedgl.laplacians import (
-    OperatorKind,
-    OperatorSpec,
-    arithmetic_mean_laplacian,
-    balance_ratio_laplacian,
-)
+from signedgl.laplacians import OperatorKind, OperatorSpec
 from signedgl.spectral import Eigenbasis
 
 from conftest import balanced_four_cycle, clique_graph, random_signed_graph
@@ -151,7 +143,7 @@ def energy_oracle(S, u, f, omega, eps):
 
 def test_energy_zero_on_balanced_ground_state():
     g = balanced_four_cycle()
-    basis = full_dense_eigs(signed_ratio_laplacian(g))
+    basis = full_dense_eigs(build_operator(g, "SR"))
     u = np.array([1.0, 1.0, -1.0, -1.0])
     labels = BinaryLabelData.from_signs(u, np.array([True, False, False, True]))
     assert energy(basis, u, labels, GLConfig()) <= 1e-12
@@ -159,7 +151,7 @@ def test_energy_zero_on_balanced_ground_state():
 
 def test_energy_unlabeled_zero_vector():
     g = balanced_four_cycle()
-    basis = full_dense_eigs(signed_ratio_laplacian(g))
+    basis = full_dense_eigs(build_operator(g, "SR"))
     labels = BinaryLabelData.from_signs(np.zeros(4), np.zeros(4, bool))
     cfg = GLConfig(epsilon=0.1)
     assert np.isclose(energy(basis, np.zeros(4), labels, cfg), 4 / (4 * 0.1))
@@ -167,7 +159,7 @@ def test_energy_unlabeled_zero_vector():
 
 def test_energy_matches_summation_oracle(rng):
     g = random_signed_graph(rng, 10, weighted=True)
-    op = signed_ratio_laplacian(g, normalized=True)
+    op = build_operator(g, "SN")
     S, basis = op.A.toarray(), full_dense_eigs(op)
     signs = np.where(rng.random(10) < 0.5, 1.0, -1.0)
     mask = rng.random(10) < 0.4
@@ -183,12 +175,12 @@ def test_energy_rejects_non_psd_operator():
     g = balanced_four_cycle()
     labels = BinaryLabelData.from_signs(np.zeros(4), np.zeros(4, bool))
     with pytest.raises(ValueError, match="not positive semi-definite"):
-        energy(full_dense_eigs(balance_ratio_laplacian(g)), np.zeros(4), labels, GLConfig())
+        energy(full_dense_eigs(build_operator(g, "BR")), np.zeros(4), labels, GLConfig())
 
 
 def test_energy_gradient_finite_differences(rng):
     g = random_signed_graph(rng, 15, weighted=True)
-    basis = full_dense_eigs(signed_ratio_laplacian(g, normalized=True))
+    basis = full_dense_eigs(build_operator(g, "SN"))
     signs = np.where(rng.random(15) < 0.5, 1.0, -1.0)
     labels = BinaryLabelData.from_signs(signs, rng.random(15) < 0.3)
     cfg = GLConfig()
@@ -222,7 +214,7 @@ def brute_force_binary_minimizer(S, f, omega, eps):
 
 def test_binary_two_cliques_matches_brute_force():
     g, truth = clique_graph([5, 5])
-    op = unsigned_laplacian(g.Wp, normalized=True)
+    op = build_operator(g, "L_plus_sym")
     basis = full_dense_eigs(op)  # N_e = 10
     mask = np.zeros(10, bool)
     mask[0] = mask[5] = True
@@ -240,7 +232,7 @@ def test_binary_two_cliques_matches_brute_force():
 
 def test_binary_all_labeled_reproduces_labels(rng):
     g = random_signed_graph(rng, 20, weighted=True)
-    basis = full_dense_eigs(signed_ratio_laplacian(g, normalized=True))
+    basis = full_dense_eigs(build_operator(g, "SN"))
     signs = np.where(rng.random(20) < 0.5, 1.0, -1.0)
     labels = BinaryLabelData.from_signs(signs, np.ones(20, bool))
     _, pred, _ = gl_binary(basis, labels, GLConfig())
@@ -249,7 +241,7 @@ def test_binary_all_labeled_reproduces_labels(rng):
 
 def test_binary_single_isolated_node():
     g = clique_graph([1])[0]
-    basis = full_dense_eigs(unsigned_laplacian(g.Wp, normalized=True))
+    basis = full_dense_eigs(build_operator(g, "L_plus_sym"))
     labels = BinaryLabelData.from_signs([1.0], [True])
     u, pred, diag = gl_binary(basis, labels, GLConfig())
     assert pred[0] == 1
@@ -259,7 +251,7 @@ def test_binary_single_isolated_node():
 
 def test_binary_rejects_non_psd_basis():
     g = balanced_four_cycle()
-    basis = full_dense_eigs(balance_ratio_laplacian(g))
+    basis = full_dense_eigs(build_operator(g, "BR"))
     labels = BinaryLabelData.from_signs(np.zeros(4), np.zeros(4, bool))
     with pytest.raises(ValueError, match="not positive semi-definite"):
         gl_binary(basis, labels, GLConfig())
@@ -267,7 +259,7 @@ def test_binary_rejects_non_psd_basis():
 
 def test_binary_divergence_reports_iteration():
     g = clique_graph([3])[0]
-    basis = full_dense_eigs(unsigned_laplacian(g.Wp, normalized=True))
+    basis = full_dense_eigs(build_operator(g, "L_plus_sym"))
     labels = BinaryLabelData.from_signs([1.0, 0.0, 0.0], [True, False, False])
     # epsilon small enough that c overflows to inf: the step matrix is not finite
     cfg = GLConfig(epsilon=1e-308, omega0=0.0, max_iter=10)
@@ -279,7 +271,7 @@ def test_binary_divergence_reports_iteration():
 
 def test_binary_refuses_an_indefinite_step_matrix():
     g = clique_graph([3])[0]
-    sn = full_dense_eigs(unsigned_laplacian(g.Wp, normalized=True))
+    sn = full_dense_eigs(build_operator(g, "L_plus_sym"))
     cfg = GLConfig(omega0=0.0)
     # lambda_1 = -500 puts 1 + c tau + eps tau lambda_1 = -1 on the diagonal of M, and lies
     # within the PSD check's tolerance of lambda_k = 1e9, so only the step matrix refuses it
@@ -291,7 +283,7 @@ def test_binary_refuses_an_indefinite_step_matrix():
 
 def test_binary_truncation_consistency_with_node_space_scheme(rng):
     g = random_signed_graph(rng, 12, weighted=True)
-    op = signed_ratio_laplacian(g, normalized=True)
+    op = build_operator(g, "SN")
     basis = full_dense_eigs(op)
     S = op.A.toarray()
     signs = np.where(rng.random(12) < 0.5, 1.0, -1.0)
@@ -317,7 +309,7 @@ def test_binary_truncation_consistency_with_node_space_scheme(rng):
 
 def test_binary_energy_monotone_quick(rng):
     g = random_signed_graph(rng, 30, weighted=True)
-    basis = full_dense_eigs(signed_ratio_laplacian(g, normalized=True))
+    basis = full_dense_eigs(build_operator(g, "SN"))
     signs = np.where(rng.random(30) < 0.5, 1.0, -1.0)
     labels = BinaryLabelData.from_signs(signs, rng.random(30) < 0.2)
     _, _, diag = gl_binary(
@@ -352,7 +344,7 @@ def gl_binary_pow_oracle(basis, labels, cfg):
 
 def test_binary_matches_pow_cube_loop():
     g, blocks = generate_ssbm(SSBMParams(n=300, k=2, p_in=0.06, p_out=0.06, eta=0.2, seed=5))
-    basis = full_dense_eigs(signed_ratio_laplacian(g, normalized=True)).truncate(20)
+    basis = full_dense_eigs(build_operator(g, "SN")).truncate(20)
     signs = np.where(blocks == 0, 1.0, -1.0)
     for seed in range(3):
         mask = np.random.default_rng(seed).random(g.n) < 0.1
@@ -372,7 +364,7 @@ def test_binary_converged_iterate_is_stationary_over_the_span():
     g, blocks = generate_ssbm(SSBMParams(n=300, k=2, p_in=0.06, p_out=0.06, eta=0.2, seed=5))
     signs = np.where(blocks == 0, 1.0, -1.0)
     cfg = GLConfig(max_iter=20000, tol=1e-10)
-    for op in (signed_ratio_laplacian(g, normalized=True), arithmetic_mean_laplacian(g)):
+    for op in (build_operator(g, "SN"), build_operator(g, "AM")):
         basis = full_dense_eigs(op).truncate(20)
         phis = basis.phis
         for seed in range(3):
@@ -389,7 +381,7 @@ def test_binary_converged_iterate_is_stationary_over_the_span():
 
 def test_binary_label_fidelity(rng):
     g = random_signed_graph(rng, 40, weighted=True)
-    basis = full_dense_eigs(signed_ratio_laplacian(g, normalized=True))
+    basis = full_dense_eigs(build_operator(g, "SN"))
     signs = np.where(rng.random(40) < 0.5, 1.0, -1.0)
     mask = rng.random(40) < 0.3
     mask[0] = True
@@ -484,8 +476,8 @@ def reference_gl_multiclass(basis, labels, cfg, init_seed):
 
 def reference_bases(g):
     """Truncated SN, AM and SPONGE eigenbases of one graph (SPONGE's is B-orthonormal)."""
-    ops = (signed_ratio_laplacian(g, normalized=True), arithmetic_mean_laplacian(g),
-           sponge_operator(g))
+    ops = (build_operator(g, "SN"), build_operator(g, "AM"),
+           build_operator(g, "SPONGE"))
     return [full_dense_eigs(op).truncate(12) for op in ops]
 
 
@@ -577,7 +569,7 @@ def test_gl_multiclass_matches_frozen_loop():
 
 def test_gl_reports_the_frozen_divergence_iteration():
     g, blocks = generate_ssbm(SSBMParams(n=60, k=3, p_in=0.2, p_out=0.2, eta=0.1, seed=1))
-    sn = full_dense_eigs(signed_ratio_laplacian(g, normalized=True)).truncate(6)
+    sn = full_dense_eigs(build_operator(g, "SN")).truncate(6)
     cfg = GLConfig()
     # eigenvalues that leave the binary scheme's diagonal 1 + c tau + eps tau lambda at
     # 1e-2 in five columns: the iterate blows up over a few steps; lambda_6 is large
@@ -728,7 +720,7 @@ def test_label_objects_own_target_and_readout():
 
 def test_multiclass_three_cliques():
     g, truth = clique_graph([5, 5, 5])
-    basis = full_dense_eigs(unsigned_laplacian(g.Wp, normalized=True)).truncate(3)
+    basis = full_dense_eigs(build_operator(g, "L_plus_sym")).truncate(3)
     mask = np.zeros(15, bool)
     mask[[0, 5, 10]] = True
     labels = MulticlassLabelData.from_classes(truth, mask, 3)
@@ -739,7 +731,7 @@ def test_multiclass_three_cliques():
 
 def test_multiclass_all_labeled(rng):
     g = random_signed_graph(rng, 18, weighted=True)
-    basis = full_dense_eigs(signed_ratio_laplacian(g, normalized=True))
+    basis = full_dense_eigs(build_operator(g, "SN"))
     classes = rng.integers(0, 3, 18)
     labels = MulticlassLabelData.from_classes(classes, np.ones(18, bool), 3)
     _, pred, _ = gl_multiclass(basis, labels, GLConfig(), init_seed=1)
@@ -748,7 +740,7 @@ def test_multiclass_all_labeled(rng):
 
 def test_multiclass_matches_binary_on_two_cliques():
     g, truth = clique_graph([5, 5])
-    op = unsigned_laplacian(g.Wp, normalized=True)
+    op = build_operator(g, "L_plus_sym")
     mask = np.zeros(10, bool)
     mask[0] = mask[5] = True
     signs = np.where(truth == 0, 1.0, -1.0)
@@ -763,7 +755,7 @@ def test_multiclass_matches_binary_on_two_cliques():
 
 def test_multiclass_rows_stay_on_simplex():
     g, truth = clique_graph([4, 4])
-    basis = full_dense_eigs(unsigned_laplacian(g.Wp, normalized=True)).truncate(2)
+    basis = full_dense_eigs(build_operator(g, "L_plus_sym")).truncate(2)
     mask = np.zeros(8, bool)
     mask[[0, 4]] = True
     labels = MulticlassLabelData.from_classes(truth, mask, 2)
@@ -774,7 +766,7 @@ def test_multiclass_rows_stay_on_simplex():
 
 def test_multiclass_class_permutation_equivariance(rng, monkeypatch):
     g, truth = clique_graph([4, 4, 4])
-    basis = full_dense_eigs(unsigned_laplacian(g.Wp, normalized=True)).truncate(3)
+    basis = full_dense_eigs(build_operator(g, "L_plus_sym")).truncate(3)
     mask = np.zeros(12, bool)
     mask[[0, 4, 8]] = True
     labels = MulticlassLabelData.from_classes(truth, mask, 3)
@@ -794,7 +786,7 @@ def test_multiclass_class_permutation_equivariance(rng, monkeypatch):
 
 def test_multiclass_seed_reproducible():
     g, truth = clique_graph([4, 4])
-    basis = full_dense_eigs(unsigned_laplacian(g.Wp, normalized=True)).truncate(2)
+    basis = full_dense_eigs(build_operator(g, "L_plus_sym")).truncate(2)
     mask = np.zeros(8, bool)
     mask[[0, 4]] = True
     labels = MulticlassLabelData.from_classes(truth, mask, 2)
@@ -805,7 +797,7 @@ def test_multiclass_seed_reproducible():
 
 def test_multiclass_energy_of_a_full_basis_is_the_dense_form(rng):
     g = random_signed_graph(rng, 10, weighted=True)
-    op = signed_ratio_laplacian(g, normalized=True)
+    op = build_operator(g, "SN")
     basis = full_dense_eigs(op)
     U = project_rows_onto_simplex(rng.random((10, 3)))
     labels = MulticlassLabelData.from_classes(
@@ -837,17 +829,17 @@ def test_every_entry_point_checks_its_basis(entry):
         "multiclass_energy": lambda basis: multiclass_energy(basis, U, multi, cfg),
     }[entry]
     # the full BR basis and a truncated BN basis keep their negative lambda_1
-    for indefinite in (full_dense_eigs(balance_ratio_laplacian(g)),
-                       full_dense_eigs(balance_ratio_laplacian(g, normalized=True)).truncate(2)):
+    for indefinite in (full_dense_eigs(build_operator(g, "BR")),
+                       full_dense_eigs(build_operator(g, "BN")).truncate(2)):
         assert indefinite.lambdas[0] < -0.1
         with pytest.raises(ValueError, match="not positive semi-definite"):
             call(indefinite)
-    five_nodes = full_dense_eigs(unsigned_laplacian(clique_graph([5])[0].Wp, normalized=True))
+    five_nodes = full_dense_eigs(build_operator(clique_graph([5])[0], "L_plus_sym"))
     with pytest.raises(ValueError, match="labels cover 4 nodes, the eigenbasis 5"):
         call(five_nodes)
     # the eigenbasis of the SPONGE generalized pair is accepted, but not with one
     # eigenvalue for its four eigenvectors
-    sponge = full_dense_eigs(sponge_operator(g))
+    sponge = full_dense_eigs(build_operator(g, "SPONGE"))
     with pytest.raises(ValueError, match=r"eigenvalues of shape \(1,\) for 4 eigenvectors"):
         call(Eigenbasis(sponge.lambdas[:1], sponge.phis, sponge.source))
     call(sponge)
@@ -942,7 +934,7 @@ def test_projection_matches_two_cumsum_form(rng):
 
 def test_gl_multiclass_matches_l1_kernels(monkeypatch):
     g, blocks = generate_ssbm(SSBMParams(n=240, k=3, p_in=0.08, p_out=0.08, eta=0.15, seed=4))
-    basis = full_dense_eigs(signed_ratio_laplacian(g, normalized=True)).truncate(15)
+    basis = full_dense_eigs(build_operator(g, "SN")).truncate(15)
     mask = np.random.default_rng(0).random(g.n) < 0.1
     labels = MulticlassLabelData.from_classes(blocks, mask, 3)
     new = [gl_multiclass(basis, labels, GLConfig(), init_seed=s) for s in range(3)]

@@ -11,12 +11,12 @@ from signedgl import (
     LabelData,
     SSBMParams,
     SignedGraph,
+    build_operator,
     generate_ssbm,
     graph_digest,
     load_labels,
     load_signed_edge_list,
     sample_labeled_nodes,
-    signed_ratio_laplacian,
     split_signs,
     ssbm_label_data,
     write_labels,
@@ -239,7 +239,7 @@ def test_ssbm_complete_two_balanced():
     off = ~np.eye(10, dtype=bool)
     assert (Wp[same & off] == 1).all()
     assert (Wn[~same] == 1).all()
-    lam = np.linalg.eigvalsh(signed_ratio_laplacian(g).A.toarray())
+    lam = np.linalg.eigvalsh(build_operator(g, "SR").A.toarray())
     assert lam[0] <= 1e-10
 
 

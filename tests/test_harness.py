@@ -1118,6 +1118,16 @@ def test_cli_runs_as_a_module(tmp_path):
     assert refused.returncode == 1 and refused.stderr.startswith("error: "), refused.stderr
 
 
+def test_readme_quick_start_runs(capsys):
+    # the public example of the library API; a name it uses that is gone fails here
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"^## Library quick start\n+```python\n(.*?)^```", readme, re.M | re.S)
+    assert block, "README.md has no python block under 'Library quick start'"
+    exec(compile(block.group(1), "README.md", "exec"), {})
+    out = capsys.readouterr().out
+    assert re.fullmatch(r"accuracy: [01]\.\d+\n", out), out
+
+
 # every flag a subcommand always needs, with a value; each line is a whole command
 ALWAYS_REQUIRED = {
     "run": {"--dataset": "g.txt", "--labels": "l.txt", "--methods": "gl-sn", "--out": "o.csv"},

@@ -17,10 +17,7 @@ from signedgl import (
     largest_connected_component,
     load_eigenbasis,
     save_eigenbasis,
-    signed_ratio_laplacian,
     smallest_eigs,
-    sponge_operator,
-    unsigned_laplacian,
 )
 from signedgl.spectral import (
     _CG_RTOL,
@@ -31,7 +28,7 @@ from signedgl.spectral import (
     eigenbasis_cache_file,
 )
 
-from conftest import random_signed_graph
+from conftest import positive_only, random_signed_graph
 
 
 def symmetric_handle(S):
@@ -40,20 +37,21 @@ def symmetric_handle(S):
 
 def test_identity_operator():
     # the normalized Laplacian of an edgeless graph is the identity
-    op = unsigned_laplacian(np.zeros((3, 3)), normalized=True)
+    op = build_operator(positive_only(np.zeros((3, 3))), "L_plus_sym")
     basis = smallest_eigs(op, k=3)
     assert np.allclose(basis.lambdas, [1, 1, 1])
     assert np.allclose(basis.phis.T @ basis.phis, np.eye(3), atol=1e-10)
 
 
 def test_two_node_path():
-    basis = smallest_eigs(unsigned_laplacian(np.array([[0, 1.0], [1.0, 0]])), k=2)
+    W = np.array([[0, 1.0], [1.0, 0]])
+    basis = smallest_eigs(build_operator(positive_only(W), "SR"), k=2)
     assert np.allclose(basis.lambdas, [0, 2])
 
 
 def test_generalized_with_identity_B_matches_standard(rng):
     g = random_signed_graph(rng, 20, neg_share=0.0)  # Wn = 0 -> B = I
-    sponge = sponge_operator(g)
+    sponge = build_operator(g, "SPONGE")
     gen = smallest_eigs(sponge, k=5)
     A = OperatorHandle(OperatorSpec(OperatorKind.SPONGE), sponge.A)
     std = smallest_eigs(A, k=5)
@@ -63,7 +61,7 @@ def test_generalized_with_identity_B_matches_standard(rng):
 def test_smallest_matches_full_dense(rng):
     for _ in range(5):
         g = random_signed_graph(rng, int(rng.integers(10, 200)), weighted=True)
-        op = signed_ratio_laplacian(g, normalized=True)
+        op = build_operator(g, "SN")
         k = int(rng.integers(1, min(8, g.n)))
         small = smallest_eigs(op, k=k)
         full = full_dense_eigs(op)
@@ -73,7 +71,7 @@ def test_smallest_matches_full_dense(rng):
 def test_generalized_matches_dense_oracle(rng):
     for _ in range(5):
         g = random_signed_graph(rng, 30, weighted=True)
-        op = sponge_operator(g)
+        op = build_operator(g, "SPONGE")
         basis = smallest_eigs(op, k=4)
         A, B = op.A.toarray(), op.B.toarray()
         # the standard problem B^{-1/2} A B^{-1/2}, from B's own eigendecomposition:
@@ -89,7 +87,7 @@ def test_generalized_matches_dense_oracle(rng):
 
 def test_eigenvectors_orthonormal_and_residuals_small(rng):
     g = random_signed_graph(rng, 80, weighted=True)
-    op = signed_ratio_laplacian(g, normalized=True)
+    op = build_operator(g, "SN")
     basis = smallest_eigs(op, k=10)
     assert np.allclose(basis.phis.T @ basis.phis, np.eye(10), atol=1e-8)
     R = op.A @ basis.phis - basis.phis * basis.lambdas
@@ -98,7 +96,7 @@ def test_eigenvectors_orthonormal_and_residuals_small(rng):
 
 def test_determinism_bitwise(rng):
     g = random_signed_graph(rng, 50)
-    op = signed_ratio_laplacian(g, normalized=True)
+    op = build_operator(g, "SN")
     a = smallest_eigs(op, k=6)
     b = smallest_eigs(op, k=6)
     assert np.array_equal(a.lambdas, b.lambdas)
@@ -107,7 +105,7 @@ def test_determinism_bitwise(rng):
 
 def test_sign_canonicalization(rng):
     g = random_signed_graph(rng, 30)
-    basis = smallest_eigs(signed_ratio_laplacian(g, normalized=True), k=5)
+    basis = smallest_eigs(build_operator(g, "SN"), k=5)
     idx = np.argmax(np.abs(basis.phis), axis=0)
     assert (basis.phis[idx, np.arange(5)] > 0).all()
 
@@ -117,7 +115,7 @@ def test_degenerate_eigenspace_via_principal_angles():
     W = np.zeros((4, 4))
     W[0, 1] = W[1, 0] = 1.0
     W[2, 3] = W[3, 2] = 1.0
-    basis = smallest_eigs(unsigned_laplacian(W), k=2)
+    basis = smallest_eigs(build_operator(positive_only(W), "SR"), k=2)
     assert np.allclose(basis.lambdas, [0, 0], atol=1e-10)
     oracle = np.zeros((4, 2))
     oracle[:2, 0] = 1 / np.sqrt(2)
@@ -129,7 +127,7 @@ def test_degenerate_eigenspace_via_principal_angles():
 def test_lanczos_path_matches_dense_oracle():
     params = SSBMParams(n=2500, k=2, p_in=0.01, p_out=0.01, eta=0.05, seed=5)
     g, _ = generate_ssbm(params)
-    op = signed_ratio_laplacian(g, normalized=True)
+    op = build_operator(g, "SN")
     basis = smallest_eigs(op, k=6)
     dense = np.linalg.eigvalsh(op.A.toarray())
     assert np.allclose(basis.lambdas, dense[:6], atol=1e-6)
@@ -181,7 +179,7 @@ def test_lanczos_generalized_path_refuses_indefinite_A():
     # diagonal entry of A = I + Lsym(W+) gives it one negative eigenvalue
     params = SSBMParams(n=2050, k=2, p_in=0.01, p_out=0.01, eta=0.1, seed=0)
     g, _ = generate_ssbm(params)
-    sponge = sponge_operator(g)
+    sponge = build_operator(g, "SPONGE")
     A = sp.csr_array(sponge.A - 2.0 * sp.csr_array(([1.0], ([0], [0])), shape=(g.n, g.n)))
     lowest = np.linalg.eigvalsh(A.toarray())[:2]
     assert lowest[0] < 0 < lowest[1]
@@ -191,7 +189,7 @@ def test_lanczos_generalized_path_refuses_indefinite_A():
 
 
 def test_cg_solve_matches_scipy_cg(rng):
-    op = sponge_operator(random_signed_graph(rng, 300, weighted=True))
+    op = build_operator(random_signed_graph(rng, 300, weighted=True), "SPONGE")
     # a tight tolerance and spectral._CG_RTOL (1e-10), the one tolerance of
     # the eigensolver's inner solves and the baselines
     for rtol in (1e-12, 1e-10):
@@ -211,7 +209,7 @@ def test_cg_solve_stops_at_an_exact_zero_residual():
     # residual underflows to exactly 0, and a step from there meets p^T A p = 0
     rng = np.random.default_rng(0)
     for _ in range(20):
-        A = sponge_operator(random_signed_graph(rng, 30)).A
+        A = build_operator(random_signed_graph(rng, 30), "SPONGE").A
         b = rng.standard_normal(A.shape[0])
         x = _cg_solve(A, b, 0.0)
         assert np.linalg.norm(A @ x - b) <= 1e-15 * np.linalg.norm(b)
@@ -225,7 +223,7 @@ def test_cg_solve_stops_at_its_step_limit():
 
 
 def test_residual_check_refuses_pairs_above_its_tolerance(rng, monkeypatch):
-    op = signed_ratio_laplacian(random_signed_graph(rng, 30), normalized=True)
+    op = build_operator(random_signed_graph(rng, 30), "SN")
     smallest_eigs(op, k=3)
     monkeypatch.setattr("signedgl.spectral._RESIDUAL_TOL", 0.0)
     with pytest.raises(EigenSolveError, match=r"exceeds tolerance 0\.0e\+00"):
@@ -314,11 +312,15 @@ def test_dense_solve_refuses_a_matrix_that_is_not_finite(pair):
 
 def test_k_out_of_range(rng):
     g = random_signed_graph(rng, 10)
-    op = signed_ratio_laplacian(g)
+    op = build_operator(g, "SR")
     with pytest.raises(ValueError):
         smallest_eigs(op, k=11)
     with pytest.raises(ValueError):
         smallest_eigs(op, k=0)
+    # not an integer: a float is not rounded, nor a bool read as 1
+    for k in (2.5, True):
+        with pytest.raises(ValueError, match="k must be a positive integer"):
+            smallest_eigs(op, k=k)
 
 
 def test_full_dense_diag():
@@ -345,12 +347,12 @@ def test_full_dense_cap():
 def test_normalized_signed_spectrum_in_range(rng):
     for _ in range(5):
         g = random_signed_graph(rng, 60, weighted=True)
-        lam = full_dense_eigs(signed_ratio_laplacian(g, normalized=True)).lambdas
+        lam = full_dense_eigs(build_operator(g, "SN")).lambdas
         assert lam[0] >= -1e-10 and lam[-1] <= 2 + 1e-10
 
 
 def test_truncate():
-    basis = smallest_eigs(unsigned_laplacian(np.zeros((4, 4)), normalized=True), k=4)
+    basis = smallest_eigs(build_operator(positive_only(np.zeros((4, 4))), "L_plus_sym"), k=4)
     t = basis.truncate(2)
     assert t.k == 2 and t.n == 4
     assert basis.truncate(4) is basis
@@ -424,7 +426,7 @@ def test_dense_solve_peak_memory(kind, bound, ssbm300_component):
 
 def test_cache_round_trip(tmp_path, rng):
     g = random_signed_graph(rng, 25)
-    basis = smallest_eigs(signed_ratio_laplacian(g, normalized=True), k=5)
+    basis = smallest_eigs(build_operator(g, "SN"), k=5)
     path = eigenbasis_cache_file(tmp_path, "a" * 64, OperatorKind.SN, 5)
     save_eigenbasis(path, basis)
     loaded = load_eigenbasis(path)
@@ -435,7 +437,7 @@ def test_cache_round_trip(tmp_path, rng):
 
 
 def test_cache_refuses_another_version(tmp_path, rng, monkeypatch):
-    basis = smallest_eigs(signed_ratio_laplacian(random_signed_graph(rng, 10)), k=2)
+    basis = smallest_eigs(build_operator(random_signed_graph(rng, 10), "SR"), k=2)
     monkeypatch.setattr("signedgl.spectral._CACHE_VERSION", 2)
     save_eigenbasis(tmp_path / "v2.npz", basis)
     monkeypatch.undo()
