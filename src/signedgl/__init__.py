@@ -55,7 +55,6 @@ from .laplacians import (
 from .spectral import (
     Eigenbasis,
     EigenSolveError,
-    full_dense_eigs,
     load_eigenbasis,
     save_eigenbasis,
     smallest_eigs,

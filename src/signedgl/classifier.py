@@ -27,7 +27,7 @@ argmax).
 Every entry point takes an Eigenbasis, which ``_check_basis`` checks by
 its numbers: S must be positive semi-definite (otherwise E is unbounded
 below), so a basis with a negative eigenvalue beyond solver accuracy is
-refused.  A full basis (``full_dense_eigs``) gives the exact energy.
+refused.  A full basis (``smallest_eigs(op, op.n)``) gives the exact energy.
 """
 
 from __future__ import annotations
@@ -241,14 +241,9 @@ def _double_well_gradient(u, out=None) -> np.ndarray:
 
 
 def _check_basis(basis: Eigenbasis, labels: TrainingLabels) -> None:
-    """Refuse a basis without one eigenvalue per eigenvector, with an eigenvalue
-    below -_RESIDUAL_TOL max(1, |lambda|), the accuracy every solve is checked
-    to, or on another node count."""
+    """Refuse a basis with an eigenvalue below -_RESIDUAL_TOL max(1, |lambda|),
+    the accuracy every solve is checked to, or on another node count."""
     lam = basis.lambdas
-    if lam.shape != (basis.k,):
-        raise ValueError(
-            f"eigenbasis has eigenvalues of shape {lam.shape} for {basis.k} eigenvectors"
-        )
     if lam.min() < -_RESIDUAL_TOL * max(1.0, np.abs(lam).max()):
         raise ValueError(
             f"eigenbasis has eigenvalue {lam.min():.3e}: its operator is not positive "

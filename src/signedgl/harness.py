@@ -10,17 +10,17 @@ size), or reads it from an on-disk cache, and truncates it for smaller
 N_e.  Its leading vectors equal a direct smaller solve to solver
 accuracy, and give the same rows.  A basis does not depend on
 ``base_seed``, so a file serves a sweep of any seed, and ``_bases`` is
-the one writer of the files (``signedgl eigs`` calls it too).
-``_samples`` draws a method's label masks per (fraction, run).
-``_rows`` classifies one cell's samples: the one
-classifier dispatch, and the one place a ``Record`` is built.  Both
-per-run seeds, a run's mask in ``_samples`` and its multiclass start in
-``_rows``, are ``_derived_seed(base_seed, method, stream, fraction) +
-run`` with stream ``"mask"`` or ``"init"``.  A basis that cannot be
-solved or read, or else a mask that cannot be drawn, gives error rows; a
-cache file that cannot be written is a warning, and the rows run on the
-solved basis.  A cell's mean row (``run=None``) is derived from its run
-rows, so the two cannot disagree.
+the one writer of the files (``signedgl eigs`` calls it too), which
+``load_eigenbasis`` refuses for another graph or kind.  ``_samples``
+draws a method's label masks per (fraction, run) and derives both
+per-run seeds, the mask's and the multiclass start's, each
+``_derived_seed(base_seed, method, stream, fraction) + run`` with stream
+``"mask"`` or ``"init"``.  ``_rows`` classifies and scores one cell's
+samples: the one classifier dispatch, and the one place a ``Record`` is
+built.  A basis that cannot be solved or read, or else a mask that
+cannot be drawn, gives error rows; a cache file that cannot be written
+is a warning, and the rows run on the solved basis.  A cell's mean row
+(``run=None``) is derived from its run rows, so the two cannot disagree.
 """
 
 from __future__ import annotations
@@ -195,24 +195,18 @@ def _bases(comp, kind, n_eigs, cache_dir, digest) -> list:
     cache file, at the largest N_e (capped by the component size); smaller
     N_e take its leading vectors.  The one writer of eigenbasis cache files:
     the sweep and ``signedgl eigs`` both fill the cache through here.  A file
-    that cannot be read raises; one that cannot be written is a
+    that ``load_eigenbasis`` refuses raises; one that cannot be written is a
     ``_CacheWriteWarning``, and the solved basis is returned."""
     k = min(max(n_eigs), comp.n)
     path = None if cache_dir is None else eigenbasis_cache_file(cache_dir, digest, kind, k)
     if path is not None and path.exists():
-        try:
-            full = load_eigenbasis(path)
-        except Exception as exc:
-            raise ValueError(f"cannot read cached eigenbasis {path.name}: {exc}") from exc
-        if full.source.kind != kind:
-            raise ValueError(f"cached eigenbasis {path.name} holds the "
-                             f"{full.source.kind.value} basis, not the {kind.value} one")
+        full = load_eigenbasis(path, digest, kind)
     else:
         full = smallest_eigs(build_operator(comp, kind), k=k)
         if path is not None:
             try:
                 path.parent.mkdir(parents=True, exist_ok=True)
-                save_eigenbasis(path, full)
+                save_eigenbasis(path, full, digest)
             except OSError as exc:  # the solve is good: its rows run without the file
                 warnings.warn(f"cannot write eigenbasis cache file {path.name}: {exc}",
                               _CacheWriteWarning, stacklevel=2)
@@ -263,11 +257,12 @@ def _cells(method, comp, digest, spec, cache_dir) -> list:
 
 
 def _samples(method, comp_labels, spec) -> dict:
-    """{(fraction, run): (label object, truth, evaluation mask)} of one method,
-    or the message of a mask that cannot be drawn."""
+    """{(fraction, run): (label object, truth, evaluation mask, multiclass seed)}
+    of one method, or the message of a mask that cannot be drawn."""
     samples = {}
     for fraction in spec.fractions:
         mask_seed = _derived_seed(spec.base_seed, method, "mask", fraction)
+        init_seed = _derived_seed(spec.base_seed, method, "init", fraction)
         for run in range(spec.runs):
             try:
                 train = sample_labeled_nodes(comp_labels, fraction, mask_seed + run)
@@ -275,7 +270,7 @@ def _samples(method, comp_labels, spec) -> dict:
                 samples[fraction, run] = str(exc)
             else:
                 samples[fraction, run] = (*training_labels(comp_labels, train),
-                                          comp_labels.known & ~train)
+                                          comp_labels.known & ~train, init_seed + run)
     return samples
 
 
@@ -287,7 +282,7 @@ def _rows(method, comp, cell, samples, spec):
         acc, iters, elapsed = None, None, 0.0
         error = basis if isinstance(basis, str) else sample if isinstance(sample, str) else ""
         if not error:
-            data, truth, eval_mask = sample
+            data, truth, eval_mask, init_seed = sample
             t0 = time.perf_counter()
             try:
                 if method == "hf":
@@ -295,9 +290,8 @@ def _rows(method, comp, cell, samples, spec):
                 elif method == "lgc":
                     pred, _ = local_global(comp.Wp, data, alpha=spec.alpha)
                 elif isinstance(data, MulticlassLabelData):
-                    seed = _derived_seed(spec.base_seed, method, "init", fraction) + run
                     _, pred, diag = gl_multiclass(basis, data, spec.gl_config(w0, eps),
-                                                  init_seed=seed)
+                                                  init_seed=init_seed)
                 else:
                     _, pred, diag = gl_binary(basis, data, spec.gl_config(w0, eps))
                 acc = accuracy(pred, truth, eval_mask)

@@ -73,10 +73,6 @@ class OperatorHandle:
             object.__setattr__(self, "B", _as_csr(self.B))
 
     @property
-    def is_generalized(self) -> bool:
-        return self.B is not None
-
-    @property
     def n(self) -> int:
         return self.A.shape[0]
 

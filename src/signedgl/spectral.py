@@ -1,15 +1,16 @@
 """Smallest eigenpairs of symmetric operators and symmetric-definite pairs.
 
-n <= DENSE_CAP, or k > n - 2 (which ARPACK cannot solve), goes through
-LAPACK's subset drivers, computing only the k pairs kept: ``syevr`` for an
-operator, the symmetric-definite ``sygvx`` for a pair, each in place on
-Fortran-ordered dense copies that ``smallest_eigs`` makes from the handle
-and alone owns.  All else goes through ARPACK's Lanczos iteration.  Every
-Lanczos run starts from one fixed vector, so a basis depends on its
-operator and k alone: a solve repeats bit for bit, and an eigenbasis
-cache file keyed by (graph digest, operator, k) holds what any sweep
-would solve, whatever seed draws its label masks.  On the dense path the leading pairs of a k-pair solve equal
-a smaller solve to solver accuracy (about 1e-15), not bit for bit.
+n <= DENSE_CAP, or k > n - 2 (which ARPACK cannot solve; all n pairs,
+``smallest_eigs(op, op.n)``, are dense at any n), goes through LAPACK's subset
+drivers, computing only the k pairs kept: ``syevr`` for an operator, the
+symmetric-definite ``sygvx`` for a pair, each in place on Fortran-ordered dense
+copies that ``smallest_eigs`` makes from the handle and alone owns.  All else
+goes through ARPACK's Lanczos iteration.  Every Lanczos run starts from one
+fixed vector, so a basis depends on its operator and k alone: a solve repeats
+bit for bit, and an eigenbasis cache file keyed by (graph digest, operator, k)
+holds what any sweep would solve, whatever seed draws its label masks.  On the
+dense path the leading pairs of a k-pair solve equal a smaller solve to solver
+accuracy (about 1e-15), not bit for bit.
 Generalized pairs run shift-invert Lanczos at sigma = 0: A is positive
 definite, so the largest 1/lambda are the smallest lambda, and the tight
 cluster at the bottom of the spectrum is stretched apart.  A^{-1} is
@@ -26,6 +27,11 @@ CSR, so the sparse operators (A in mode 1, A inside CG and B in mode 3)
 are applied by scipy's CSR kernel directly, which is the arithmetic of
 ``A @ x`` bit for bit without its dispatch.  The returned eigenvectors are
 orthonormal, B-orthonormal for generalized pairs.
+
+An ``Eigenbasis`` refuses arrays without one eigenvalue per eigenvector,
+or without eigenvectors; ``truncate`` checks k as ``smallest_eigs`` does.
+A cache file records its graph's full digest and its kind, and
+``load_eigenbasis`` refuses another graph, kind or version.
 """
 
 from __future__ import annotations
@@ -53,7 +59,6 @@ __all__ = [
     "Eigenbasis",
     "EigenSolveError",
     "smallest_eigs",
-    "full_dense_eigs",
     "save_eigenbasis",
     "load_eigenbasis",
     "eigenbasis_cache_file",
@@ -76,18 +81,24 @@ class EigenSolveError(RuntimeError):
     """Raised when an iterative eigensolver fails to converge."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class Eigenbasis:
     """The k smallest eigenpairs of an operator.
 
     ``lambdas`` is ascending; ``phis`` has one eigenvector per column,
     orthonormal (B-orthonormal for generalized pairs) and sign-canonicalized
-    so the entry of largest magnitude in each column is positive.
+    so the entry of largest magnitude in each column is positive.  Frozen,
+    so the shapes checked at construction stay checked.
     """
 
     lambdas: np.ndarray
     phis: np.ndarray
     source: OperatorSpec
+
+    def __post_init__(self):
+        if self.k == 0 or self.lambdas.shape != (self.k,):
+            raise ValueError(f"eigenbasis has eigenvalues of shape {self.lambdas.shape} "
+                             f"for {self.k} eigenvectors")
 
     @property
     def n(self) -> int:
@@ -98,8 +109,10 @@ class Eigenbasis:
         return self.phis.shape[1]
 
     def truncate(self, k: int) -> "Eigenbasis":
-        """The k leading eigenpairs: a copy, or this basis itself when k is its size."""
-        if not 1 <= k <= self.k:
+        """The k leading eigenpairs, k an integer in [1, self.k]: a copy, or
+        this basis itself when k is its size."""
+        k = _positive_int(k, "k")
+        if k > self.k:
             raise ValueError(f"cannot truncate basis of size {self.k} to k={k}")
         if k == self.k:
             return self
@@ -182,7 +195,7 @@ def _cg_inverse(A) -> LinearOperator:
 def _arpack_smallest(op: OperatorHandle, k: int):
     v0 = np.random.default_rng(0).standard_normal(op.n)
     try:
-        if op.is_generalized:
+        if op.B is not None:
             # lambda -> 1/lambda: the k largest of 1/lambda are the k smallest lambda
             lam, V = eigsh(op.A, k=k, M=_csr_operator(op.B), sigma=0.0, which="LM",
                            OPinv=_cg_inverse(op.A), v0=v0, tol=_ARPACK_TOL)
@@ -248,18 +261,10 @@ def smallest_eigs(op: OperatorHandle, k: int) -> Eigenbasis:
     return Eigenbasis(lambdas=lam, phis=V, source=op.spec)
 
 
-def full_dense_eigs(op: OperatorHandle) -> Eigenbasis:
-    """All n eigenpairs, ascending: ``smallest_eigs(op, op.n)``, the dense
-    path's subset drivers asked for every pair; n <= DENSE_CAP only."""
-    if op.n > DENSE_CAP:
-        raise ValueError(f"full dense solve limited to n <= {DENSE_CAP}, got n={op.n}")
-    return smallest_eigs(op, op.n)
-
-
 # ---------------------------------------------------------------------------
 # Eigenbasis cache files
 
-_CACHE_VERSION = 1
+_CACHE_VERSION = 2
 
 
 def eigenbasis_cache_file(cache_dir, dataset_digest: str, kind, k: int) -> Path:
@@ -268,8 +273,9 @@ def eigenbasis_cache_file(cache_dir, dataset_digest: str, kind, k: int) -> Path:
     return Path(cache_dir) / f"eig_{dataset_digest[:16]}_{kind.value}_k{k}.npz"
 
 
-def save_eigenbasis(path, eig: Eigenbasis) -> None:
-    """Write an eigenbasis as a versioned npz dump (little-endian float64).
+def save_eigenbasis(path, eig: Eigenbasis, digest: str) -> None:
+    """Write an eigenbasis of the graph with this digest as a versioned npz
+    dump (little-endian float64).
 
     The dump goes to a temporary file beside ``path``, which then replaces
     ``path`` in one rename: a write that fails or is killed partway leaves
@@ -283,6 +289,7 @@ def save_eigenbasis(path, eig: Eigenbasis) -> None:
             np.savez(
                 fh,
                 version=np.int64(_CACHE_VERSION),
+                digest=np.str_(digest),
                 kind=np.str_(eig.source.kind.value),
                 lambdas=eig.lambdas.astype("<f8"),
                 phis=eig.phis.astype("<f8"),
@@ -293,14 +300,22 @@ def save_eigenbasis(path, eig: Eigenbasis) -> None:
         raise
 
 
-def load_eigenbasis(path) -> Eigenbasis:
-    """Read a save_eigenbasis dump; entries it does not write are ignored."""
-    with np.load(path, allow_pickle=False) as data:
-        version = int(data["version"])
-        if version != _CACHE_VERSION:
-            raise ValueError(f"unsupported eigenbasis cache version {version}")
-        return Eigenbasis(
-            lambdas=data["lambdas"].astype(float),
-            phis=data["phis"].astype(float),
-            source=OperatorSpec(OperatorKind(str(data["kind"]))),
-        )
+def load_eigenbasis(path, digest: str, kind) -> Eigenbasis:
+    """Read the save_eigenbasis dump of the ``kind`` basis of the graph with
+    this digest; entries it does not write are ignored.  Any failure, a file
+    of another version, graph or kind among them, is a ValueError naming it."""
+    kind = OperatorKind(kind)
+    try:
+        with np.load(path, allow_pickle=False) as data:
+            version = int(data["version"])
+            if version != _CACHE_VERSION:
+                raise ValueError(f"unsupported eigenbasis cache version {version}")
+            held_digest, held_kind = str(data["digest"]), OperatorKind(str(data["kind"]))
+            if (held_digest, held_kind) != (digest, kind):
+                raise ValueError(f"it holds the {held_kind.value} basis of graph "
+                                 f"{held_digest[:16]}..., not the {kind.value} basis of "
+                                 f"graph {digest[:16]}...")
+            return Eigenbasis(data["lambdas"].astype(float), data["phis"].astype(float),
+                              OperatorSpec(kind))
+    except Exception as exc:
+        raise ValueError(f"cannot read cached eigenbasis {Path(path).name}: {exc}") from exc

@@ -16,7 +16,6 @@ from signedgl import (
     build_operator,
     energy,
     energy_gradient,
-    full_dense_eigs,
     generate_ssbm,
     gl_binary,
     gl_multiclass,
@@ -143,7 +142,7 @@ def energy_oracle(S, u, f, omega, eps):
 
 def test_energy_zero_on_balanced_ground_state():
     g = balanced_four_cycle()
-    basis = full_dense_eigs(build_operator(g, "SR"))
+    basis = smallest_eigs(build_operator(g, "SR"), g.n)
     u = np.array([1.0, 1.0, -1.0, -1.0])
     labels = BinaryLabelData.from_signs(u, np.array([True, False, False, True]))
     assert energy(basis, u, labels, GLConfig()) <= 1e-12
@@ -151,7 +150,7 @@ def test_energy_zero_on_balanced_ground_state():
 
 def test_energy_unlabeled_zero_vector():
     g = balanced_four_cycle()
-    basis = full_dense_eigs(build_operator(g, "SR"))
+    basis = smallest_eigs(build_operator(g, "SR"), g.n)
     labels = BinaryLabelData.from_signs(np.zeros(4), np.zeros(4, bool))
     cfg = GLConfig(epsilon=0.1)
     assert np.isclose(energy(basis, np.zeros(4), labels, cfg), 4 / (4 * 0.1))
@@ -160,7 +159,7 @@ def test_energy_unlabeled_zero_vector():
 def test_energy_matches_summation_oracle(rng):
     g = random_signed_graph(rng, 10, weighted=True)
     op = build_operator(g, "SN")
-    S, basis = op.A.toarray(), full_dense_eigs(op)
+    S, basis = op.A.toarray(), smallest_eigs(op, op.n)
     signs = np.where(rng.random(10) < 0.5, 1.0, -1.0)
     mask = rng.random(10) < 0.4
     labels = BinaryLabelData.from_signs(signs, mask)
@@ -175,12 +174,12 @@ def test_energy_rejects_non_psd_operator():
     g = balanced_four_cycle()
     labels = BinaryLabelData.from_signs(np.zeros(4), np.zeros(4, bool))
     with pytest.raises(ValueError, match="not positive semi-definite"):
-        energy(full_dense_eigs(build_operator(g, "BR")), np.zeros(4), labels, GLConfig())
+        energy(smallest_eigs(build_operator(g, "BR"), g.n), np.zeros(4), labels, GLConfig())
 
 
 def test_energy_gradient_finite_differences(rng):
     g = random_signed_graph(rng, 15, weighted=True)
-    basis = full_dense_eigs(build_operator(g, "SN"))
+    basis = smallest_eigs(build_operator(g, "SN"), g.n)
     signs = np.where(rng.random(15) < 0.5, 1.0, -1.0)
     labels = BinaryLabelData.from_signs(signs, rng.random(15) < 0.3)
     cfg = GLConfig()
@@ -215,7 +214,7 @@ def brute_force_binary_minimizer(S, f, omega, eps):
 def test_binary_two_cliques_matches_brute_force():
     g, truth = clique_graph([5, 5])
     op = build_operator(g, "L_plus_sym")
-    basis = full_dense_eigs(op)  # N_e = 10
+    basis = smallest_eigs(op, op.n)  # N_e = 10
     mask = np.zeros(10, bool)
     mask[0] = mask[5] = True
     signs = np.where(truth == 0, 1.0, -1.0)
@@ -232,7 +231,7 @@ def test_binary_two_cliques_matches_brute_force():
 
 def test_binary_all_labeled_reproduces_labels(rng):
     g = random_signed_graph(rng, 20, weighted=True)
-    basis = full_dense_eigs(build_operator(g, "SN"))
+    basis = smallest_eigs(build_operator(g, "SN"), g.n)
     signs = np.where(rng.random(20) < 0.5, 1.0, -1.0)
     labels = BinaryLabelData.from_signs(signs, np.ones(20, bool))
     _, pred, _ = gl_binary(basis, labels, GLConfig())
@@ -241,7 +240,7 @@ def test_binary_all_labeled_reproduces_labels(rng):
 
 def test_binary_single_isolated_node():
     g = clique_graph([1])[0]
-    basis = full_dense_eigs(build_operator(g, "L_plus_sym"))
+    basis = smallest_eigs(build_operator(g, "L_plus_sym"), g.n)
     labels = BinaryLabelData.from_signs([1.0], [True])
     u, pred, diag = gl_binary(basis, labels, GLConfig())
     assert pred[0] == 1
@@ -251,7 +250,7 @@ def test_binary_single_isolated_node():
 
 def test_binary_rejects_non_psd_basis():
     g = balanced_four_cycle()
-    basis = full_dense_eigs(build_operator(g, "BR"))
+    basis = smallest_eigs(build_operator(g, "BR"), g.n)
     labels = BinaryLabelData.from_signs(np.zeros(4), np.zeros(4, bool))
     with pytest.raises(ValueError, match="not positive semi-definite"):
         gl_binary(basis, labels, GLConfig())
@@ -259,7 +258,7 @@ def test_binary_rejects_non_psd_basis():
 
 def test_binary_divergence_reports_iteration():
     g = clique_graph([3])[0]
-    basis = full_dense_eigs(build_operator(g, "L_plus_sym"))
+    basis = smallest_eigs(build_operator(g, "L_plus_sym"), g.n)
     labels = BinaryLabelData.from_signs([1.0, 0.0, 0.0], [True, False, False])
     # epsilon small enough that c overflows to inf: the step matrix is not finite
     cfg = GLConfig(epsilon=1e-308, omega0=0.0, max_iter=10)
@@ -271,7 +270,7 @@ def test_binary_divergence_reports_iteration():
 
 def test_binary_refuses_an_indefinite_step_matrix():
     g = clique_graph([3])[0]
-    sn = full_dense_eigs(build_operator(g, "L_plus_sym"))
+    sn = smallest_eigs(build_operator(g, "L_plus_sym"), g.n)
     cfg = GLConfig(omega0=0.0)
     # lambda_1 = -500 puts 1 + c tau + eps tau lambda_1 = -1 on the diagonal of M, and lies
     # within the PSD check's tolerance of lambda_k = 1e9, so only the step matrix refuses it
@@ -284,7 +283,7 @@ def test_binary_refuses_an_indefinite_step_matrix():
 def test_binary_truncation_consistency_with_node_space_scheme(rng):
     g = random_signed_graph(rng, 12, weighted=True)
     op = build_operator(g, "SN")
-    basis = full_dense_eigs(op)
+    basis = smallest_eigs(op, op.n)
     S = op.A.toarray()
     signs = np.where(rng.random(12) < 0.5, 1.0, -1.0)
     labels = BinaryLabelData.from_signs(signs, rng.random(12) < 0.3)
@@ -309,7 +308,7 @@ def test_binary_truncation_consistency_with_node_space_scheme(rng):
 
 def test_binary_energy_monotone_quick(rng):
     g = random_signed_graph(rng, 30, weighted=True)
-    basis = full_dense_eigs(build_operator(g, "SN"))
+    basis = smallest_eigs(build_operator(g, "SN"), g.n)
     signs = np.where(rng.random(30) < 0.5, 1.0, -1.0)
     labels = BinaryLabelData.from_signs(signs, rng.random(30) < 0.2)
     _, _, diag = gl_binary(
@@ -344,7 +343,7 @@ def gl_binary_pow_oracle(basis, labels, cfg):
 
 def test_binary_matches_pow_cube_loop():
     g, blocks = generate_ssbm(SSBMParams(n=300, k=2, p_in=0.06, p_out=0.06, eta=0.2, seed=5))
-    basis = full_dense_eigs(build_operator(g, "SN")).truncate(20)
+    basis = smallest_eigs(build_operator(g, "SN"), g.n).truncate(20)
     signs = np.where(blocks == 0, 1.0, -1.0)
     for seed in range(3):
         mask = np.random.default_rng(seed).random(g.n) < 0.1
@@ -365,7 +364,7 @@ def test_binary_converged_iterate_is_stationary_over_the_span():
     signs = np.where(blocks == 0, 1.0, -1.0)
     cfg = GLConfig(max_iter=20000, tol=1e-10)
     for op in (build_operator(g, "SN"), build_operator(g, "AM")):
-        basis = full_dense_eigs(op).truncate(20)
+        basis = smallest_eigs(op, op.n).truncate(20)
         phis = basis.phis
         for seed in range(3):
             labels = BinaryLabelData.from_signs(
@@ -381,7 +380,7 @@ def test_binary_converged_iterate_is_stationary_over_the_span():
 
 def test_binary_label_fidelity(rng):
     g = random_signed_graph(rng, 40, weighted=True)
-    basis = full_dense_eigs(build_operator(g, "SN"))
+    basis = smallest_eigs(build_operator(g, "SN"), g.n)
     signs = np.where(rng.random(40) < 0.5, 1.0, -1.0)
     mask = rng.random(40) < 0.3
     mask[0] = True
@@ -478,7 +477,7 @@ def reference_bases(g):
     """Truncated SN, AM and SPONGE eigenbases of one graph (SPONGE's is B-orthonormal)."""
     ops = (build_operator(g, "SN"), build_operator(g, "AM"),
            build_operator(g, "SPONGE"))
-    return [full_dense_eigs(op).truncate(12) for op in ops]
+    return [smallest_eigs(op, op.n).truncate(12) for op in ops]
 
 
 def assert_same_run(new, ref, tracked=True):
@@ -569,7 +568,7 @@ def test_gl_multiclass_matches_frozen_loop():
 
 def test_gl_reports_the_frozen_divergence_iteration():
     g, blocks = generate_ssbm(SSBMParams(n=60, k=3, p_in=0.2, p_out=0.2, eta=0.1, seed=1))
-    sn = full_dense_eigs(build_operator(g, "SN")).truncate(6)
+    sn = smallest_eigs(build_operator(g, "SN"), g.n).truncate(6)
     cfg = GLConfig()
     # eigenvalues that leave the binary scheme's diagonal 1 + c tau + eps tau lambda at
     # 1e-2 in five columns: the iterate blows up over a few steps; lambda_6 is large
@@ -720,7 +719,7 @@ def test_label_objects_own_target_and_readout():
 
 def test_multiclass_three_cliques():
     g, truth = clique_graph([5, 5, 5])
-    basis = full_dense_eigs(build_operator(g, "L_plus_sym")).truncate(3)
+    basis = smallest_eigs(build_operator(g, "L_plus_sym"), g.n).truncate(3)
     mask = np.zeros(15, bool)
     mask[[0, 5, 10]] = True
     labels = MulticlassLabelData.from_classes(truth, mask, 3)
@@ -731,7 +730,7 @@ def test_multiclass_three_cliques():
 
 def test_multiclass_all_labeled(rng):
     g = random_signed_graph(rng, 18, weighted=True)
-    basis = full_dense_eigs(build_operator(g, "SN"))
+    basis = smallest_eigs(build_operator(g, "SN"), g.n)
     classes = rng.integers(0, 3, 18)
     labels = MulticlassLabelData.from_classes(classes, np.ones(18, bool), 3)
     _, pred, _ = gl_multiclass(basis, labels, GLConfig(), init_seed=1)
@@ -745,9 +744,9 @@ def test_multiclass_matches_binary_on_two_cliques():
     mask[0] = mask[5] = True
     signs = np.where(truth == 0, 1.0, -1.0)
     blabels = BinaryLabelData.from_signs(signs, mask)
-    _, bin_pred, _ = gl_binary(full_dense_eigs(op), blabels, GLConfig())
+    _, bin_pred, _ = gl_binary(smallest_eigs(op, op.n), blabels, GLConfig())
     mlabels = MulticlassLabelData.from_classes(truth, mask, 2)
-    basis = full_dense_eigs(op).truncate(2)
+    basis = smallest_eigs(op, op.n).truncate(2)
     _, multi_pred, _ = gl_multiclass(basis, mlabels, GLConfig(), init_seed=0)
     multi_signs = np.where(multi_pred == 0, 1, -1)
     assert np.mean(multi_signs == bin_pred) >= 0.99
@@ -755,7 +754,7 @@ def test_multiclass_matches_binary_on_two_cliques():
 
 def test_multiclass_rows_stay_on_simplex():
     g, truth = clique_graph([4, 4])
-    basis = full_dense_eigs(build_operator(g, "L_plus_sym")).truncate(2)
+    basis = smallest_eigs(build_operator(g, "L_plus_sym"), g.n).truncate(2)
     mask = np.zeros(8, bool)
     mask[[0, 4]] = True
     labels = MulticlassLabelData.from_classes(truth, mask, 2)
@@ -766,7 +765,7 @@ def test_multiclass_rows_stay_on_simplex():
 
 def test_multiclass_class_permutation_equivariance(rng, monkeypatch):
     g, truth = clique_graph([4, 4, 4])
-    basis = full_dense_eigs(build_operator(g, "L_plus_sym")).truncate(3)
+    basis = smallest_eigs(build_operator(g, "L_plus_sym"), g.n).truncate(3)
     mask = np.zeros(12, bool)
     mask[[0, 4, 8]] = True
     labels = MulticlassLabelData.from_classes(truth, mask, 3)
@@ -786,7 +785,7 @@ def test_multiclass_class_permutation_equivariance(rng, monkeypatch):
 
 def test_multiclass_seed_reproducible():
     g, truth = clique_graph([4, 4])
-    basis = full_dense_eigs(build_operator(g, "L_plus_sym")).truncate(2)
+    basis = smallest_eigs(build_operator(g, "L_plus_sym"), g.n).truncate(2)
     mask = np.zeros(8, bool)
     mask[[0, 4]] = True
     labels = MulticlassLabelData.from_classes(truth, mask, 2)
@@ -798,7 +797,7 @@ def test_multiclass_seed_reproducible():
 def test_multiclass_energy_of_a_full_basis_is_the_dense_form(rng):
     g = random_signed_graph(rng, 10, weighted=True)
     op = build_operator(g, "SN")
-    basis = full_dense_eigs(op)
+    basis = smallest_eigs(op, op.n)
     U = project_rows_onto_simplex(rng.random((10, 3)))
     labels = MulticlassLabelData.from_classes(
         rng.integers(0, 3, 10), np.ones(10, bool), 3
@@ -829,19 +828,19 @@ def test_every_entry_point_checks_its_basis(entry):
         "multiclass_energy": lambda basis: multiclass_energy(basis, U, multi, cfg),
     }[entry]
     # the full BR basis and a truncated BN basis keep their negative lambda_1
-    for indefinite in (full_dense_eigs(build_operator(g, "BR")),
-                       full_dense_eigs(build_operator(g, "BN")).truncate(2)):
+    for indefinite in (smallest_eigs(build_operator(g, "BR"), g.n),
+                       smallest_eigs(build_operator(g, "BN"), g.n).truncate(2)):
         assert indefinite.lambdas[0] < -0.1
         with pytest.raises(ValueError, match="not positive semi-definite"):
             call(indefinite)
-    five_nodes = full_dense_eigs(build_operator(clique_graph([5])[0], "L_plus_sym"))
+    five_nodes = smallest_eigs(build_operator(clique_graph([5])[0], "L_plus_sym"), 5)
     with pytest.raises(ValueError, match="labels cover 4 nodes, the eigenbasis 5"):
         call(five_nodes)
-    # the eigenbasis of the SPONGE generalized pair is accepted, but not with one
-    # eigenvalue for its four eigenvectors
-    sponge = full_dense_eigs(build_operator(g, "SPONGE"))
+    # the eigenbasis of the SPONGE generalized pair is accepted; one eigenvalue for its
+    # four eigenvectors is refused where the basis is built, before any entry point
+    sponge = smallest_eigs(build_operator(g, "SPONGE"), g.n)
     with pytest.raises(ValueError, match=r"eigenvalues of shape \(1,\) for 4 eigenvectors"):
-        call(Eigenbasis(sponge.lambdas[:1], sponge.phis, sponge.source))
+        Eigenbasis(sponge.lambdas[:1], sponge.phis, sponge.source)
     call(sponge)
 
 
@@ -934,7 +933,7 @@ def test_projection_matches_two_cumsum_form(rng):
 
 def test_gl_multiclass_matches_l1_kernels(monkeypatch):
     g, blocks = generate_ssbm(SSBMParams(n=240, k=3, p_in=0.08, p_out=0.08, eta=0.15, seed=4))
-    basis = full_dense_eigs(build_operator(g, "SN")).truncate(15)
+    basis = smallest_eigs(build_operator(g, "SN"), g.n).truncate(15)
     mask = np.random.default_rng(0).random(g.n) < 0.1
     labels = MulticlassLabelData.from_classes(blocks, mask, 3)
     new = [gl_multiclass(basis, labels, GLConfig(), init_seed=s) for s in range(3)]

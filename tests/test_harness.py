@@ -21,6 +21,7 @@ from signedgl import (
     build_operator,
     emit_csv,
     generate_ssbm,
+    graph_digest,
     largest_connected_component,
     load_eigenbasis,
     load_signed_edge_list,
@@ -39,6 +40,12 @@ from signedgl.harness import (
 )
 from signedgl.laplacians import OperatorKind
 from signedgl.spectral import DENSE_CAP
+
+
+def recorded_digest(path):
+    """The graph digest that a cache file records."""
+    with np.load(path) as data:
+        return str(data["digest"])
 
 
 def small_dataset(seed=1, n=80, eta=0.05, p=0.15):
@@ -273,13 +280,15 @@ def read_rows(path):
 def assert_warm_sn_rows_fail(tmp_path, spoil, message):
     """A small sweep cold, then warm after ``spoil`` rewrote its SN k=8 cache file:
     every gl-sn run row of the warm pass is an error row starting with ``message``
-    (formatted with the file's name), and every other row equals the cold pass."""
+    (formatted with the file's name and the first 16 characters of the signed
+    component's digest), and every other row equals the cold pass."""
     cache = tmp_path / "cache"
     argv = ["ssbm", "--n", "80", "--p-in", "0.15", "--p-out", "0.15", "--eta", "0.05",
             "--methods", "gl-sn,gl-am,hf", "--fractions", "0.1", "--neigs", "4,8",
             "--runs", "2", "--cache-dir", str(cache)]
     assert cli_main(argv + ["--out", str(tmp_path / "cold.csv")]) == 0
     (sn_file,) = cache.glob("eig_*_SN_k8.npz")
+    digest = recorded_digest(sn_file)
     spoil(sn_file)
     assert cli_main(argv + ["--out", str(tmp_path / "warm.csv")]) == 0
     cold, warm = read_rows(tmp_path / "cold.csv"), read_rows(tmp_path / "warm.csv")
@@ -289,7 +298,7 @@ def assert_warm_sn_rows_fail(tmp_path, spoil, message):
         if after["method"] != "gl-sn":
             assert after == before
         elif after["record"] == "run":
-            assert after["error"].startswith(message.format(sn_file.name))
+            assert after["error"].startswith(message.format(sn_file.name, digest[:16]))
             assert after["accuracy"] == after["iterations"] == ""
         else:
             assert after["error"] == "2/2 runs failed"
@@ -334,7 +343,8 @@ def test_cache_write_that_fails_partway_leaves_no_file(monkeypatch, tmp_path, ca
     res = run_experiment(g, labels, spec, cache_dir=cache)
     assert all(r.error == "" for r in res.runs)
     [path] = cache.iterdir()
-    assert path.name.endswith("_SN_k6.npz") and load_eigenbasis(path).k == 6
+    digest = graph_digest(largest_connected_component(g, "signed")[0])
+    assert path.name.endswith("_SN_k6.npz") and load_eigenbasis(path, digest, "SN").k == 6
     # a cache directory that cannot be made (under a regular file) fails the same way
     blocked = tmp_path / "file" / "cache"
     blocked.parent.write_text("")
@@ -346,9 +356,10 @@ def test_cache_write_that_fails_partway_leaves_no_file(monkeypatch, tmp_path, ca
 def test_cached_basis_with_a_negative_eigenvalue_fails_only_its_method(tmp_path):
     # the file reads back fine; only the classifier's check of its numbers refuses it
     def negate_lambda_1(path):
-        basis = load_eigenbasis(path)
+        digest = recorded_digest(path)
+        basis = load_eigenbasis(path, digest, "SN")
         basis.lambdas[0] = -1.0
-        save_eigenbasis(path, basis)
+        save_eigenbasis(path, basis, digest)
 
     assert_warm_sn_rows_fail(tmp_path, negate_lambda_1,
                              "eigenbasis has eigenvalue -1.000e+00: its operator is not positive "
@@ -356,14 +367,15 @@ def test_cached_basis_with_a_negative_eigenvalue_fails_only_its_method(tmp_path)
 
 
 def test_cached_basis_with_one_eigenvalue_for_eight_vectors_fails_only_its_method(tmp_path):
-    # read back, the single eigenvalue would broadcast into the GL step
+    # the single eigenvalue would broadcast into the GL step; the Eigenbasis that the
+    # loader builds refuses it
     def keep_lambda_1(path):
-        basis = load_eigenbasis(path)
-        basis.lambdas = basis.lambdas[:1]
-        save_eigenbasis(path, basis)
+        with np.load(path) as data:
+            entries = dict(data)
+        np.savez(path, **{**entries, "lambdas": entries["lambdas"][:1]})
 
-    assert_warm_sn_rows_fail(tmp_path, keep_lambda_1,
-                             "eigenbasis has eigenvalues of shape (1,) for ")
+    assert_warm_sn_rows_fail(tmp_path, keep_lambda_1, "cannot read cached eigenbasis {0}: "
+                             "eigenbasis has eigenvalues of shape (1,) for 8 eigenvectors")
 
 
 def test_cached_basis_of_another_operator_fails_only_its_method(tmp_path):
@@ -372,19 +384,46 @@ def test_cached_basis_of_another_operator_fails_only_its_method(tmp_path):
         shutil.copyfile(path.with_name(path.name.replace("_SN_", "_AM_")), path)
 
     assert_warm_sn_rows_fail(tmp_path, copy_am_file,
-                             "cached eigenbasis {} holds the AM basis, not the SN one")
+                             "cannot read cached eigenbasis {0}: it holds the AM basis of "
+                             "graph {1}..., not the SN basis of graph {1}...")
+
+
+def sn_file_of(g):
+    """A cache-file writer: the SN k=8 basis of g's signed component, with its digest."""
+    comp, _ = largest_connected_component(g, "signed")
+    basis, digest = smallest_eigs(build_operator(comp, OperatorKind.SN), k=8), graph_digest(comp)
+    return digest, lambda path: save_eigenbasis(path, basis, digest)
 
 
 def test_cached_basis_of_another_node_count_fails_only_its_method(tmp_path):
-    # the file name holds a digest prefix, and the file does not record its n: the
-    # SN basis of a 70-node graph under the 80-node graph's name is refused at GL entry
-    def save_a_70_node_basis(path):
-        g, _ = small_dataset(n=70)
-        comp, _ = largest_connected_component(g, "signed")
-        save_eigenbasis(path, smallest_eigs(build_operator(comp, OperatorKind.SN), k=8))
-
+    # the SN basis of a 70-node graph under the 80-node graph's name; the file records
+    # the digest of the graph it was solved on, so it is refused when it is read
+    digest, save_a_70_node_basis = sn_file_of(small_dataset(n=70)[0])
     assert_warm_sn_rows_fail(tmp_path, save_a_70_node_basis,
-                             "labels cover 80 nodes, the eigenbasis 70")
+                             "cannot read cached eigenbasis {0}: it holds the SN basis of "
+                             f"graph {digest[:16]}..., not the SN basis of graph {{1}}...")
+
+
+def test_cached_basis_of_another_graph_of_the_same_size_fails_only_its_method(tmp_path):
+    # the 80-node graph of another seed: its basis fits every shape check of the
+    # classifier, and only the digest its file records tells the two apart
+    g, _ = small_dataset(seed=5)
+    assert largest_connected_component(g, "signed")[0].n == 80
+    digest, save_another_graphs_basis = sn_file_of(g)
+    assert_warm_sn_rows_fail(tmp_path, save_another_graphs_basis,
+                             "cannot read cached eigenbasis {0}: it holds the SN basis of "
+                             f"graph {digest[:16]}..., not the SN basis of graph {{1}}...")
+
+
+def test_version_1_cache_file_fails_only_its_method(tmp_path):
+    # a file as version 1 wrote it records no digest, so nothing ties it to its graph
+    def write_version_1(path):
+        basis = load_eigenbasis(path, recorded_digest(path), "SN")
+        np.savez(path, version=np.int64(1), kind=np.str_("SN"), lambdas=basis.lambdas,
+                 phis=basis.phis)
+
+    assert_warm_sn_rows_fail(tmp_path, write_version_1, "cannot read cached eigenbasis {0}: "
+                             "unsupported eigenbasis cache version 1")
 
 
 def test_sponge_and_negative_methods_run():
@@ -465,7 +504,8 @@ def test_cache_file_holds_one_basis_whatever_the_sweep_seed(k, tmp_path):
                                                          "SPONGE_k10.npz"]
     assert [f.name for f in files0] == [f.name for f in files5]
     for path0, path5 in zip(files0, files5):
-        assert load_eigenbasis(path0).n > DENSE_CAP
+        kind = path0.stem.split("_")[2]
+        assert load_eigenbasis(path0, recorded_digest(path0), kind).n > DENSE_CAP
         # compared entry by entry: the npz archives themselves carry timestamps
         with np.load(path0) as a, np.load(path5) as b:
             assert a.files == b.files
@@ -898,7 +938,7 @@ def test_cli_eigs_files_hold_the_solve_at_their_own_k(tmp_path):
     files = sorted(cache.glob("eig_*.npz"))
     assert files
     for path in files:
-        cached = load_eigenbasis(path)
+        cached = load_eigenbasis(path, graph_digest(comp), "SN")
         solved = smallest_eigs(op, k=int(path.stem.rsplit("_k", 1)[1]))
         assert np.array_equal(cached.phis.view(np.int64), solved.phis.view(np.int64))
         assert np.array_equal(cached.lambdas.view(np.int64), solved.lambdas.view(np.int64))
@@ -910,7 +950,7 @@ def test_cli_eigs_caps_neigs_at_the_component_size_in_one_file(monkeypatch, tmp_
                      "--save-edges", str(edges)]) == 0
     cache = tmp_path / "cache"
     solves = count_calls(monkeypatch, "smallest_eigs", lambda op, k: (op.n, k))
-    saves = count_calls(monkeypatch, "save_eigenbasis", lambda path, eig: path.name)
+    saves = count_calls(monkeypatch, "save_eigenbasis", lambda path, eig, digest: path.name)
     assert cli_main(["eigs", "--dataset", str(edges), "--operator", "SN",
                      "--neigs=40,50", "--cache-dir", str(cache)]) == 0
     assert solves == [(30, 30)]
@@ -1037,24 +1077,6 @@ def test_cli_eigs_refuses_kinds_no_sweep_method_uses(tmp_path, capsys):
         assert exit_info.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
     assert not (tmp_path / "cache").exists()
-
-
-def test_cache_file_with_a_regularization_entry_still_loads(monkeypatch, tmp_path):
-    g, labels = small_dataset()
-    spec = ExperimentSpec(methods=["gl-sn"], fractions=[0.1], n_eigs=[6], runs=2)
-    cache = tmp_path / "cache"
-    cold = run_experiment(g, labels, spec, cache_dir=cache)
-    # rewrite the cache file as earlier versions wrote it, with a regularization entry
-    (path,) = cache.glob("eig_*_SN_k6.npz")
-    basis = load_eigenbasis(path)
-    np.savez(path, version=np.int64(1), kind=np.str_("SN"), regularization=np.float64(0.0),
-             lambdas=basis.lambdas, phis=basis.phis)
-    solves = count_calls(monkeypatch, "smallest_eigs", lambda *a, **kw: None)
-    warm = run_experiment(g, labels, spec, cache_dir=cache)
-    assert solves == []
-    emit_csv(cold, tmp_path / "cold.csv")
-    emit_csv(warm, tmp_path / "warm.csv")
-    assert (tmp_path / "cold.csv").read_bytes() == (tmp_path / "warm.csv").read_bytes()
 
 
 def test_cli_errors_exit_nonzero(tmp_path, capsys, monkeypatch):

@@ -1,18 +1,19 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, cg
+from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, cg, eigsh
 
 from signedgl import (
+    Eigenbasis,
     OperatorHandle,
     OperatorKind,
     OperatorSpec,
     SSBMParams,
     build_operator,
-    full_dense_eigs,
     generate_ssbm,
     largest_connected_component,
     load_eigenbasis,
@@ -64,7 +65,7 @@ def test_smallest_matches_full_dense(rng):
         op = build_operator(g, "SN")
         k = int(rng.integers(1, min(8, g.n)))
         small = smallest_eigs(op, k=k)
-        full = full_dense_eigs(op)
+        full = smallest_eigs(op, op.n)
         assert np.allclose(small.lambdas, full.lambdas[:k], atol=1e-6)
 
 
@@ -146,7 +147,7 @@ def test_lanczos_generalized_path(kind):
     basis = smallest_eigs(op, k=20)
     Phi = basis.phis
     A, B = op.A, op.B
-    if op.is_generalized:
+    if op.B is not None:
         oracle = sla.eigh(A.toarray(), B.toarray(), eigvals_only=True, subset_by_index=[0, 19])
         gram = Phi.T @ (B @ Phi)
         applied = [A, B]
@@ -325,29 +326,22 @@ def test_k_out_of_range(rng):
 
 def test_full_dense_diag():
     h = symmetric_handle(np.diag([3.0, 1.0, 2.0]))
-    basis = full_dense_eigs(h)
+    basis = smallest_eigs(h, h.n)
     assert np.allclose(basis.lambdas, [1, 2, 3])
 
 
 def test_full_dense_reconstruction(rng):
     M = rng.standard_normal((50, 50))
     S = (M + M.T) / 2
-    basis = full_dense_eigs(symmetric_handle(S))
+    basis = smallest_eigs(symmetric_handle(S), 50)
     rebuilt = (basis.phis * basis.lambdas) @ basis.phis.T
     assert np.linalg.norm(rebuilt - S) <= 1e-8 * np.linalg.norm(S)
-
-
-def test_full_dense_cap():
-    n = 2100
-    h = symmetric_handle(sp.eye_array(n, format="csr"))
-    with pytest.raises(ValueError, match="2000"):
-        full_dense_eigs(h)
 
 
 def test_normalized_signed_spectrum_in_range(rng):
     for _ in range(5):
         g = random_signed_graph(rng, 60, weighted=True)
-        lam = full_dense_eigs(build_operator(g, "SN")).lambdas
+        lam = smallest_eigs(build_operator(g, "SN"), g.n).lambdas
         assert lam[0] >= -1e-10 and lam[-1] <= 2 + 1e-10
 
 
@@ -358,6 +352,25 @@ def test_truncate():
     assert basis.truncate(4) is basis
     with pytest.raises(ValueError):
         basis.truncate(9)
+    # as smallest_eigs does: a float is not a slice bound, nor a bool a count of one
+    for k in (True, 2.5, 0, -1):
+        with pytest.raises(ValueError, match="k must be a positive integer"):
+            basis.truncate(k)
+
+
+def test_eigenbasis_refuses_arrays_that_are_not_a_basis():
+    spec = OperatorSpec(OperatorKind.SN)
+    phis = np.eye(4)
+    for lambdas in (np.ones(1), np.ones(5), np.ones((4, 1))):
+        with pytest.raises(ValueError, match=r"eigenbasis has eigenvalues of shape "
+                                             rf"\({lambdas.shape[0]},.*\) for 4 eigenvectors"):
+            Eigenbasis(lambdas, phis, spec)
+    with pytest.raises(ValueError, match=r"of shape \(0,\) for 0 eigenvectors"):
+        Eigenbasis(np.empty(0), np.empty((4, 0)), spec)
+    basis = Eigenbasis(np.ones(4), phis, spec)
+    assert basis.k == 4
+    with pytest.raises(dataclasses.FrozenInstanceError):  # the check holds for its life
+        basis.lambdas = np.ones(1)
 
 
 def test_truncated_solve_equals_smaller_solve(rng):
@@ -400,11 +413,11 @@ def test_dense_subset_basis_matches_full_spectrum_oracle(kind, rng, ssbm300_comp
             assert [a.tobytes() for a in (M.data, M.indices, M.indptr)] == copy
         # every pair from the full-spectrum drivers, then the k smallest
         mats = [M.toarray() for M in held]
-        lam, V = sla.eigh(*mats) if op.is_generalized else np.linalg.eigh(mats[0])
+        lam, V = sla.eigh(*mats) if op.B is not None else np.linalg.eigh(mats[0])
         assert basis.phis.shape == (g.n, k) and basis.phis.flags.c_contiguous
         assert np.allclose(basis.lambdas, lam[:k], rtol=0.0, atol=1e-12)
         assert np.allclose(basis.phis, _largest_entry_positive(V[:, :k]), rtol=0.0, atol=1e-10)
-        B = mats[1] if op.is_generalized else np.eye(g.n)
+        B = mats[1] if op.B is not None else np.eye(g.n)
         assert np.allclose(basis.phis.T @ B @ basis.phis, np.eye(k), rtol=0.0, atol=1e-12)
 
 
@@ -428,8 +441,8 @@ def test_cache_round_trip(tmp_path, rng):
     g = random_signed_graph(rng, 25)
     basis = smallest_eigs(build_operator(g, "SN"), k=5)
     path = eigenbasis_cache_file(tmp_path, "a" * 64, OperatorKind.SN, 5)
-    save_eigenbasis(path, basis)
-    loaded = load_eigenbasis(path)
+    save_eigenbasis(path, basis, "a" * 64)
+    loaded = load_eigenbasis(path, "a" * 64, "SN")
     assert np.array_equal(loaded.lambdas, basis.lambdas)
     assert np.array_equal(loaded.phis, basis.phis)
     assert loaded.source == basis.source
@@ -438,8 +451,50 @@ def test_cache_round_trip(tmp_path, rng):
 
 def test_cache_refuses_another_version(tmp_path, rng, monkeypatch):
     basis = smallest_eigs(build_operator(random_signed_graph(rng, 10), "SR"), k=2)
-    monkeypatch.setattr("signedgl.spectral._CACHE_VERSION", 2)
-    save_eigenbasis(tmp_path / "v2.npz", basis)
+    monkeypatch.setattr("signedgl.spectral._CACHE_VERSION", 3)
+    save_eigenbasis(tmp_path / "v3.npz", basis, "a" * 64)
     monkeypatch.undo()
-    with pytest.raises(ValueError, match="unsupported eigenbasis cache version 2"):
-        load_eigenbasis(tmp_path / "v2.npz")
+    with pytest.raises(ValueError, match="unsupported eigenbasis cache version 3"):
+        load_eigenbasis(tmp_path / "v3.npz", "a" * 64, "SR")
+
+
+def test_cache_refuses_a_file_of_another_graph_or_operator(tmp_path, rng):
+    basis = smallest_eigs(build_operator(random_signed_graph(rng, 10), "SN"), k=2)
+    path = tmp_path / "eig.npz"
+    digest = "a" * 64
+    save_eigenbasis(path, basis, digest)
+    held = "it holds the SN basis of graph aaaaaaaaaaaaaaaa..., not the"
+    refusals = [
+        ("b" * 64, "SN", f"{held} SN basis of graph bbbbbbbbbbbbbbbb..."),
+        # the file keeps the whole digest, not the 16 characters its name holds
+        ("a" * 63 + "b", "SN", f"{held} SN basis of graph aaaaaaaaaaaaaaaa..."),
+        (digest, "AM", f"{held} AM basis of graph aaaaaaaaaaaaaaaa..."),
+    ]
+    for other, kind, message in refusals:
+        with pytest.raises(ValueError) as info:
+            load_eigenbasis(path, other, kind)
+        assert str(info.value) == f"cannot read cached eigenbasis eig.npz: {message}"
+    assert np.array_equal(load_eigenbasis(path, digest, "SN").phis, basis.phis)
+
+
+@pytest.mark.parametrize("kind", ["SN", "SPONGE"])
+def test_dense_path_serves_k_above_n_minus_2_above_the_cap(kind, rng, monkeypatch):
+    # above DENSE_CAP, ARPACK solves k <= n - 2 and the subset drivers the rest,
+    # among them smallest_eigs(op, op.n), every pair
+    monkeypatch.setattr("signedgl.spectral.DENSE_CAP", 10)
+    op = build_operator(random_signed_graph(rng, 12, weighted=True), kind)
+    mats = [M.toarray() for M in (op.A, op.B) if M is not None]
+    lam, V = sla.eigh(*mats)
+    assert np.diff(lam).min() > 1e-3  # each eigenvector is fixed up to its sign
+    lanczos = []
+
+    def spy(*args, **kwargs):
+        lanczos.append(kwargs["k"])
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr("signedgl.spectral.eigsh", spy)
+    for k in (10, 11, 12):
+        basis = smallest_eigs(op, k)
+        assert np.allclose(basis.lambdas, lam[:k], rtol=0.0, atol=1e-10)
+        assert np.allclose(basis.phis, _largest_entry_positive(V[:, :k]), rtol=0.0, atol=1e-10)
+    assert lanczos == [10]
