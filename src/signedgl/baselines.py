@@ -1,13 +1,13 @@
 """Unsigned-graph transductive baselines on the positive subgraph.
 
 Harmonic-function label propagation solves the Dirichlet problem on the
-unlabeled block of the combinatorial Laplacian D - W; local-global
+unlabeled block of D - W, built alone from W's row sums; local-global
 consistency solves (I - alpha * D^{-1/2} W D^{-1/2}) u = f.  Every system,
 whatever its size, goes to the conjugate-gradient solver of ``spectral`` at
 the package's one CG tolerance, ``spectral._CG_RTOL`` (1e-10, shared with
 the shift-invert inner solves); a singular or badly conditioned one raises
 np.linalg.LinAlgError.  Both refuse labels over another node count than
-the graph's.
+the graph's, and an asymmetric W with the message ``SignedGraph`` gives.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from .classifier import TrainingLabels
-from .graph import _as_csr
-from .laplacians import _laplacian, _norm_adjacency
+from .graph import _as_csr, _first_asymmetric_pair
+from .laplacians import _norm_adjacency
 from .spectral import _CG_RTOL, _cg_solve
 
 __all__ = ["harmonic_functions", "local_global"]
@@ -50,14 +50,18 @@ def _require_labels(labels, W) -> None:
         raise TypeError("labels must be BinaryLabelData or MulticlassLabelData")
     if labels.n != W.shape[0]:
         raise ValueError(f"labels cover {labels.n} nodes, the graph {W.shape[0]}")
+    bad = _first_asymmetric_pair(W)
+    if bad is not None:
+        raise ValueError(f"Wp is not symmetric at pair {bad}")
 
 
 def harmonic_functions(Wp, labels):
     """Harmonic extension of the labeled values over the positive subgraph.
 
-    Solves L_uu u_u = W_ul f_l for the unlabeled block; labeled nodes keep
-    their given values.  L_uu is singular exactly when an unlabeled node's
-    connected component of W holds no labeled node; that raises a LinAlgError.
+    Solves L_uu u_u = W_ul f_l, with L_uu = diag(d_u) - W_uu from W's row
+    sums d; labeled nodes keep their given values.  L_uu is singular exactly
+    when an unlabeled node's connected component of W holds no labeled node;
+    that raises a LinAlgError.
 
     Returns:
         (labels_out, scores): the label object's readout of the harmonic
@@ -77,7 +81,7 @@ def harmonic_functions(Wp, labels):
         if orphans.size:
             raise np.linalg.LinAlgError(f"linear system is singular: {orphans.size} unlabeled "
                                         f"nodes (first {orphans[0]}) have no labeled node in reach")
-        L_uu = _laplacian(W)[unl, :][:, unl]
+        L_uu = sp.diags_array(W.sum(axis=1)[unl], format="csr") - W[unl, :][:, unl]
         scores[unl] = _solve_columns(L_uu, W[unl, :][:, lab] @ values[lab])
     return labels.readout(scores), scores
 

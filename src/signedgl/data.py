@@ -9,8 +9,9 @@ start with a header line.  A LabelData holds one class index per node,
 Records with the same node pair are summed per sign in record order, so a
 pair voted both ways keeps a positive and a negative edge.  Zero-weight
 records (neutral votes) and self-loops are dropped with a counted warning.
-``_signed_graph`` is the one assembly of a graph from (src, dst, signed
-weight) records, for the loader and the block-model generator alike.
+The edge loader refuses a node id that starts with ``#``/``%``, since its
+label line would be a comment.  The loader and the block-model generator
+assemble their graphs through ``graph._signed_graph``.
 
 The canonical export declares every node in index order via ``# node:``
 comment lines; plain edge-list parsers skip them, our loader uses them,
@@ -29,7 +30,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import SignedGraph, _positive_int
+from .graph import SignedGraph, _positive_int, _signed_graph
 
 __all__ = [
     "EdgeListError",
@@ -85,8 +86,9 @@ def load_signed_edge_list(path, *, header: bool = False) -> SignedGraph:
     ``header`` skips the first data row.
 
     Raises:
-        EdgeListError: on malformed rows (with line number) or a file that
-            names no node.
+        EdgeListError: on malformed rows or a node id that is empty or
+            starts with ``#``/``%`` (with line number), or a file that names
+            no node.
     """
     text = Path(path).read_text(encoding="utf-8")
     node_order: list[tuple[int, str]] = []
@@ -94,15 +96,18 @@ def load_signed_edge_list(path, *, header: bool = False) -> SignedGraph:
     src, dst, weights = [], [], []
     n_self = n_zero = 0
 
-    def node(ident: str) -> int:
+    def node(lineno: int, ident: str) -> int:
         if ident not in index:
+            if ident.startswith(_COMMENT_PREFIXES):  # its label line would be a comment
+                raise EdgeListError(f"{path}: line {lineno}: node id {ident!r} starts with "
+                                    f"{ident[0]!r}, so it cannot be labeled")
             index[ident] = len(index)
         return index[ident]
 
     records = list(_iter_records(text, node_order, header))
     for lineno, ident in node_order:
         _require_field(path, lineno, "node id", ident)
-        node(ident)
+        node(lineno, ident)
     for lineno, fields in records:
         if len(fields) < 3:
             raise EdgeListError(
@@ -123,8 +128,8 @@ def load_signed_edge_list(path, *, header: bool = False) -> SignedGraph:
         if w == 0.0:
             n_zero += 1
             continue
-        src.append(node(fields[0]))
-        dst.append(node(fields[1]))
+        src.append(node(lineno, fields[0]))
+        dst.append(node(lineno, fields[1]))
         weights.append(w)
     if not index:
         raise EdgeListError(
@@ -141,27 +146,6 @@ def _require_field(path, lineno: int, what: str, *values: str) -> None:
     """Refuse an empty field, which a comma line such as ``a,,1`` yields."""
     if "" in values:
         raise EdgeListError(f"{path}: line {lineno}: empty {what}")
-
-
-def _signed_graph(n, src, dst, weights, node_ids=None) -> SignedGraph:
-    """The one assembly of a graph from (src, dst, signed weight) records.
-
-    A positive record goes to Wp, a negative one to Wn by magnitude, and the
-    upper triangle is mirrored.  The records of one node pair are summed per
-    sign in record order: bincount adds in input order, starting from 0.0.
-    """
-    src = np.asarray(src, dtype=np.int64)
-    dst = np.asarray(dst, dtype=np.int64)
-    weights = np.asarray(weights, dtype=float)
-    pair = np.minimum(src, dst) * n + np.maximum(src, dst)
-    halves = []
-    for signed in (weights, -weights):
-        keep = signed > 0
-        keys, slot = np.unique(pair[keep], return_inverse=True)
-        w = np.bincount(slot, weights=signed[keep], minlength=keys.size)
-        upper = sp.coo_array((w, np.divmod(keys, n)), shape=(n, n))
-        halves.append(upper + upper.T)
-    return SignedGraph(*halves, node_ids=node_ids)
 
 
 def _canonical_lines(g: SignedGraph):

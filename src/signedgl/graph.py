@@ -5,7 +5,9 @@ adjacency matrices over a shared node set: ``Wp`` holds the positive
 interactions and ``Wn`` the negative ones.  Entries of both matrices are
 strictly positive weights (the sign lives in which matrix an edge sits
 in), the diagonals are zero, and a pair of nodes may carry both a
-positive and a negative edge at once.
+positive and a negative edge at once.  ``_signed_graph`` is the one
+assembly of a graph from (src, dst, signed weight) records: the edge
+loader, the block-model generator and ``split_signs`` all build through it.
 """
 
 from __future__ import annotations
@@ -57,18 +59,6 @@ def _first_asymmetric_pair(W: sp.csr_array):
     coo = diff.tocoo()
     order = np.lexsort((coo.col, coo.row))[0]
     return int(coo.row[order]), int(coo.col[order])
-
-
-def _drop_diagonal(W: sp.csr_array, what: str) -> sp.csr_array:
-    nloops = int(np.count_nonzero(W.diagonal()))
-    if nloops == 0:
-        return W
-    warnings.warn(f"dropped {nloops} self-loop entries from {what}", stacklevel=3)
-    coo = W.tocoo()
-    off = coo.row != coo.col
-    return sp.csr_array(
-        (coo.data[off], (coo.row[off], coo.col[off])), shape=W.shape
-    )
 
 
 class SignedGraph:
@@ -165,10 +155,32 @@ def split_signs(W) -> SignedGraph:
     bad = _first_asymmetric_pair(A)
     if bad is not None:
         raise ValueError(f"input matrix is not symmetric at pair {bad}")
-    A = _drop_diagonal(A, "input matrix")
-    Wp = sp.csr_array(A.maximum(0))
-    Wn = sp.csr_array((-A).maximum(0))
-    return SignedGraph(Wp, Wn)
+    nloops = int(np.count_nonzero(A.diagonal()))
+    if nloops:
+        warnings.warn(f"dropped {nloops} self-loop entries from input matrix", stacklevel=2)
+    upper = sp.triu(A, k=1, format="coo")
+    return _signed_graph(A.shape[0], upper.row, upper.col, upper.data)
+
+
+def _signed_graph(n, src, dst, weights, node_ids=None) -> SignedGraph:
+    """The one assembly of a graph from (src, dst, signed weight) records.
+
+    A positive record goes to Wp, a negative one to Wn by magnitude, and the
+    upper triangle is mirrored.  The records of one node pair are summed per
+    sign in record order: bincount adds in input order, starting from 0.0.
+    """
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    weights = np.asarray(weights, dtype=float)
+    pair = np.minimum(src, dst) * n + np.maximum(src, dst)
+    halves = []
+    for signed in (weights, -weights):
+        keep = signed > 0
+        keys, slot = np.unique(pair[keep], return_inverse=True)
+        w = np.bincount(slot, weights=signed[keep], minlength=keys.size)
+        upper = sp.coo_array((w, np.divmod(keys, n)), shape=(n, n))
+        halves.append(upper + upper.T)
+    return SignedGraph(*halves, node_ids=node_ids)
 
 
 def degrees(g: SignedGraph) -> DegreeVectors:

@@ -1,13 +1,14 @@
 """Laplacian operators of signed graphs.
 
 ``build_operator(g, kind)``, the one constructor, returns an
-:class:`OperatorHandle`: a symmetric matrix A, plus B for SPONGE's
-symmetric-definite generalized pair (A, B), each in float64 CSR.  Any dense
-copy is made by the eigensolver that needs it
+:class:`OperatorHandle`: the kind, and a symmetric matrix A, plus B for
+SPONGE's symmetric-definite generalized pair (A, B), each in float64 CSR.
+Any dense copy is made by the eigensolver that needs it
 (:func:`signedgl.spectral.smallest_eigs`).  The unsigned Laplacians of a
 plain adjacency W are kinds on a one-sign graph, bit for bit: L(W) and
 Q(W) are SR on (W, 0) and (0, W), Lsym(W) is L_plus_sym on (W, 0) and
-Qsym(W) is Q_minus_sym on (0, W).
+Qsym(W) is Q_minus_sym on (0, W).  Harmonic functions build only the
+unlabeled block of L(W) (``signedgl.baselines``).
 
 Conventions:
   * zero-degree nodes: D^{-1/2} entries are set to 0, so such nodes
@@ -50,20 +51,21 @@ class OperatorKind(str, Enum):
 
 @dataclass(frozen=True)
 class OperatorSpec:
-    """Which operator a handle holds."""
+    """Which operator an eigenbasis was solved from (``Eigenbasis.source``)."""
 
     kind: OperatorKind
 
 
 @dataclass(frozen=True)
 class OperatorHandle:
-    """A symmetric operator A, or the generalized pair (A, B) with A and B
-    positive definite; B is None for a plain operator.  Given in any sparse
-    format or as arrays, each is held as a float64 CSR copy with sorted
-    indices, the one form the eigensolvers read; the handle holds matrices
-    only, and a dense solve makes its own copies of them."""
+    """The operator of ``kind``: a symmetric A, or the generalized pair (A, B)
+    with A and B positive definite; B is None for a plain operator.  Given
+    in any sparse format or as arrays, each is held as a float64 CSR copy
+    with sorted indices, the one form the eigensolvers read; the handle
+    holds its kind and matrices only, and a dense solve makes its own
+    copies of them."""
 
-    spec: OperatorSpec
+    kind: OperatorKind
     A: sp.csr_array
     B: sp.csr_array | None = None
 
@@ -101,13 +103,6 @@ def _norm_laplacian(W: sp.csr_array) -> sp.csr_array:
 
 def _norm_signless(W: sp.csr_array) -> sp.csr_array:
     return sp.csr_array(sp.eye_array(W.shape[0], format="csr") + _norm_adjacency(W))
-
-
-def _laplacian(W: sp.csr_array) -> sp.csr_array:
-    """D - W for a plain float64 CSR adjacency W with row sums D, held as an
-    operator handle holds its A (what ``SR`` builds on the graph (W, 0))."""
-    D = sp.diags_array(np.asarray(W.sum(axis=1)).ravel(), format="csr")
-    return _as_csr(_symmetrized(D - W))
 
 
 def _signed_ratio(g: SignedGraph) -> tuple:
@@ -163,7 +158,7 @@ def build_operator(g: SignedGraph, kind) -> OperatorHandle:
     """The operator of ``kind`` (an OperatorKind or its value) on ``g``;
     a value that names no kind raises ValueError."""
     kind = OperatorKind(kind)
-    return OperatorHandle(OperatorSpec(kind), *map(_symmetrized, _KINDS[kind][1](g)))
+    return OperatorHandle(kind, *map(_symmetrized, _KINDS[kind][1](g)))
 
 
 def operator_component(kind) -> str:

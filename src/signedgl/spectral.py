@@ -28,7 +28,8 @@ are applied by scipy's CSR kernel directly, which is the arithmetic of
 ``A @ x`` bit for bit without its dispatch.  The returned eigenvectors are
 orthonormal, B-orthonormal for generalized pairs.
 
-An ``Eigenbasis`` refuses arrays without one eigenvalue per eigenvector,
+An ``Eigenbasis`` records the kind of the handle it was solved from as its
+``source``, and refuses arrays without one eigenvalue per eigenvector,
 or without eigenvectors; ``truncate`` checks k as ``smallest_eigs`` does.
 A cache file records its graph's full digest and its kind, and
 ``load_eigenbasis`` refuses another graph, kind or version.
@@ -258,7 +259,7 @@ def smallest_eigs(op: OperatorHandle, k: int) -> Eigenbasis:
         lam, V = _arpack_smallest(op, k)
     V = _canonical_signs(np.ascontiguousarray(V))
     _check_pairs(op, k, lam, V)
-    return Eigenbasis(lambdas=lam, phis=V, source=op.spec)
+    return Eigenbasis(lambdas=lam, phis=V, source=OperatorSpec(op.kind))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from signedgl import (
     BinaryLabelData,
     MulticlassLabelData,
     SSBMParams,
+    build_operator,
     generate_ssbm,
     harmonic_functions,
     local_global,
@@ -16,7 +17,7 @@ from signedgl import (
 
 from signedgl.baselines import _solve_columns
 
-from conftest import clique_graph, random_signed_graph
+from conftest import clique_graph, positive_only, random_signed_graph
 
 
 def test_hf_all_labeled_is_identity(rng):
@@ -236,3 +237,36 @@ def test_baselines_refuse_labels_over_another_node_count():
         for baseline in (harmonic_functions, local_global):
             with pytest.raises(ValueError, match="labels cover 10 nodes, the graph 60"):
                 baseline(g.Wp, labels)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_hf_solves_the_unlabeled_block_of_sr_on_the_positive_graph(k):
+    # the Laplacian D - W is SR on (W, 0), bit for bit; hf builds only its unlabeled block
+    g, blocks = generate_ssbm(SSBMParams(n=300, k=k, p_in=0.1, p_out=0.05, eta=0.1, seed=k))
+    mask = np.random.default_rng(k).random(300) < 0.1
+    if k == 2:
+        labels = BinaryLabelData.from_signs(np.where(mask, np.where(blocks == 0, 1.0, -1.0), 0.0),
+                                            mask)
+    else:
+        labels = MulticlassLabelData.from_classes(blocks, mask, k)
+    _, scores = harmonic_functions(g.Wp, labels)
+
+    unl, lab = np.flatnonzero(~mask), np.flatnonzero(mask)
+    L = build_operator(positive_only(g.Wp), "SR").A
+    expected = np.array(labels.target, dtype=float)
+    expected[unl] = _solve_columns(L[unl, :][:, unl], g.Wp[unl, :][:, lab] @ labels.target[lab])
+    assert np.array_equal(scores.view(np.int64), expected.view(np.int64))
+
+
+def test_baselines_refuse_an_asymmetric_positive_adjacency():
+    # hf read the raw W_ul beside a symmetrized L and returned scores; lgc ran CG to its cap
+    g, blocks = generate_ssbm(SSBMParams(n=60, k=2, p_in=0.2, p_out=0.2, seed=1))
+    upper = sp.triu(g.Wp, k=1, format="coo")
+    i, j = int(upper.row[0]), int(upper.col[0])
+    Wp = g.Wp.toarray()
+    Wp[i, j] += 5.0
+    mask = np.arange(60) % 5 == 0
+    labels = BinaryLabelData.from_signs(np.where(mask, np.where(blocks == 0, 1.0, -1.0), 0.0), mask)
+    for baseline in (harmonic_functions, local_global):
+        with pytest.raises(ValueError, match=rf"Wp is not symmetric at pair \({i}, {j}\)"):
+            baseline(Wp, labels)

@@ -1,4 +1,5 @@
 import hashlib
+import re
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -87,6 +88,18 @@ def test_load_malformed_row_reports_line(tmp_path):
         for strict in (True, False):
             with pytest.raises(EdgeListError, match=f"line 2: empty {what}"):
                 load_labels(write(tmp_path, f"a,1\n{line}\n", "labels.txt"), g, strict=strict)
+
+
+def test_edge_loader_refuses_node_ids_that_read_as_comments(tmp_path):
+    # the label line of a node '#b' would be a comment, so it could never be labeled
+    for text, line, ident in (("a b 1\na #b 1\n", 2, "#b"),
+                              ("# node: a\n# node: #c\na b 1\n", 2, "#c"),
+                              ("a,%d,1\n", 1, "%d")):
+        with pytest.raises(EdgeListError, match=re.escape(f"line {line}: node id {ident!r}")):
+            load_signed_edge_list(write(tmp_path, text))
+    # class names are read as before
+    g = load_signed_edge_list(write(tmp_path, "a b 1\n"))
+    assert load_labels(write(tmp_path, "a #x\n", "labels.txt"), g).class_names == ("#x",)
 
 
 def test_load_empty_file_errors(tmp_path):

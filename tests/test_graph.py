@@ -35,8 +35,9 @@ def test_split_signs_rejects_asymmetric():
 
 def test_split_signs_drops_self_loops_with_count():
     W = np.array([[3.0, 1.0], [1.0, -2.0]])
-    with pytest.warns(UserWarning, match="2 self-loop"):
+    with pytest.warns(UserWarning, match="2 self-loop") as record:
         g = split_signs(W)
+    assert record[0].filename == __file__  # the warning points at the caller
     assert np.count_nonzero(g.Wp.diagonal()) == 0
     assert g.Wp[0, 1] == 1.0
 

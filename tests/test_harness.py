@@ -234,7 +234,7 @@ MULTI_NE_SPEC = dict(methods=["gl-sn", "gl-am", "hf", "lgc"], fractions=[0.1], n
 def test_sweep_solves_once_per_operator_and_component_once_per_mode(monkeypatch):
     g, labels = small_dataset()
     solves = count_calls(monkeypatch, "smallest_eigs",
-                         lambda op, k: (op.spec.kind.value, k))
+                         lambda op, k: (op.kind.value, k))
     modes = count_calls(monkeypatch, "largest_connected_component", lambda g, mode: mode)
     res = run_experiment(g, labels, ExperimentSpec(**MULTI_NE_SPEC))
     assert sorted(solves) == [("AM", 8), ("SN", 8)]
@@ -256,7 +256,7 @@ def test_cache_holds_one_file_per_operator_and_warm_rerun_solves_nothing(
     cache = tmp_path / "cache"
     argv = [*SSBM300, "--k", str(k), "--methods", "gl-plus,gl-minus,gl-sn,gl-sponge,gl-am,hf",
             "--fractions", "0.1", "--neigs", "5,10", "--runs", "1", "--cache-dir", str(cache)]
-    solves = count_calls(monkeypatch, "smallest_eigs", lambda op, k: (op.spec.kind.value, k))
+    solves = count_calls(monkeypatch, "smallest_eigs", lambda op, k: (op.kind.value, k))
     assert cli_main([*argv, "--out", str(tmp_path / "cold.csv")]) == 0
     kinds = sorted(kind.value for kind in signedgl.harness.GL_METHODS.values())
     assert sorted(solves) == [(kind, 10) for kind in kinds]

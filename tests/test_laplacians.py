@@ -213,10 +213,10 @@ def test_signed_ratio_identity(rng):
 def test_build_operator_dispatch():
     g = balanced_four_cycle()
     for kind in OperatorKind:
-        assert build_operator(g, kind).spec.kind == kind
+        assert build_operator(g, kind).kind == kind
         assert operator_component(kind) in ("positive", "negative", "signed")
-    assert build_operator(g, "L_plus_sym").spec.kind == OperatorKind.LSYM_POS
-    assert build_operator(g, "Q_minus_sym").spec.kind == OperatorKind.QSYM_NEG
+    assert build_operator(g, "L_plus_sym").kind == OperatorKind.LSYM_POS
+    assert build_operator(g, "Q_minus_sym").kind == OperatorKind.QSYM_NEG
     assert build_operator(g, OperatorKind.SPONGE).B is not None
     # a value that names no kind, such as the old plain-adjacency Lsym
     for value in ("Lsym", "GM"):

@@ -33,7 +33,7 @@ from conftest import positive_only, random_signed_graph
 
 
 def symmetric_handle(S):
-    return OperatorHandle(OperatorSpec(OperatorKind.BR), sp.csr_array(S))
+    return OperatorHandle(OperatorKind.BR, sp.csr_array(S))
 
 
 def test_identity_operator():
@@ -54,7 +54,7 @@ def test_generalized_with_identity_B_matches_standard(rng):
     g = random_signed_graph(rng, 20, neg_share=0.0)  # Wn = 0 -> B = I
     sponge = build_operator(g, "SPONGE")
     gen = smallest_eigs(sponge, k=5)
-    A = OperatorHandle(OperatorSpec(OperatorKind.SPONGE), sponge.A)
+    A = OperatorHandle(OperatorKind.SPONGE, sponge.A)
     std = smallest_eigs(A, k=5)
     assert np.allclose(gen.lambdas, std.lambdas, atol=1e-8)
 
@@ -171,7 +171,7 @@ def test_lanczos_generalized_path(kind):
         # a handle converts a CSC matrix, which the kernel would read as the
         # CSR of its transpose; only a non-symmetric matrix tells them apart
         upper = sp.triu(M, format="csc")
-        held = OperatorHandle(op.spec, upper).A
+        held = OperatorHandle(op.kind, upper).A
         assert np.array_equal(_csr_operator(held).matvec(x), upper @ x)
 
 
@@ -184,7 +184,7 @@ def test_lanczos_generalized_path_refuses_indefinite_A():
     A = sp.csr_array(sponge.A - 2.0 * sp.csr_array(([1.0], ([0], [0])), shape=(g.n, g.n)))
     lowest = np.linalg.eigvalsh(A.toarray())[:2]
     assert lowest[0] < 0 < lowest[1]
-    op = OperatorHandle(OperatorSpec(OperatorKind.SPONGE), A, sponge.B)
+    op = OperatorHandle(OperatorKind.SPONGE, A, sponge.B)
     with pytest.raises(EigenSolveError, match="not positive definite"):
         smallest_eigs(op, k=5)
 
@@ -234,7 +234,7 @@ def test_residual_check_refuses_pairs_above_its_tolerance(rng, monkeypatch):
 def diagonal_handle(b=None):
     """diag(1, ..., 2101), with B = b I: above DENSE_CAP, so solved by eigsh."""
     n = 2101
-    return OperatorHandle(OperatorSpec(OperatorKind.BR),
+    return OperatorHandle(OperatorKind.BR,
                           sp.diags_array(np.arange(1.0, n + 1), format="csr"),
                           None if b is None else b * sp.eye_array(n, format="csr"))
 
@@ -286,7 +286,7 @@ def test_handle_holds_float64_csr_whatever_it_is_built_from(kind, rng):
     for form, make in forms.items():
         given = [make(M) for M in mats]
         before = [M.copy() for M in given]
-        op = OperatorHandle(csr.spec, *given)
+        op = OperatorHandle(csr.kind, *given)
         held = [M for M in (op.A, op.B) if M is not None]
         for M, original in zip(held, mats):
             assert M.format == "csr" and M.dtype == np.float64 and M.has_sorted_indices, form
@@ -305,7 +305,7 @@ def test_dense_solve_refuses_a_matrix_that_is_not_finite(pair):
     # pair at all, which must not come back as an empty basis
     S = np.eye(5)
     S[1, 2] = S[2, 1] = np.nan
-    op = OperatorHandle(OperatorSpec(OperatorKind.BR), sp.csr_array(S),
+    op = OperatorHandle(OperatorKind.BR, sp.csr_array(S),
                         sp.eye_array(5, format="csr") if pair else None)
     with pytest.raises(EigenSolveError, match="found 0 of 2 eigenpairs"):
         smallest_eigs(op, k=2)
