@@ -1,13 +1,14 @@
 """Unsigned-graph transductive baselines on the positive subgraph.
 
-Harmonic-function label propagation solves the Dirichlet problem on the
-unlabeled block of D - W, built alone from W's row sums; local-global
-consistency solves (I - alpha * D^{-1/2} W D^{-1/2}) u = f.  Every system,
-whatever its size, goes to the conjugate-gradient solver of ``spectral`` at
-the package's one CG tolerance, ``spectral._CG_RTOL`` (1e-10, shared with
-the shift-invert inner solves); a singular or badly conditioned one raises
-np.linalg.LinAlgError.  Both refuse labels over another node count than
-the graph's, and an asymmetric W with the message ``SignedGraph`` gives.
+Both take a ``SignedGraph`` (anything else raises TypeError), read its
+checked W = Wp and its degrees D = dp, and refuse labels over another node
+count.  Harmonic-function label propagation solves the Dirichlet problem on
+the unlabeled block of D - W; local-global consistency solves
+(I - alpha * D^{-1/2} W D^{-1/2}) u = f.  Every system, whatever its size,
+goes to the conjugate-gradient solver of ``spectral`` at the package's one
+CG tolerance, ``spectral._CG_RTOL`` (1e-10, shared with the shift-invert
+inner solves); a singular or badly conditioned one raises
+np.linalg.LinAlgError.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from .classifier import TrainingLabels
-from .graph import _as_csr, _first_asymmetric_pair
-from .laplacians import _norm_adjacency
+from .graph import SignedGraph, degrees
+from .laplacians import _degree_scaled
 from .spectral import _CG_RTOL, _cg_solve
 
 __all__ = ["harmonic_functions", "local_global"]
@@ -45,30 +46,29 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
 
 
-def _require_labels(labels, W) -> None:
+def _require_labels(labels, g) -> None:
+    if not isinstance(g, SignedGraph):
+        raise TypeError(f"g must be a SignedGraph, got {type(g).__name__}")
     if not isinstance(labels, TrainingLabels):
         raise TypeError("labels must be BinaryLabelData or MulticlassLabelData")
-    if labels.n != W.shape[0]:
-        raise ValueError(f"labels cover {labels.n} nodes, the graph {W.shape[0]}")
-    bad = _first_asymmetric_pair(W)
-    if bad is not None:
-        raise ValueError(f"Wp is not symmetric at pair {bad}")
+    if labels.n != g.n:
+        raise ValueError(f"labels cover {labels.n} nodes, the graph {g.n}")
 
 
-def harmonic_functions(Wp, labels):
-    """Harmonic extension of the labeled values over the positive subgraph.
+def harmonic_functions(g, labels):
+    """Harmonic extension of the labeled values over the positive graph g.Wp.
 
-    Solves L_uu u_u = W_ul f_l, with L_uu = diag(d_u) - W_uu from W's row
-    sums d; labeled nodes keep their given values.  L_uu is singular exactly
-    when an unlabeled node's connected component of W holds no labeled node;
-    that raises a LinAlgError.
+    Solves L_uu u_u = W_ul f_l, with L_uu = diag(d_u) - W_uu for W = g.Wp
+    and its degrees d = dp; labeled nodes keep their given values.  L_uu is
+    singular exactly when an unlabeled node's connected component of W holds
+    no labeled node; that raises a LinAlgError.
 
     Returns:
         (labels_out, scores): the label object's readout of the harmonic
         values, and the values.
     """
-    W = _as_csr(Wp)
-    _require_labels(labels, W)
+    _require_labels(labels, g)
+    W = g.Wp
     if not labels.mask.any():
         raise ValueError("harmonic functions need at least one labeled node")
     values = labels.target
@@ -81,13 +81,13 @@ def harmonic_functions(Wp, labels):
         if orphans.size:
             raise np.linalg.LinAlgError(f"linear system is singular: {orphans.size} unlabeled "
                                         f"nodes (first {orphans[0]}) have no labeled node in reach")
-        L_uu = sp.diags_array(W.sum(axis=1)[unl], format="csr") - W[unl, :][:, unl]
+        L_uu = sp.diags_array(degrees(g).dp[unl], format="csr") - W[unl, :][:, unl]
         scores[unl] = _solve_columns(L_uu, W[unl, :][:, lab] @ values[lab])
     return labels.readout(scores), scores
 
 
-def local_global(Wp, labels, alpha: float = LGC_ALPHA):
-    """Local-global label propagation: (I - alpha * Wsym)^{-1} f.
+def local_global(g, labels, alpha: float = LGC_ALPHA):
+    """Local-global label propagation over g.Wp: (I - alpha * Wsym)^{-1} f.
 
     ``alpha`` must lie in (0, 1), which keeps the system nonsingular.
 
@@ -95,9 +95,8 @@ def local_global(Wp, labels, alpha: float = LGC_ALPHA):
         (labels_out, scores).
     """
     _check_alpha(alpha)
-    W = _as_csr(Wp)
-    _require_labels(labels, W)
-    n = W.shape[0]
-    M = sp.csr_array(sp.eye_array(n, format="csr") - alpha * _norm_adjacency(W))
+    _require_labels(labels, g)
+    Wsym = _degree_scaled(g.Wp, degrees(g).dp)
+    M = sp.csr_array(sp.eye_array(g.n, format="csr") - alpha * Wsym)
     scores = _solve_columns(M, labels.target)
     return labels.readout(scores), scores

@@ -87,13 +87,13 @@ def load_signed_edge_list(path, *, header: bool = False) -> SignedGraph:
 
     Raises:
         EdgeListError: on malformed rows or a node id that is empty or
-            starts with ``#``/``%`` (with line number), or a file that names
-            no node.
+            starts with ``#``/``%`` or a degree that overflows (with line
+            number), or a file that names no node.
     """
     text = Path(path).read_text(encoding="utf-8")
     node_order: list[tuple[int, str]] = []
     index: dict[str, int] = {}
-    src, dst, weights = [], [], []
+    src, dst, weights, lines = [], [], [], []
     n_self = n_zero = 0
 
     def node(lineno: int, ident: str) -> int:
@@ -131,6 +131,7 @@ def load_signed_edge_list(path, *, header: bool = False) -> SignedGraph:
         src.append(node(lineno, fields[0]))
         dst.append(node(lineno, fields[1]))
         weights.append(w)
+        lines.append(lineno)
     if not index:
         raise EdgeListError(
             f"{path}: no edge records found (self-loops and zero weights give no node)"
@@ -139,7 +140,17 @@ def load_signed_edge_list(path, *, header: bool = False) -> SignedGraph:
         warnings.warn(f"{path}: dropped {n_self} self-loop rows", stacklevel=2)
     if n_zero:
         warnings.warn(f"{path}: dropped {n_zero} zero-weight rows", stacklevel=2)
-    return _signed_graph(len(index), src, dst, weights, node_ids=list(index))
+    try:
+        return _signed_graph(len(index), src, dst, weights, node_ids=list(index))
+    except ValueError:  # loaded records fail only on a sum that overflows
+        running = [0.0] * len(index)
+        for lineno, *ends, w in zip(lines, src, dst, weights):
+            for v in ends:
+                running[v] += abs(w)
+                if running[v] == math.inf:
+                    raise EdgeListError(f"{path}: line {lineno}: the degree of node "
+                                        f"{list(index)[v]!r} is not finite") from None
+        raise
 
 
 def _require_field(path, lineno: int, what: str, *values: str) -> None:

@@ -5,9 +5,10 @@ adjacency matrices over a shared node set: ``Wp`` holds the positive
 interactions and ``Wn`` the negative ones.  Entries of both matrices are
 strictly positive weights (the sign lives in which matrix an edge sits
 in), the diagonals are zero, and a pair of nodes may carry both a
-positive and a negative edge at once.  ``_signed_graph`` is the one
-assembly of a graph from (src, dst, signed weight) records: the edge
-loader, the block-model generator and ``split_signs`` all build through it.
+positive and a negative edge at once.  Weights and degrees are finite; a
+graph sums its degrees once, and operators and baselines read ``degrees``.
+``_signed_graph`` is the one assembly of a graph from (src, dst, signed
+weight) records: the loader, the generator and ``split_signs`` use it.
 """
 
 from __future__ import annotations
@@ -50,23 +51,34 @@ def _positive_int(value, name: str, least: int = 1) -> int:
     return int(value)
 
 
-def _first_asymmetric_pair(W: sp.csr_array):
-    """Return the lexicographically smallest (i, j) with W[i,j] != W[j,i], or None."""
-    diff = sp.csr_array(W - W.T)
-    diff.eliminate_zeros()
-    if diff.nnz == 0:
+def _first_pair(A: sp.csr_array, hit: np.ndarray):
+    """The smallest (i, j) among the stored entries of A (CSR, sorted
+    indices) that ``hit`` marks, or None."""
+    k = np.flatnonzero(hit)
+    if not k.size:
         return None
-    coo = diff.tocoo()
-    order = np.lexsort((coo.col, coo.row))[0]
-    return int(coo.row[order]), int(coo.col[order])
+    return int(np.searchsorted(A.indptr, k[0], side="right")) - 1, int(A.indices[k[0]])
+
+
+def _check_weights(name: str, W: sp.csr_array) -> None:
+    """Refuse a non-finite entry of W, then one with W[i,j] != W[j,i],
+    naming the smallest such pair (i, j)."""
+    bad = _first_pair(W, ~np.isfinite(W.data))
+    if bad is not None:
+        raise ValueError(f"{name} has a non-finite weight at pair {bad}")
+    diff = sp.csr_array(W - W.T)
+    diff.sort_indices()
+    bad = _first_pair(diff, diff.data != 0)
+    if bad is not None:
+        raise ValueError(f"{name} is not symmetric at pair {bad}")
 
 
 class SignedGraph:
     """Immutable pair (Wp, Wn) of symmetric nonnegative adjacency matrices.
 
     Args:
-        Wp: positive adjacency, sparse or dense, symmetric, nonnegative,
-            zero diagonal.
+        Wp: positive adjacency, sparse or dense, symmetric, nonnegative and
+            finite, zero diagonal; each node's degree in Wp + Wn is finite.
         Wn: negative adjacency, same constraints and shape as ``Wp``.
         node_ids: optional external identifier per node, distinct after
             ``str``; defaults to the stringified index.
@@ -75,7 +87,7 @@ class SignedGraph:
     to be immutable after construction and safe to share across threads.
     """
 
-    __slots__ = ("n", "Wp", "Wn", "node_ids")
+    __slots__ = ("n", "Wp", "Wn", "node_ids", "_degrees")
 
     def __init__(self, Wp, Wn, node_ids=None):
         Wp = _as_csr(Wp)
@@ -85,9 +97,7 @@ class SignedGraph:
         if Wp.shape[0] != Wp.shape[1]:
             raise ValueError(f"adjacency matrices must be square, got {Wp.shape}")
         for name, W in (("Wp", Wp), ("Wn", Wn)):
-            bad = _first_asymmetric_pair(W)
-            if bad is not None:
-                raise ValueError(f"{name} is not symmetric at pair {bad}")
+            _check_weights(name, W)
             if W.nnz and float(W.data.min()) < 0.0:
                 raise ValueError(f"{name} must be nonnegative")
             if np.count_nonzero(W.diagonal()):
@@ -104,10 +114,19 @@ class SignedGraph:
                 if v in seen:
                     raise ValueError(f"node id {v!r} is repeated")
                 seen.add(v)
+        with np.errstate(over="ignore"):  # an overflow is refused below, by node
+            dp, dn = (np.asarray(W.sum(axis=1)).ravel() for W in (Wp, Wn))
+            dbar = dp + dn
+        bad = np.flatnonzero(~np.isfinite(dbar))
+        if bad.size:
+            raise ValueError(f"the degree of node {node_ids[bad[0]]!r} is not finite")
+        for d in (dp, dn, dbar):
+            d.flags.writeable = False
         self.n = n
         self.Wp = Wp
         self.Wn = Wn
         self.node_ids = node_ids
+        self._degrees = DegreeVectors(dp=dp, dn=dn, dbar=dbar)
 
     def signed_adjacency(self) -> sp.csr_array:
         """W = Wp - Wn, the merged signed adjacency matrix."""
@@ -148,13 +167,11 @@ def split_signs(W) -> SignedGraph:
     symmetric; self-loops are dropped with a counted warning.
 
     Raises:
-        ValueError: if ``W`` is not symmetric (the message carries the
-            first violating index pair).
+        ValueError: if ``W`` has a non-finite entry or is not symmetric (the
+            message carries the first violating index pair).
     """
     A = _as_csr(W)
-    bad = _first_asymmetric_pair(A)
-    if bad is not None:
-        raise ValueError(f"input matrix is not symmetric at pair {bad}")
+    _check_weights("input matrix", A)
     nloops = int(np.count_nonzero(A.diagonal()))
     if nloops:
         warnings.warn(f"dropped {nloops} self-loop entries from input matrix", stacklevel=2)
@@ -184,10 +201,8 @@ def _signed_graph(n, src, dst, weights, node_ids=None) -> SignedGraph:
 
 
 def degrees(g: SignedGraph) -> DegreeVectors:
-    """Row sums of Wp and Wn, and their sum dbar."""
-    dp = np.asarray(g.Wp.sum(axis=1)).ravel()
-    dn = np.asarray(g.Wn.sum(axis=1)).ravel()
-    return DegreeVectors(dp=dp, dn=dn, dbar=dp + dn)
+    """Row sums of Wp and Wn, and their sum dbar, summed once by the graph."""
+    return g._degrees
 
 
 def largest_connected_component(g: SignedGraph, mode: str = "signed"):

@@ -286,9 +286,9 @@ def _rows(method, comp, cell, samples, spec):
             t0 = time.perf_counter()
             try:
                 if method == "hf":
-                    pred, _ = harmonic_functions(comp.Wp, data)
+                    pred, _ = harmonic_functions(comp, data)
                 elif method == "lgc":
-                    pred, _ = local_global(comp.Wp, data, alpha=spec.alpha)
+                    pred, _ = local_global(comp, data, alpha=spec.alpha)
                 elif isinstance(data, MulticlassLabelData):
                     _, pred, diag = gl_multiclass(basis, data, spec.gl_config(w0, eps),
                                                   init_seed=init_seed)

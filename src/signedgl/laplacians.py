@@ -11,8 +11,8 @@ Qsym(W) is Q_minus_sym on (0, W).  Harmonic functions build only the
 unlabeled block of L(W) (``signedgl.baselines``).
 
 Conventions:
-  * zero-degree nodes: D^{-1/2} entries are set to 0, so such nodes
-    contribute identity rows in the I +/- D^{-1/2} W D^{-1/2} operators;
+  * D is the graph's own degree vector (``degrees``); a zero-degree node's
+    D^{-1/2} entry is 0, an identity row in the I +/- D^{-1/2} W D^{-1/2} operators;
   * an entirely absent sign (Wn = 0 or Wp = 0) contributes the zero
     operator to composite constructions, so e.g. the arithmetic-mean
     operator of an all-positive graph collapses to the normalized
@@ -92,17 +92,13 @@ def _degree_scaled(M, d: np.ndarray) -> sp.csr_array:
     return sp.csr_array(Di @ M @ Di)
 
 
-def _norm_adjacency(W: sp.csr_array) -> sp.csr_array:
-    """D^{-1/2} W D^{-1/2} with D the row sums of W."""
-    return _degree_scaled(W, np.asarray(W.sum(axis=1)).ravel())
+def _norm_laplacian(W: sp.csr_array, d: np.ndarray) -> sp.csr_array:
+    """I - D^{-1/2} W D^{-1/2}, for W's degree vector d."""
+    return sp.csr_array(sp.eye_array(W.shape[0], format="csr") - _degree_scaled(W, d))
 
 
-def _norm_laplacian(W: sp.csr_array) -> sp.csr_array:
-    return sp.csr_array(sp.eye_array(W.shape[0], format="csr") - _norm_adjacency(W))
-
-
-def _norm_signless(W: sp.csr_array) -> sp.csr_array:
-    return sp.csr_array(sp.eye_array(W.shape[0], format="csr") + _norm_adjacency(W))
+def _norm_signless(W: sp.csr_array, d: np.ndarray) -> sp.csr_array:
+    return sp.csr_array(sp.eye_array(W.shape[0], format="csr") + _degree_scaled(W, d))
 
 
 def _signed_ratio(g: SignedGraph) -> tuple:
@@ -125,15 +121,17 @@ def _sponge(g: SignedGraph) -> tuple:
     at sigma = 0 does.  An absent sign
     contributes the zero operator (so e.g. Wn = 0 gives B = I).
     """
-    eye = sp.eye_array(g.n, format="csr")
-    A = eye if g.Wp.nnz == 0 else sp.csr_array(_norm_laplacian(g.Wp) + eye)
-    B = eye if g.Wn.nnz == 0 else sp.csr_array(_norm_laplacian(g.Wn) + eye)
+    eye, d = sp.eye_array(g.n, format="csr"), degrees(g)
+    A = eye if g.Wp.nnz == 0 else sp.csr_array(_norm_laplacian(g.Wp, d.dp) + eye)
+    B = eye if g.Wn.nnz == 0 else sp.csr_array(_norm_laplacian(g.Wn, d.dn) + eye)
     return A, B
 
 
 def _arithmetic_mean(g: SignedGraph) -> tuple:
     """Lsym(Wp) + Qsym(Wn), blending attraction and repulsion."""
-    parts = [part(W) for part, W in ((_norm_laplacian, g.Wp), (_norm_signless, g.Wn)) if W.nnz]
+    d = degrees(g)
+    parts = [part(W, dw) for part, W, dw in ((_norm_laplacian, g.Wp, d.dp),
+                                             (_norm_signless, g.Wn, d.dn)) if W.nnz]
     return (sum(parts[1:], parts[0]) if parts else sp.csr_array((g.n, g.n)),)
 
 
@@ -141,8 +139,8 @@ def _arithmetic_mean(g: SignedGraph) -> tuple:
 # on, and the builder of its matrix (of SPONGE's pair).  SN is
 # I - Dbar^{-1/2} (Wp - Wn) Dbar^{-1/2}, and BN is Dbar^{-1/2} BR Dbar^{-1/2}.
 _KINDS = {
-    OperatorKind.LSYM_POS: ("positive", lambda g: (_norm_laplacian(g.Wp),)),
-    OperatorKind.QSYM_NEG: ("negative", lambda g: (_norm_signless(g.Wn),)),
+    OperatorKind.LSYM_POS: ("positive", lambda g: (_norm_laplacian(g.Wp, degrees(g).dp),)),
+    OperatorKind.QSYM_NEG: ("negative", lambda g: (_norm_signless(g.Wn, degrees(g).dn),)),
     OperatorKind.SR: ("signed", _signed_ratio),
     OperatorKind.SN: ("signed", lambda g: (
         sp.eye_array(g.n, format="csr") - _degree_scaled(g.signed_adjacency(), degrees(g).dbar),)),

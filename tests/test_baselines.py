@@ -24,7 +24,7 @@ def test_hf_all_labeled_is_identity(rng):
     g = random_signed_graph(rng, 12, neg_share=0.0)
     signs = np.where(rng.random(12) < 0.5, 1.0, -1.0)
     labels = BinaryLabelData.from_signs(signs, np.ones(12, bool))
-    pred, scores = harmonic_functions(g.Wp, labels)
+    pred, scores = harmonic_functions(g, labels)
     assert np.array_equal(pred, signs.astype(int))
     assert np.array_equal(scores, signs)
 
@@ -32,7 +32,7 @@ def test_hf_all_labeled_is_identity(rng):
 def test_hf_path_midpoint_tie_positive():
     W = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float)
     labels = BinaryLabelData.from_signs([1.0, 0.0, -1.0], [True, False, True])
-    pred, scores = harmonic_functions(W, labels)
+    pred, scores = harmonic_functions(positive_only(W), labels)
     assert abs(scores[1]) <= 1e-12
     assert pred[1] == 1  # sign(0) := +1
 
@@ -46,7 +46,7 @@ def test_hf_two_cliques_match_direct_solve_oracle():
     mask[0] = mask[9] = True
     signs = np.where(truth == 0, 1.0, -1.0)
     labels = BinaryLabelData.from_signs(signs, mask)
-    pred, scores = harmonic_functions(Wp, labels)
+    pred, scores = harmonic_functions(positive_only(Wp), labels)
 
     # independent dense solve of the Dirichlet system
     L = np.diag(Wp.sum(1)) - Wp
@@ -67,7 +67,7 @@ def test_hf_singular_unlabeled_block():
     W[2, 3] = W[3, 2] = 1.0
     labels = BinaryLabelData.from_signs([1.0, 0, 0, 0], [True, False, False, False])
     with pytest.raises(np.linalg.LinAlgError):
-        harmonic_functions(W, labels)
+        harmonic_functions(positive_only(W), labels)
 
 
 @pytest.mark.parametrize("n", [10, 2010])
@@ -82,20 +82,20 @@ def test_hf_unlabeled_region_raises_at_every_size(n):
     mask[0] = True
     labels = BinaryLabelData.from_signs(np.r_[1.0, np.zeros(n - 1)], mask)
     with pytest.raises(np.linalg.LinAlgError, match="singular"):
-        harmonic_functions(W.tocsr(), labels)
+        harmonic_functions(positive_only(W), labels)
 
 
 def test_hf_requires_some_labels():
     g, _ = clique_graph([3])
     labels = BinaryLabelData.from_signs(np.zeros(3), np.zeros(3, bool))
     with pytest.raises(ValueError, match="labeled"):
-        harmonic_functions(g.Wp, labels)
+        harmonic_functions(g, labels)
 
 
 def test_hf_maximum_principle(rng):
     for _ in range(5):
         g, _ = generate_ssbm(SSBMParams(n=60, k=2, p_in=0.3, p_out=0.3, seed=int(rng.integers(1e6))))
-        sub = g.Wp.toarray()
+        sub = positive_only(g.Wp)
         signs = np.where(rng.random(60) < 0.5, 1.0, -1.0)
         mask = rng.random(60) < 0.2
         mask[0] = True
@@ -117,14 +117,14 @@ def test_hf_multiclass_three_cliques():
     mask = np.zeros(12, bool)
     mask[[0, 4, 8]] = True
     labels = MulticlassLabelData.from_classes(truth, mask, 3)
-    pred, _ = harmonic_functions(Wp, labels)
+    pred, _ = harmonic_functions(positive_only(Wp), labels)
     assert np.array_equal(pred, truth)
 
 
 def test_lgc_zero_labels_all_positive():
     g, _ = clique_graph([4])
     labels = BinaryLabelData.from_signs(np.zeros(4), np.zeros(4, bool))
-    pred, scores = local_global(g.Wp, labels)
+    pred, scores = local_global(g, labels)
     assert np.array_equal(scores, np.zeros(4))
     assert np.array_equal(pred, np.ones(4, dtype=int))
 
@@ -135,7 +135,7 @@ def test_lgc_alpha_to_zero_limit(rng):
     mask = rng.random(15) < 0.5
     mask[0] = True
     labels = BinaryLabelData.from_signs(signs, mask)
-    pred, _ = local_global(g.Wp, labels, alpha=1e-9)
+    pred, _ = local_global(g, labels, alpha=1e-9)
     assert np.array_equal(pred[mask], signs[mask].astype(int))
 
 
@@ -145,7 +145,7 @@ def test_lgc_two_cliques_match_direct_solve(rng):
     mask[0] = mask[9] = True
     signs = np.where(truth == 0, 1.0, -1.0)
     labels = BinaryLabelData.from_signs(signs, mask)
-    pred, scores = local_global(g.Wp, labels, alpha=0.9)
+    pred, scores = local_global(g, labels, alpha=0.9)
 
     Wp = g.Wp.toarray()
     d = Wp.sum(1)
@@ -163,7 +163,7 @@ def test_lgc_alpha_validation():
     labels = BinaryLabelData.from_signs(np.zeros(3), np.zeros(3, bool))
     for alpha in (0.0, 1.0, -0.5, 2.0):
         with pytest.raises(ValueError, match="alpha"):
-            local_global(g.Wp, labels, alpha=alpha)
+            local_global(g, labels, alpha=alpha)
 
 
 def test_cg_path_matches_dense_oracle():
@@ -174,7 +174,7 @@ def test_cg_path_matches_dense_oracle():
     mask = rng.random(2200) < 0.1
     labels = BinaryLabelData.from_signs(np.where(mask, signs, 0.0), mask)
 
-    _, scores = local_global(g.Wp, labels, alpha=0.9)
+    _, scores = local_global(g, labels, alpha=0.9)
     Wp = g.Wp.toarray()
     d = Wp.sum(1)
     dinv = np.where(d > 0, 1 / np.sqrt(np.where(d > 0, d, 1)), 0.0)
@@ -204,14 +204,14 @@ def test_three_class_scores_match_dense_oracle():
     Wp = g.Wp.toarray()
     d = Wp.sum(1)
 
-    _, hf_scores = harmonic_functions(g.Wp, labels)
+    _, hf_scores = harmonic_functions(g, labels)
     unl, lab = np.flatnonzero(~mask), np.flatnonzero(mask)
     expected = F.copy()
     L = np.diag(d) - Wp
     expected[unl] = np.linalg.solve(L[np.ix_(unl, unl)], Wp[np.ix_(unl, lab)] @ F[lab])
     assert np.abs(hf_scores - expected).max() <= 1e-8
 
-    _, lgc_scores = local_global(g.Wp, labels)
+    _, lgc_scores = local_global(g, labels)
     M = np.eye(300) - 0.99 * Wp / np.sqrt(np.outer(d, d))
     assert np.abs(lgc_scores - np.linalg.solve(M, F)).max() <= 1e-8
 
@@ -225,7 +225,7 @@ def test_baselines_reject_objects_that_are_not_label_objects():
     for bad in (binary.f, ssbm_label_data(truth), look_alike):
         for baseline in (harmonic_functions, local_global):
             with pytest.raises(TypeError, match="BinaryLabelData or MulticlassLabelData"):
-                baseline(g.Wp, bad)
+                baseline(g, bad)
 
 
 def test_baselines_refuse_labels_over_another_node_count():
@@ -236,7 +236,7 @@ def test_baselines_refuse_labels_over_another_node_count():
     for labels in (binary, three):
         for baseline in (harmonic_functions, local_global):
             with pytest.raises(ValueError, match="labels cover 10 nodes, the graph 60"):
-                baseline(g.Wp, labels)
+                baseline(g, labels)
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -249,7 +249,7 @@ def test_hf_solves_the_unlabeled_block_of_sr_on_the_positive_graph(k):
                                             mask)
     else:
         labels = MulticlassLabelData.from_classes(blocks, mask, k)
-    _, scores = harmonic_functions(g.Wp, labels)
+    _, scores = harmonic_functions(g, labels)
 
     unl, lab = np.flatnonzero(~mask), np.flatnonzero(mask)
     L = build_operator(positive_only(g.Wp), "SR").A
@@ -259,7 +259,7 @@ def test_hf_solves_the_unlabeled_block_of_sr_on_the_positive_graph(k):
 
 
 def test_baselines_refuse_an_asymmetric_positive_adjacency():
-    # hf read the raw W_ul beside a symmetrized L and returned scores; lgc ran CG to its cap
+    # a baseline takes a SignedGraph alone, and the graph refuses an asymmetric Wp
     g, blocks = generate_ssbm(SSBMParams(n=60, k=2, p_in=0.2, p_out=0.2, seed=1))
     upper = sp.triu(g.Wp, k=1, format="coo")
     i, j = int(upper.row[0]), int(upper.col[0])
@@ -267,6 +267,9 @@ def test_baselines_refuse_an_asymmetric_positive_adjacency():
     Wp[i, j] += 5.0
     mask = np.arange(60) % 5 == 0
     labels = BinaryLabelData.from_signs(np.where(mask, np.where(blocks == 0, 1.0, -1.0), 0.0), mask)
+    with pytest.raises(ValueError, match=rf"Wp is not symmetric at pair \({i}, {j}\)"):
+        positive_only(Wp)
     for baseline in (harmonic_functions, local_global):
-        with pytest.raises(ValueError, match=rf"Wp is not symmetric at pair \({i}, {j}\)"):
-            baseline(Wp, labels)
+        for raw in (Wp, g.Wp):
+            with pytest.raises(TypeError, match="must be a SignedGraph, got"):
+                baseline(raw, labels)

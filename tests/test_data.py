@@ -619,3 +619,17 @@ def test_graph_digest_of_a_fixed_ssbm_is_pinned():
     g, _ = generate_ssbm(SSBMParams(n=40, k=3, p_in=0.3, p_out=0.1, eta=0.2, seed=12))
     assert (g.num_positive_edges, g.num_negative_edges) == (81, 61)
     assert graph_digest(g) == "08755422b2c0724f497bdb10404e9866a31daac7bb29fab741b5bc08e6d8668b"
+
+
+def test_edge_loader_names_the_line_where_a_degree_overflows(tmp_path):
+    # this file once loaded with dbar[b] = inf, and b's SN row read [0, 1, 0, 0]
+    overflow = "a b 1.5e308\nb c 1.5e308\nc d 1\nd a -1\n"
+    # two records of one pair sum to inf: the pair's weight, and a's degree
+    pair = "a b 1.5e308\n# a comment\na b 1.5e308\nc d 1\nd a -1\n"
+    for text, line, ident in ((overflow, 2, "b"), (pair, 3, "a")):
+        path = write(tmp_path, text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EdgeListError, match=re.escape(
+                    f"{path}: line {line}: the degree of node {ident!r} is not finite")):
+                load_signed_edge_list(path)

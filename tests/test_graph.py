@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -161,3 +163,46 @@ def test_parallel_opposite_edges_allowed():
     g = SignedGraph(Wp, Wn)
     assert g.Wp[0, 1] == 1.0 and g.Wn[0, 1] == 2.0
     assert repr(g) == "SignedGraph(n=2, positive_edges=1, negative_edges=1)"
+
+
+def test_signed_graph_refuses_a_non_finite_weight_before_its_symmetry():
+    # two summed records of 1.5e308 once read "Wp is not symmetric at pair (0, 1)"
+    for bad in (np.inf, np.nan):
+        W = np.zeros((3, 3))
+        W[0, 1] = W[1, 0] = 1.0
+        W[1, 2], W[2, 1] = bad, 1.0
+        pair = r"has a non-finite weight at pair \(1, 2\)$"
+        with pytest.raises(ValueError, match=f"^Wp {pair}"):
+            SignedGraph(W, np.zeros((3, 3)))
+        with pytest.raises(ValueError, match=f"^Wn {pair}"):
+            SignedGraph(np.zeros((3, 3)), W)
+        with pytest.raises(ValueError, match=f"^input matrix {pair}"):
+            split_signs(-W)
+
+
+def test_signed_graph_refuses_a_degree_that_overflows():
+    # node 'b' has finite weights but a degree of 3e308: its SN row was an identity row
+    big = np.array([[0, 1.5e308, 0], [1.5e308, 0, 1.5e308], [0, 1.5e308, 0]])
+    one_each = np.array([[0, 1e308], [1e308, 0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warning escapes the refusal
+        with pytest.raises(ValueError, match=r"^the degree of node 'b' is not finite$"):
+            SignedGraph(big, np.zeros((3, 3)), node_ids="abc")
+        with pytest.raises(ValueError, match=r"^the degree of node 'b' is not finite$"):
+            SignedGraph(np.zeros((3, 3)), big, node_ids="abc")
+        # dp and dn are finite, dbar = dp + dn is not
+        with pytest.raises(ValueError, match=r"^the degree of node '0' is not finite$"):
+            SignedGraph(one_each, one_each)
+        assert degrees(SignedGraph(one_each, np.zeros((2, 2)))).dbar.tolist() == [1e308, 1e308]
+
+
+def test_graph_holds_its_degrees_read_only(rng):
+    g = random_signed_graph(rng, 30, weighted=True)
+    d = degrees(g)
+    assert degrees(g) is d
+    for v, W in ((d.dp, g.Wp), (d.dn, g.Wn)):
+        assert np.allclose(v, W.toarray().sum(axis=1), rtol=1e-14, atol=0.0)
+    assert np.array_equal(d.dbar, d.dp + d.dn)
+    for v in (d.dp, d.dn, d.dbar):
+        with pytest.raises(ValueError, match="read-only"):
+            v[0] = 1.0

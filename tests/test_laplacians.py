@@ -1,17 +1,25 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 from signedgl import (
     BinaryLabelData,
     GLConfig,
+    MulticlassLabelData,
     OperatorKind,
     SignedGraph,
+    SSBMParams,
     build_operator,
+    generate_ssbm,
     gl_binary,
+    harmonic_functions,
+    largest_connected_component,
+    local_global,
     smallest_eigs,
     split_signs,
 )
+from signedgl.baselines import _solve_columns
 from signedgl.laplacians import operator_component
 
 from conftest import balanced_four_cycle, negative_only, positive_only, random_signed_graph
@@ -232,3 +240,79 @@ def test_zero_degree_rows_become_identity_rows():
     assert np.array_equal(S[2], [0, 0, 1])
     Q = build_operator(negative_only(np.zeros((3, 3))), "Q_minus_sym").A.toarray()
     assert np.array_equal(Q, np.eye(3))
+
+
+def _rowsum(W):
+    return np.asarray(W.sum(axis=1)).ravel()
+
+
+def _scaled(M, d):
+    inv_sqrt = np.zeros(d.shape)
+    inv_sqrt[d > 0] = 1.0 / np.sqrt(d[d > 0])
+    Di = sp.diags_array(inv_sqrt, format="csr")
+    return sp.csr_array(Di @ M @ Di)
+
+
+def _row_sum_operators(g):
+    """Every kind's matrices by the formulas that took their row sums from each
+    matrix they were built from, before the graph held its degrees."""
+    Wp, Wn, eye = g.Wp, g.Wn, sp.eye_array(g.n, format="csr")
+    dp, dn = _rowsum(Wp), _rowsum(Wn)
+    dbar = dp + dn
+
+    def lsym(W):
+        return sp.csr_array(eye - _scaled(W, _rowsum(W)))
+
+    def qsym(W):
+        return sp.csr_array(eye + _scaled(W, _rowsum(W)))
+
+    br = sp.csr_array(sp.diags_array(dp, format="csr") - Wp + Wn)
+    return {
+        "L_plus_sym": (lsym(Wp),),
+        "Q_minus_sym": (qsym(Wn),),
+        "SR": (sp.diags_array(dbar, format="csr") - sp.csr_array(Wp - Wn),),
+        "SN": (eye - _scaled(sp.csr_array(Wp - Wn), dbar),),
+        "BR": (br,),
+        "BN": (_scaled(br, dbar),),
+        "SPONGE": (sp.csr_array(lsym(Wp) + eye), sp.csr_array(lsym(Wn) + eye)),
+        "AM": (lsym(Wp) + qsym(Wn),),
+    }
+
+
+def _same_bits(A, B):
+    A, B = (sp.csr_array(M) for M in (A, B))
+    for M in (A, B):
+        M.eliminate_zeros()
+        M.sort_indices()
+    return (np.array_equal(A.indptr, B.indptr) and np.array_equal(A.indices, B.indices)
+            and np.array_equal(A.data.view(np.int64), B.data.view(np.int64)))
+
+
+@pytest.mark.parametrize("n, k", [(300, 2), (2050, 2), (300, 3), (2050, 3)])
+def test_operators_and_baseline_scores_keep_the_bits_of_per_matrix_row_sums(n, k):
+    # the graph sums its degrees once; each consumer reads the vector it summed itself before
+    p = 3.0 / n * 10
+    g, blocks = generate_ssbm(SSBMParams(n=n, k=k, p_in=p, p_out=p / 2, eta=0.1, seed=n + k))
+    for kind, mats in _row_sum_operators(g).items():
+        op = build_operator(g, kind)
+        built = (op.A,) if op.B is None else (op.A, op.B)
+        assert len(built) == len(mats)
+        for got, want in zip(built, mats):
+            assert _same_bits(got, sp.csr_array((want + want.T) * 0.5)), kind
+
+    comp, old_to_new = largest_connected_component(g, "positive")
+    y = blocks[old_to_new >= 0]
+    mask = np.random.default_rng(k).random(comp.n) < 0.1
+    if k == 2:
+        labels = BinaryLabelData.from_signs(np.where(mask, np.where(y == 0, 1.0, -1.0), 0.0), mask)
+    else:
+        labels = MulticlassLabelData.from_classes(y, mask, k)
+    W, d = comp.Wp, _rowsum(comp.Wp)
+    unl, lab = np.flatnonzero(~mask), np.flatnonzero(mask)
+    hf = np.array(labels.target, dtype=float)
+    L_uu = sp.diags_array(d[unl], format="csr") - W[unl, :][:, unl]
+    hf[unl] = _solve_columns(L_uu, W[unl, :][:, lab] @ labels.target[lab])
+    lgc = _solve_columns(sp.csr_array(sp.eye_array(comp.n, format="csr") - 0.99 * _scaled(W, d)),
+                         labels.target)
+    for baseline, want in ((harmonic_functions, hf), (local_global, lgc)):
+        assert np.array_equal(baseline(comp, labels)[1].view(np.int64), want.view(np.int64))
