@@ -32,13 +32,7 @@ from .data import (
     write_labels,
     write_signed_edge_list,
 )
-from .graph import (
-    DegreeVectors,
-    SignedGraph,
-    degrees,
-    largest_connected_component,
-    split_signs,
-)
+from .graph import SignedGraph, largest_connected_component, split_signs
 from .harness import (
     ExperimentResult,
     ExperimentSpec,

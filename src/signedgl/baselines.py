@@ -1,13 +1,13 @@
 """Unsigned-graph transductive baselines on the positive subgraph.
 
 Both take a ``SignedGraph`` (anything else raises TypeError), read its
-checked W = Wp and its degrees D = dp, and refuse labels over another node
-count.  Harmonic-function label propagation solves the Dirichlet problem on
-the unlabeled block of D - W; local-global consistency solves
-(I - alpha * D^{-1/2} W D^{-1/2}) u = f.  Every system, whatever its size,
-goes to the conjugate-gradient solver of ``spectral`` at the package's one
-CG tolerance, ``spectral._CG_RTOL`` (1e-10, shared with the shift-invert
-inner solves); a singular or badly conditioned one raises
+checked W = Wp and its degree vector D = g.dp, and refuse labels over
+another node count.  Harmonic-function label propagation solves the
+Dirichlet problem on the unlabeled block of D - W; local-global
+consistency solves (I - alpha * D^{-1/2} W D^{-1/2}) u = f.  Every system,
+whatever its size, goes to the conjugate-gradient solver of ``spectral`` at
+the package's one CG tolerance, ``spectral._CG_RTOL`` (1e-10, shared with
+the shift-invert inner solves); a singular or badly conditioned one raises
 np.linalg.LinAlgError.
 """
 
@@ -18,7 +18,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from .classifier import TrainingLabels
-from .graph import SignedGraph, degrees
+from .graph import SignedGraph
 from .laplacians import _degree_scaled
 from .spectral import _CG_RTOL, _cg_solve
 
@@ -59,7 +59,7 @@ def harmonic_functions(g, labels):
     """Harmonic extension of the labeled values over the positive graph g.Wp.
 
     Solves L_uu u_u = W_ul f_l, with L_uu = diag(d_u) - W_uu for W = g.Wp
-    and its degrees d = dp; labeled nodes keep their given values.  L_uu is
+    and its degrees d = g.dp; labeled nodes keep their given values.  L_uu is
     singular exactly when an unlabeled node's connected component of W holds
     no labeled node; that raises a LinAlgError.
 
@@ -81,7 +81,7 @@ def harmonic_functions(g, labels):
         if orphans.size:
             raise np.linalg.LinAlgError(f"linear system is singular: {orphans.size} unlabeled "
                                         f"nodes (first {orphans[0]}) have no labeled node in reach")
-        L_uu = sp.diags_array(degrees(g).dp[unl], format="csr") - W[unl, :][:, unl]
+        L_uu = sp.diags_array(g.dp[unl], format="csr") - W[unl, :][:, unl]
         scores[unl] = _solve_columns(L_uu, W[unl, :][:, lab] @ values[lab])
     return labels.readout(scores), scores
 
@@ -96,7 +96,7 @@ def local_global(g, labels, alpha: float = LGC_ALPHA):
     """
     _check_alpha(alpha)
     _require_labels(labels, g)
-    Wsym = _degree_scaled(g.Wp, degrees(g).dp)
+    Wsym = _degree_scaled(g.Wp, g.dp)
     M = sp.csr_array(sp.eye_array(g.n, format="csr") - alpha * Wsym)
     scores = _solve_columns(M, labels.target)
     return labels.readout(scores), scores

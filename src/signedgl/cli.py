@@ -41,6 +41,7 @@ from .harness import (
     ExperimentSpec,
     _bases,
     _CacheWriteWarning,
+    _check_classes,
     emit_csv,
     run_experiment,
 )
@@ -124,10 +125,12 @@ def _check_out(out: str) -> None:
 
 
 def _cmd_run(args) -> int:
+    # a sweep that would be refused is refused before any file is read
+    spec = _build_spec(args)
     _check_out(args.out)
     g = _load_graph(args)
     labels = load_labels(args.labels, g, strict=not args.skip_missing)
-    return _sweep(args, _build_spec(args), g, labels)
+    return _sweep(args, spec, g, labels)
 
 
 def _cmd_ssbm(args) -> int:
@@ -146,6 +149,8 @@ def _cmd_ssbm(args) -> int:
     )
     g, blocks = generate_ssbm(params)
     labels = ssbm_label_data(blocks)
+    if spec is not None:
+        _check_classes(labels)
     if args.save_edges:
         write_signed_edge_list(g, args.save_edges)
         print(f"wrote {args.save_edges}")

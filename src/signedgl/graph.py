@@ -6,7 +6,8 @@ interactions and ``Wn`` the negative ones.  Entries of both matrices are
 strictly positive weights (the sign lives in which matrix an edge sits
 in), the diagonals are zero, and a pair of nodes may carry both a
 positive and a negative edge at once.  Weights and degrees are finite; a
-graph sums its degrees once, and operators and baselines read ``degrees``.
+graph sums its degree vectors ``dp``, ``dn`` and ``dbar`` once, read-only,
+and operators and baselines read them from it.
 ``_signed_graph`` is the one assembly of a graph from (src, dst, signed
 weight) records: the loader, the generator and ``split_signs`` use it.
 """
@@ -14,7 +15,6 @@ weight) records: the loader, the generator and ``split_signs`` use it.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -22,9 +22,7 @@ from scipy.sparse.csgraph import connected_components
 
 __all__ = [
     "SignedGraph",
-    "DegreeVectors",
     "split_signs",
-    "degrees",
     "largest_connected_component",
 ]
 
@@ -83,11 +81,13 @@ class SignedGraph:
         node_ids: optional external identifier per node, distinct after
             ``str``; defaults to the stringified index.
 
-    The same node pair may appear in both matrices.  Instances are meant
-    to be immutable after construction and safe to share across threads.
+    The same node pair may appear in both matrices.  ``dp`` and ``dn`` are
+    the row sums of Wp and Wn, and ``dbar`` = dp + dn; all three are
+    read-only.  Instances are meant to be immutable after construction and
+    safe to share across threads.
     """
 
-    __slots__ = ("n", "Wp", "Wn", "node_ids", "_degrees")
+    __slots__ = ("n", "Wp", "Wn", "node_ids", "dp", "dn", "dbar")
 
     def __init__(self, Wp, Wn, node_ids=None):
         Wp = _as_csr(Wp)
@@ -126,7 +126,7 @@ class SignedGraph:
         self.Wp = Wp
         self.Wn = Wn
         self.node_ids = node_ids
-        self._degrees = DegreeVectors(dp=dp, dn=dn, dbar=dbar)
+        self.dp, self.dn, self.dbar = dp, dn, dbar
 
     def signed_adjacency(self) -> sp.csr_array:
         """W = Wp - Wn, the merged signed adjacency matrix."""
@@ -149,15 +149,6 @@ class SignedGraph:
             f"SignedGraph(n={self.n}, positive_edges={self.num_positive_edges}, "
             f"negative_edges={self.num_negative_edges})"
         )
-
-
-@dataclass(frozen=True)
-class DegreeVectors:
-    """Positive, negative and absolute degree vectors of a signed graph."""
-
-    dp: np.ndarray
-    dn: np.ndarray
-    dbar: np.ndarray
 
 
 def split_signs(W) -> SignedGraph:
@@ -198,11 +189,6 @@ def _signed_graph(n, src, dst, weights, node_ids=None) -> SignedGraph:
         upper = sp.coo_array((w, np.divmod(keys, n)), shape=(n, n))
         halves.append(upper + upper.T)
     return SignedGraph(*halves, node_ids=node_ids)
-
-
-def degrees(g: SignedGraph) -> DegreeVectors:
-    """Row sums of Wp and Wn, and their sum dbar, summed once by the graph."""
-    return g._degrees
 
 
 def largest_connected_component(g: SignedGraph, mode: str = "signed"):

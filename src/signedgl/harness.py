@@ -213,6 +213,13 @@ def _bases(comp, kind, n_eigs, cache_dir, digest) -> list:
     return [(ne, full.truncate(min(ne, comp.n))) for ne in n_eigs]
 
 
+def _check_classes(labels: LabelData) -> None:
+    """Refuse labels of fewer than two classes, which no sweep can score."""
+    if labels.num_classes < 2:
+        raise ValueError(f"a sweep needs at least 2 classes, the labels hold "
+                         f"{labels.num_classes}")
+
+
 def run_experiment(
     g: SignedGraph, labels: LabelData, spec: ExperimentSpec, cache_dir=None
 ) -> ExperimentResult:
@@ -220,9 +227,7 @@ def run_experiment(
 
     Labels that no run could score, of another node count or with fewer
     than two classes, raise before anything is solved."""
-    if labels.num_classes < 2:
-        raise ValueError(f"a sweep needs at least 2 classes, the labels hold "
-                         f"{labels.num_classes}")
+    _check_classes(labels)
     modes = dict.fromkeys(method_component(method) for method in spec.methods)
     components = {mode: _component(g, labels, mode, cache_dir) for mode in modes}
     run_rows: list[Record] = []

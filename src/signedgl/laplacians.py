@@ -11,8 +11,9 @@ Qsym(W) is Q_minus_sym on (0, W).  Harmonic functions build only the
 unlabeled block of L(W) (``signedgl.baselines``).
 
 Conventions:
-  * D is the graph's own degree vector (``degrees``); a zero-degree node's
-    D^{-1/2} entry is 0, an identity row in the I +/- D^{-1/2} W D^{-1/2} operators;
+  * D is the graph's own degree vector, the attribute ``g.dp``, ``g.dn`` or
+    ``g.dbar``; a zero-degree node's D^{-1/2} entry is 0, an identity row in
+    the I +/- D^{-1/2} W D^{-1/2} operators;
   * an entirely absent sign (Wn = 0 or Wp = 0) contributes the zero
     operator to composite constructions, so e.g. the arithmetic-mean
     operator of an all-positive graph collapses to the normalized
@@ -28,7 +29,7 @@ from enum import Enum
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import SignedGraph, _as_csr, degrees
+from .graph import SignedGraph, _as_csr
 
 __all__ = [
     "OperatorKind",
@@ -103,13 +104,13 @@ def _norm_signless(W: sp.csr_array, d: np.ndarray) -> sp.csr_array:
 
 def _signed_ratio(g: SignedGraph) -> tuple:
     """Dbar - (Wp - Wn); its smallest eigenvalue is 0 iff the graph is 2-balanced."""
-    return (sp.diags_array(degrees(g).dbar, format="csr") - g.signed_adjacency(),)
+    return (sp.diags_array(g.dbar, format="csr") - g.signed_adjacency(),)
 
 
 def _balance_ratio(g: SignedGraph) -> tuple:
     """Dp - Wp + Wn.  Not positive semi-definite in general: the classifier
     refuses a basis of it whose smallest eigenvalue is negative."""
-    return (sp.csr_array(sp.diags_array(degrees(g).dp, format="csr") - g.Wp + g.Wn),)
+    return (sp.csr_array(sp.diags_array(g.dp, format="csr") - g.Wp + g.Wn),)
 
 
 def _sponge(g: SignedGraph) -> tuple:
@@ -121,17 +122,16 @@ def _sponge(g: SignedGraph) -> tuple:
     at sigma = 0 does.  An absent sign
     contributes the zero operator (so e.g. Wn = 0 gives B = I).
     """
-    eye, d = sp.eye_array(g.n, format="csr"), degrees(g)
-    A = eye if g.Wp.nnz == 0 else sp.csr_array(_norm_laplacian(g.Wp, d.dp) + eye)
-    B = eye if g.Wn.nnz == 0 else sp.csr_array(_norm_laplacian(g.Wn, d.dn) + eye)
+    eye = sp.eye_array(g.n, format="csr")
+    A = eye if g.Wp.nnz == 0 else sp.csr_array(_norm_laplacian(g.Wp, g.dp) + eye)
+    B = eye if g.Wn.nnz == 0 else sp.csr_array(_norm_laplacian(g.Wn, g.dn) + eye)
     return A, B
 
 
 def _arithmetic_mean(g: SignedGraph) -> tuple:
     """Lsym(Wp) + Qsym(Wn), blending attraction and repulsion."""
-    d = degrees(g)
-    parts = [part(W, dw) for part, W, dw in ((_norm_laplacian, g.Wp, d.dp),
-                                             (_norm_signless, g.Wn, d.dn)) if W.nnz]
+    parts = [part(W, d) for part, W, d in ((_norm_laplacian, g.Wp, g.dp),
+                                           (_norm_signless, g.Wn, g.dn)) if W.nnz]
     return (sum(parts[1:], parts[0]) if parts else sp.csr_array((g.n, g.n)),)
 
 
@@ -139,14 +139,13 @@ def _arithmetic_mean(g: SignedGraph) -> tuple:
 # on, and the builder of its matrix (of SPONGE's pair).  SN is
 # I - Dbar^{-1/2} (Wp - Wn) Dbar^{-1/2}, and BN is Dbar^{-1/2} BR Dbar^{-1/2}.
 _KINDS = {
-    OperatorKind.LSYM_POS: ("positive", lambda g: (_norm_laplacian(g.Wp, degrees(g).dp),)),
-    OperatorKind.QSYM_NEG: ("negative", lambda g: (_norm_signless(g.Wn, degrees(g).dn),)),
+    OperatorKind.LSYM_POS: ("positive", lambda g: (_norm_laplacian(g.Wp, g.dp),)),
+    OperatorKind.QSYM_NEG: ("negative", lambda g: (_norm_signless(g.Wn, g.dn),)),
     OperatorKind.SR: ("signed", _signed_ratio),
     OperatorKind.SN: ("signed", lambda g: (
-        sp.eye_array(g.n, format="csr") - _degree_scaled(g.signed_adjacency(), degrees(g).dbar),)),
+        sp.eye_array(g.n, format="csr") - _degree_scaled(g.signed_adjacency(), g.dbar),)),
     OperatorKind.BR: ("signed", _balance_ratio),
-    OperatorKind.BN: ("signed", lambda g: (
-        _degree_scaled(*_balance_ratio(g), degrees(g).dbar),)),
+    OperatorKind.BN: ("signed", lambda g: (_degree_scaled(*_balance_ratio(g), g.dbar),)),
     OperatorKind.SPONGE: ("signed", _sponge),
     OperatorKind.AM: ("signed", _arithmetic_mean),
 }

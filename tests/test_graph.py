@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from signedgl import SignedGraph, degrees, largest_connected_component, split_signs
+from signedgl import SignedGraph, largest_connected_component, split_signs
 
 from conftest import random_signed_graph
 
@@ -55,22 +55,19 @@ def test_split_then_merge_round_trips(rng):
 
 def test_degrees_single_edge():
     g = split_signs(np.array([[0, 3.0], [3.0, 0]]))
-    d = degrees(g)
-    assert np.array_equal(d.dp, [3, 3])
-    assert np.array_equal(d.dn, [0, 0])
-    assert np.array_equal(d.dbar, [3, 3])
+    assert np.array_equal(g.dp, [3, 3])
+    assert np.array_equal(g.dn, [0, 0])
+    assert np.array_equal(g.dbar, [3, 3])
 
 
 def test_degrees_empty_graph():
     g = SignedGraph(sp.csr_array((5, 5)), sp.csr_array((5, 5)))
-    d = degrees(g)
-    assert not d.dp.any() and not d.dn.any() and not d.dbar.any()
+    assert not g.dp.any() and not g.dn.any() and not g.dbar.any()
 
 
 def test_degrees_triangle_one_negative():
     W = np.array([[0, 1, -1], [1, 0, 1], [-1, 1, 0]], dtype=float)
-    d = degrees(split_signs(W))
-    assert np.array_equal(d.dbar, [2, 2, 2])
+    assert np.array_equal(split_signs(W).dbar, [2, 2, 2])
 
 
 def _two_triangles_plus_isolated():
@@ -193,16 +190,45 @@ def test_signed_graph_refuses_a_degree_that_overflows():
         # dp and dn are finite, dbar = dp + dn is not
         with pytest.raises(ValueError, match=r"^the degree of node '0' is not finite$"):
             SignedGraph(one_each, one_each)
-        assert degrees(SignedGraph(one_each, np.zeros((2, 2)))).dbar.tolist() == [1e308, 1e308]
+        assert SignedGraph(one_each, np.zeros((2, 2))).dbar.tolist() == [1e308, 1e308]
 
 
 def test_graph_holds_its_degrees_read_only(rng):
     g = random_signed_graph(rng, 30, weighted=True)
-    d = degrees(g)
-    assert degrees(g) is d
-    for v, W in ((d.dp, g.Wp), (d.dn, g.Wn)):
+    d = (g.dp, g.dn, g.dbar)
+    assert all(a is b for a, b in zip((g.dp, g.dn, g.dbar), d))  # summed once, not per read
+    for v, W in ((g.dp, g.Wp), (g.dn, g.Wn)):
         assert np.allclose(v, W.toarray().sum(axis=1), rtol=1e-14, atol=0.0)
-    assert np.array_equal(d.dbar, d.dp + d.dn)
-    for v in (d.dp, d.dn, d.dbar):
+    assert np.array_equal(g.dbar, g.dp + g.dn)
+    for v in d:
         with pytest.raises(ValueError, match="read-only"):
             v[0] = 1.0
+
+
+def _bits(v):
+    return v.view(np.int64)
+
+
+def test_a_component_sums_its_own_degrees(rng):
+    # a component's degrees are the row sums of its own matrices, not the parent's
+    # entries: a positive component drops the negative edges that leave it, and a
+    # negative one the positive edges
+    g = random_signed_graph(rng, 300, density=0.012, neg_share=0.4, weighted=True)
+    for mode, other in (("positive", "dn"), ("negative", "dp"), ("signed", None)):
+        sub, old_to_new = largest_connected_component(g, mode=mode)
+        keep = np.flatnonzero(old_to_new >= 0)
+        assert 0 < sub.n < g.n, mode
+        dp, dn = (np.asarray(W.sum(axis=1)).ravel() for W in (sub.Wp, sub.Wn))
+        assert np.array_equal(_bits(sub.dp), _bits(dp)), mode
+        assert np.array_equal(_bits(sub.dn), _bits(dn)), mode
+        assert np.array_equal(_bits(sub.dbar), _bits(dp + dn)), mode
+        if other is None:  # the signed component keeps every edge of its nodes
+            for name in ("dp", "dn", "dbar"):
+                assert np.array_equal(_bits(getattr(sub, name)),
+                                      _bits(getattr(g, name)[keep])), name
+            continue
+        W = g.Wn if other == "dn" else g.Wp
+        dropped = np.flatnonzero(old_to_new < 0)
+        leaves = np.asarray(W[keep, :][:, dropped].sum(axis=1)).ravel() > 0
+        assert leaves.sum() >= 10, mode
+        assert np.array_equal(getattr(sub, other) < getattr(g, other)[keep], leaves), mode

@@ -1095,7 +1095,17 @@ def test_cli_errors_exit_nonzero(tmp_path, capsys, monkeypatch):
     # a sweep that is refused exports no graph either
     exports = [tmp_path / "e.txt", tmp_path / "b.txt"]
     export = ["--save-edges", exports[0], "--save-labels", exports[1]]
+    absent = tmp_path / "absent.txt"
+    absent.write_text(labels.read_text() + "absent block0\n")
     for argv, message in [
+        # so is a generated graph of one class
+        (ssbm + ["--k", "1", *sweep, *export, "--out", out],
+         "a sweep needs at least 2 classes, the labels hold 1"),
+        # run refuses its spec before it reads a file: no missing file, no loader notice
+        (["run", "--dataset", tmp_path / "missing.txt", "--labels", labels,
+          "--methods", "bogus", "--out", out], "unknown method 'bogus'"),
+        (["run", "--dataset", edges, "--labels", absent, "--skip-missing", *sweep,
+          "--neigs", "0", "--out", out], "each n_eigs entry must be a positive integer, got 0"),
         (["run", "--dataset", edges, "--labels", labels, "--methods=", "--out", out],
          "methods list is empty"),
         (ssbm, "nothing to do: pass --methods and/or --save-edges"),
